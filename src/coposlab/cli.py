@@ -39,11 +39,12 @@ def _arr(a: np.ndarray) -> list:
 
 
 def _cert_json(cert) -> object:
-    if cert is None:
-        return None
+    if cert is None or isinstance(cert, (int, float, str, bool)):
+        return cert
     if isinstance(cert, dict):
-        return {k: _cert_json(v) if not isinstance(v, (int, float, str, bool, type(None)))
-                else v for k, v in cert.items()}
+        return {k: _cert_json(v) for k, v in cert.items()}
+    if isinstance(cert, (list, tuple)):
+        return [_cert_json(v) for v in cert]
     if isinstance(cert, CholeskyFactor):
         return {"kind": "cholesky-factor", "L": _arr(cert.L)}
     if isinstance(cert, NegVector):

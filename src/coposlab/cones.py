@@ -27,8 +27,8 @@ from .numerics import (CholeskyFactor, NegVector, QSqrt2, SymMatrix,
                        psd_certificate)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
 from .sdp import (BasisDeficiencyError, DualRay, LinExpr, SdpProblem,
-                  SdpStatus, SdpSolution, gram_form_coeffs, sdp_solve,
-                  sos_gram_assemble)
+                  SdpStatus, SdpSolution, even_sos_assemble, gram_form_coeffs,
+                  sdp_solve)
 
 BASIC_CONES = ("nn", "psd", "dnn")
 ALL_CONES = ("nn", "psd", "dnn", "spn", "cop", "cp")
@@ -254,12 +254,35 @@ def quartic_target(a: SymMatrix, r: int) -> Dict[Tuple[int, ...], object]:
     return out
 
 
+def quartic_target_linear(n: int, r: int):
+    """(sum_i x_i^2)^r q_M as a linear map of the entries of a symmetric M.
+
+    Returns (pairs, coef): pairs[k] = (i, j), i <= j, names the k-th free
+    entry M_ij, and coef[gamma][k] is its weight in the coefficient of the
+    monomial gamma, as even_sos_assemble takes it.
+    """
+    pairs, _ = _upper_index(n)
+    rk = {(0,) * n: 1.0}
+    for _ in range(r):
+        rk = poly_mul(rk, sum_of_squares_poly(n))
+    coef: Dict[Tuple[int, ...], Dict[int, float]] = {}
+    for k, (i, j) in enumerate(pairs):
+        base = tuple((2 if t == i else 0) + (2 if t == j else 0) for t in range(n))
+        w = 1.0 if i == j else 2.0
+        for gamma, c in poly_mul({base: w}, rk).items():
+            coef.setdefault(gamma, {})[k] = float(c)
+    return pairs, coef
+
+
 def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     """Decide whether (sum x_i^2)^r q_A is a sum of squares.
 
     Level 0 coincides with the SPN split; level 1 already contains the Horn
-    matrix.  Returns a Gram certificate over the full homogeneous monomial
-    basis of degree r + 2, or the separating moment functional.
+    matrix.  The target is even, so the SDP is solved block-diagonally, one
+    block per exponent-parity class (even_sos_assemble).  Returns a Gram
+    certificate over the full homogeneous monomial basis of degree r + 2,
+    or the separating moment functional indexed like the rows of the dense
+    sos_gram_assemble problem.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -267,16 +290,16 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     target = quartic_target(a, r)
     basis = monomials(n, r + 2)
     try:
-        prob = sos_gram_assemble(target, basis)
+        prob, layout = even_sos_assemble(basis, target)
     except BasisDeficiencyError as exc:
         ray = DualRay(y=np.zeros(0), psd_operators=[], nonneg_part=np.zeros(0),
                       free_part=np.zeros(0))
         return InfeasibilityCert(ray=ray, note=f"structural: monomial {exc.monomial} unreachable")
     sol = sdp_solve(prob, tol=tol)
     if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
-        return SosGram(basis=basis, gram=sol.psd_blocks[0])
+        return SosGram(basis=basis, gram=layout.gram(sol))
     if sol.status == SdpStatus.INFEASIBLE:
-        return InfeasibilityCert(ray=sol.dual_ray,
+        return InfeasibilityCert(ray=layout.lift_ray(sol.dual_ray),
                                  note="moment functional separating the target from SOS")
     raise _indeterminate(sol)
 
@@ -286,12 +309,13 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1]) + 1
-    theta = css[rho - 1] / rho
+    """Euclidean projection of each row of v onto the probability simplex."""
+    u = -np.sort(-v, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = u - css / np.arange(1, v.shape[1] + 1) > 0
+    # rho: one past the last True of cond in each row
+    rho = v.shape[1] - np.argmax(cond[:, ::-1], axis=1)
+    theta = np.take_along_axis(css, rho[:, None] - 1, axis=1) / rho[:, None]
     return np.clip(v - theta, 0.0, None)
 
 
@@ -301,7 +325,8 @@ def cop_refute(a: SymMatrix, attempts: int = 64, seed: int = 0,
 
     Combines an exhaustive scan of 0/1-support vertices (supports up to size
     min(n, 6)) with seeded multi-start projected-gradient descent on the
-    simplex.  A returned witness is re-verified in exact rational arithmetic.
+    simplex, all starts stepped together as the rows of one array.  A
+    returned witness is re-verified in exact rational arithmetic.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
@@ -320,14 +345,14 @@ def cop_refute(a: SymMatrix, attempts: int = 64, seed: int = 0,
     rng = np.random.RandomState(seed)
     lip = float(np.abs(arr).sum(axis=1).max())  # row-sum bound on ||A||_2
     eta = 0.5 / max(lip, 1e-12)
-    for _ in range(attempts):
-        x = rng.exponential(size=n)
-        x /= x.sum()
-        for _ in range(250):
-            x = _project_simplex(x - eta * 2.0 * (arr @ x))
-        v = float(x @ arr @ x)
-        if v < best_v:
-            best_x, best_v = x, v
+    x = rng.exponential(size=(attempts, n))
+    x /= x.sum(axis=1, keepdims=True)
+    for _ in range(250):
+        x = _project_simplex(x - eta * 2.0 * (x @ arr))
+    vals = np.einsum("ai,ij,aj->a", x, arr, x)
+    k = int(np.argmin(vals))
+    if vals[k] < best_v:
+        best_x, best_v = x[k], float(vals[k])
 
     if best_x is None:
         return None
@@ -370,8 +395,10 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
 
     A strictly negative optimum separates A from the completely positive
     cone (CP is dual to COP and K^(r) sits inside COP); the witness M ships
-    with its own hierarchy certificate.  Returns None when the optimum is
-    not negative beyond solver resolution.
+    with its own hierarchy certificate.  At r = 1 the SOS condition on M is
+    solved block-diagonally by exponent parity (even_sos_assemble); the
+    certificate is still a Gram matrix over the full degree-3 basis.
+    Returns None when the optimum is not negative beyond solver resolution.
     """
     if r not in (0, 1):
         raise ValueError("r must be 0 or 1 at desk scale")
@@ -408,33 +435,8 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
 
     # r = 1: M free, B PSD over degree-3 monomials, (sum x^2) q_M = w^T B w
     basis = monomials(n, 3)
-    prob = SdpProblem(psd_block_dims=[len(basis)], free_dim=len(pairs))
-    products: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            g = tuple(x + y for x, y in zip(basis[i], basis[j]))
-            products.setdefault(g, []).append((i, j))
-    # coefficient of gamma in (sum_k x_k^2) q_M as a functional of M entries
-    mcoef: Dict[Tuple[int, ...], Dict[int, float]] = {}
-    for kidx, (i, j) in enumerate(pairs):
-        base = [0] * n
-        base[i] += 2
-        base[j] += 2
-        w = 1.0 if i == j else 2.0
-        for k in range(n):
-            g = list(base)
-            g[k] += 2
-            dd = mcoef.setdefault(tuple(g), {})
-            dd[kidx] = dd.get(kidx, 0.0) + w
-    gammas = sorted(set(products) | set(mcoef), reverse=True)
-    for g in gammas:
-        expr = LinExpr()
-        for (i, j) in products.get(g, []):
-            expr.add_psd_entry(0, i, j, 1.0 if i == j else 2.0)
-        for kidx, w in mcoef.get(g, {}).items():
-            expr.add_free(kidx, -w)
-        if not expr.is_zero():
-            prob.constraints.append((expr, 0.0))
+    _, coef = quartic_target_linear(n, 1)
+    prob, layout = even_sos_assemble(basis, {}, coef, len(pairs))
     norm = LinExpr()
     obj = LinExpr()
     for k, (i, j) in enumerate(pairs):
@@ -451,4 +453,4 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
     for k, (i, j) in enumerate(pairs):
         m[i, j] = m[j, i] = sol.free[k]
     return CpRefutation(m=m, pairing=float((arr * m).sum()), level=1,
-                        certificate=SosGram(basis=basis, gram=sol.psd_blocks[0]))
+                        certificate=SosGram(basis=basis, gram=layout.gram(sol)))

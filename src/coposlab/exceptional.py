@@ -24,16 +24,17 @@ import importlib.resources
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .cones import (InfeasibilityCert, SosGram, cp_refute, frobenius,
-                    horn_matrix, membership_basic, _indeterminate)
+                    horn_matrix, membership_basic, quartic_target_linear,
+                    _indeterminate)
 from .numerics import (CholeskyFactor, PivotList, QSqrt2, SymMatrix,
                        exact_ldl_psd, matrix_loads, psd_certificate)
-from .quartic import monomials, poly_mul, sum_of_squares_poly
-from .sdp import (LinExpr, SdpProblem, SdpStatus, sdp_solve)
+from .quartic import monomials
+from .sdp import (LinExpr, SdpProblem, SdpStatus, even_sos_assemble, sdp_solve)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -359,6 +360,10 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
 
     A must be (certified) doubly nonnegative; the pairing <A, C> < 0 then
     separates C from PSD + NN, while the Gram certificate keeps C copositive.
+    The SOS condition is even, so the SDP is solved block-diagonally by
+    exponent parity (even_sos_assemble); the Gram certificate is still over
+    the full monomial basis of degree k + 2, and an infeasibility ray is
+    indexed like the dense coefficient rows followed by the pairing row.
     Returns (C, SosGram) or an InfeasibilityCert; Indeterminate raises.
     """
     if k not in (1, 2):
@@ -368,37 +373,9 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
         raise ValueError("epsilon_prime must be > 0")
     n = a.n
     arr = a.to_numpy()
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     basis = monomials(n, k + 2)
-    prob = SdpProblem(psd_block_dims=[len(basis)], free_dim=len(pairs))
-
-    products: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            g = tuple(x + y for x, y in zip(basis[i], basis[j]))
-            products.setdefault(g, []).append((i, j))
-    # (sum x^2)^k q_C coefficients as functionals of the entries of C
-    rk = sum_of_squares_poly(n)
-    for _ in range(k - 1):
-        rk = poly_mul(rk, sum_of_squares_poly(n))
-    ccoef: Dict[Tuple[int, ...], Dict[int, float]] = {}
-    for kidx, (i, j) in enumerate(pairs):
-        base = [0] * n
-        base[i] += 2
-        base[j] += 2
-        w = 1.0 if i == j else 2.0
-        for rkey, rval in rk.items():
-            g = tuple(x + y for x, y in zip(base, rkey))
-            dd = ccoef.setdefault(g, {})
-            dd[kidx] = dd.get(kidx, 0.0) + w * float(rval)
-    for g in sorted(set(products) | set(ccoef), reverse=True):
-        expr = LinExpr()
-        for (i, j) in products.get(g, []):
-            expr.add_psd_entry(0, i, j, 1.0 if i == j else 2.0)
-        for kidx, w in ccoef.get(g, {}).items():
-            expr.add_free(kidx, -w)
-        if not expr.is_zero():
-            prob.constraints.append((expr, 0.0))
+    pairs, coef = quartic_target_linear(n, k)
+    prob, layout = even_sos_assemble(basis, {}, coef, len(pairs))
     pair_expr = LinExpr()
     for kidx, (i, j) in enumerate(pairs):
         pair_expr.add_free(kidx, float(arr[i, j]) * (1.0 if i == j else 2.0))
@@ -409,13 +386,14 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
 
     sol = sdp_solve(prob, tol=tol)
     if sol.status == SdpStatus.INFEASIBLE:
-        return InfeasibilityCert(ray=sol.dual_ray, note="no copositive separator at this pairing")
+        return InfeasibilityCert(ray=layout.lift_ray(sol.dual_ray),
+                                 note="no copositive separator at this pairing")
     if sol.status not in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
         raise _indeterminate(sol)
     cmat = np.zeros((n, n))
     for kidx, (i, j) in enumerate(pairs):
         cmat[i, j] = cmat[j, i] = sol.free[kidx]
-    gram = SosGram(basis=basis, gram=sol.psd_blocks[0])
+    gram = SosGram(basis=basis, gram=layout.gram(sol))
     pairing = float((arr * cmat).sum())
     if abs(pairing + float(epsp)) > 1e-7:
         raise VerificationError(f"pairing {pairing} missed target {-float(epsp)}")

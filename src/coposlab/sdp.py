@@ -1,6 +1,15 @@
 """Small dense semidefinite programming over products of PSD blocks,
 a nonnegative orthant and free scalars, plus SOS Gram-matrix assembly.
 
+Every SOS target of the hierarchy, (sum x_i^2)^r q_A, is even in each
+variable, so its Gram matrix splits into one block per exponent-parity class
+of the monomial basis (Gatermann and Parrilo 2004).  even_sos_assemble builds
+that block problem: one PSD block per class of two or more monomials, an
+orthant scalar per class of one, and rows only for even monomials.  Its
+certificates are still given on the full monomial basis (a K x K Gram
+matrix) and, for infeasibility, on the rows of the dense sos_gram_assemble
+problem, which stays as the reference form.
+
 The solver is a primal-dual path-following method on the homogeneous
 self-dual embedding (HSDE) with Nesterov-Todd scaling and a Mehrotra-style
 adaptive centering parameter.  The embedding is what turns infeasibility
@@ -361,6 +370,7 @@ def _presolve(A: np.ndarray, b: np.ndarray):
             continue
         seen[key] = i
         keep.append(i)
+    dropped = m - len(keep)
     A1k = A1[keep]
     b1k = b1[keep]
 
@@ -385,10 +395,13 @@ def _presolve(A: np.ndarray, b: np.ndarray):
                         y[keep[j]] = sgn * lam[pos] / scales[keep[j]]
                     y[keep[i]] = -sgn / scales[keep[i]]
                     return None, None, None, None, y
-            warnings.warn(f"dropping {len(dep)} linearly dependent constraint rows")
+            dropped += len(dep)
             keep = [keep[i] for i in ind]
             A1k = A1[keep]
             b1k = b1[keep]
+    if dropped:
+        # a duplicate after row scaling is a dependent row too
+        warnings.warn(f"dropping {dropped} linearly dependent constraint rows")
     return A1k, b1k, keep, scales, None
 
 
@@ -705,6 +718,23 @@ def _cone_violation(std: _Standard, z: np.ndarray) -> float:
 # SOS Gram assembly
 # ---------------------------------------------------------------------------
 
+def _product(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _check_degrees(basis: List[Monomial], target_monomials) -> None:
+    """The basis is homogeneous of some degree d and the target of degree 2d."""
+    if not basis:
+        raise ValueError("basis must be nonempty")
+    degs = {sum(m) for m in basis}
+    if len(degs) != 1:
+        raise ValueError("basis must be homogeneous")
+    d = degs.pop()
+    tdegs = {sum(k) for k in target_monomials}
+    if tdegs and tdegs != {2 * d}:
+        raise ValueError(f"target must be homogeneous of degree {2 * d}")
+
+
 def sos_gram_assemble(target_coeffs: Dict[Monomial, object],
                       monomial_basis: Sequence[Monomial]) -> SdpProblem:
     """Feasibility SDP for target = w^T B w over the given monomial basis.
@@ -714,24 +744,18 @@ def sos_gram_assemble(target_coeffs: Dict[Monomial, object],
     gamma, sum over {i<=j : m_i + m_j = gamma} of (2 - delta_ij) B_ij equals
     the target coefficient.  A target monomial no basis pair can produce
     raises BasisDeficiencyError before any solving.
+
+    This is the dense reference form: one K x K block and one row per
+    product monomial, in decreasing monomial order.  Even targets are solved
+    through even_sos_assemble, whose certificates are stated in this form.
     """
     basis = list(monomial_basis)
-    if not basis:
-        raise ValueError("basis must be nonempty")
-    n = len(basis[0])
-    degs = {sum(m) for m in basis}
-    if len(degs) != 1:
-        raise ValueError("basis must be homogeneous")
-    d = degs.pop()
-    tdegs = {sum(k) for k in target_coeffs}
-    if tdegs and tdegs != {2 * d}:
-        raise ValueError(f"target must be homogeneous of degree {2 * d}")
+    _check_degrees(basis, target_coeffs)
 
     products: Dict[Monomial, List[Tuple[int, int]]] = {}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            gamma = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            products.setdefault(gamma, []).append((i, j))
+            products.setdefault(_product(basis[i], basis[j]), []).append((i, j))
 
     for gamma, coef in target_coeffs.items():
         if float(coef) != 0.0 and gamma not in products:
@@ -750,6 +774,110 @@ def sos_gram_assemble(target_coeffs: Dict[Monomial, object],
     problem.meta = {"kind": "sos", "basis": basis,
                     "constraint_monomials": gammas}
     return problem
+
+
+@dataclass
+class EvenSosLayout:
+    """Where the Gram matrix of an even SOS problem lives in its blocks.
+
+    `blocks[b]` lists the basis positions of PSD block b, `singles[k]` the
+    basis position whose diagonal Gram entry is orthant scalar k, and
+    `rows[r]` the monomial matched by constraint row r of the builder.
+    """
+
+    basis: List[Monomial]
+    blocks: List[List[int]]
+    singles: List[int]
+    rows: List[Monomial]
+
+    def gram(self, sol: SdpSolution) -> np.ndarray:
+        """The full K x K Gram matrix, in basis order; zero across classes."""
+        g = np.zeros((len(self.basis), len(self.basis)))
+        for idx, block in zip(self.blocks, sol.psd_blocks):
+            g[np.ix_(idx, idx)] = block
+        g[self.singles, self.singles] = sol.nonneg
+        return g
+
+    def lift_ray(self, ray: DualRay) -> DualRay:
+        """The dual ray over the rows of the dense sos_gram_assemble problem.
+
+        Rows of odd monomials get y = 0, and -A^T y is recomputed on the
+        full Gram matrix from the dense rows: entry (i, j) is -y at the row
+        of m_i + m_j.  Rows a caller appended after the builder's rows keep
+        their y and stay last; they act on free scalars only, whose part of
+        -A^T y is the same in both problems.
+        """
+        sums = [[_product(a, b) for b in self.basis] for a in self.basis]
+        gammas = sorted({g for row in sums for g in row} | set(self.rows), reverse=True)
+        pos = {g: i for i, g in enumerate(gammas)}
+        nrows = len(self.rows)
+        y = np.zeros(len(gammas) + len(ray.y) - nrows)
+        y[[pos[g] for g in self.rows]] = ray.y[:nrows]
+        y[len(gammas):] = ray.y[nrows:]
+        z = -y[np.array([[pos[g] for g in row] for row in sums])]
+        return DualRay(y=y, psd_operators=[z], nonneg_part=np.zeros(0),
+                       free_part=ray.free_part.copy())
+
+
+def even_sos_assemble(monomial_basis: Sequence[Monomial],
+                      target_coeffs: Dict[Monomial, object],
+                      free_coef: Optional[Dict[Monomial, Dict[int, float]]] = None,
+                      free_dim: int = 0) -> Tuple[SdpProblem, EvenSosLayout]:
+    """Block-diagonal feasibility SDP for an even target = w^T B w.
+
+    The target coefficient of gamma is target_coeffs[gamma] plus
+    sum_k free_coef[gamma][k] t_k over free scalars t_0..t_{free_dim-1}.
+    Every target monomial must be even in each variable (ValueError
+    otherwise).  Then B_ij can only contribute when m_i + m_j is even, i.e.
+    when m_i and m_j have the same exponent parity vector, so B splits into
+    one block per parity class of the basis (sign symmetry, Gatermann and
+    Parrilo 2004).  A class of size >= 2 becomes a PSD block, a class of one
+    monomial an orthant scalar (a 1 x 1 PSD block is a nonnegative number),
+    and rows are written only for even monomials, in decreasing order as in
+    sos_gram_assemble.  Callers may append rows and an objective on the free
+    scalars.  Returns the problem and its EvenSosLayout, which states
+    solutions and rays on the full basis and the dense row order.
+    """
+    basis = list(monomial_basis)
+    free_coef = free_coef or {}
+    _check_degrees(basis, set(target_coeffs) | set(free_coef))
+    for gamma in set(target_coeffs) | set(free_coef):
+        if any(e & 1 for e in gamma):
+            raise ValueError(f"target monomial {gamma} has an odd exponent")
+
+    classes: Dict[Monomial, List[int]] = {}
+    for i, m in enumerate(basis):
+        classes.setdefault(tuple(e & 1 for e in m), []).append(i)
+    blocks = [idx for idx in classes.values() if len(idx) > 1]
+    singles = [idx[0] for idx in classes.values() if len(idx) == 1]
+
+    entries: Dict[Monomial, Dict[tuple, float]] = {}
+    for b, idx in enumerate(blocks):
+        for a, i in enumerate(idx):
+            for c in range(a, len(idx)):
+                gamma = _product(basis[i], basis[idx[c]])
+                entries.setdefault(gamma, {})[("p", b, a, c)] = 1.0 if a == c else 2.0
+    for k, i in enumerate(singles):
+        entries.setdefault(_product(basis[i], basis[i]), {})[("n", k)] = 1.0
+
+    for gamma, coef in target_coeffs.items():
+        if float(coef) != 0.0 and gamma not in entries:
+            raise BasisDeficiencyError(gamma)
+
+    problem = SdpProblem(psd_block_dims=[len(idx) for idx in blocks],
+                         nonneg_dim=len(singles), free_dim=free_dim)
+    rows = []
+    for gamma in sorted(set(entries) | set(target_coeffs) | set(free_coef), reverse=True):
+        expr = LinExpr(entries.get(gamma))
+        for k, w in free_coef.get(gamma, {}).items():
+            expr.add_free(k, -w)
+        rhs = float(target_coeffs.get(gamma, 0))
+        if expr.is_zero() and rhs == 0.0:
+            continue
+        problem.constraints.append((expr, rhs))
+        rows.append(gamma)
+    problem.meta = {"kind": "even-sos", "basis": basis, "constraint_monomials": rows}
+    return problem, EvenSosLayout(basis=basis, blocks=blocks, singles=singles, rows=rows)
 
 
 def gram_form_coeffs(basis: Sequence[Monomial], B: np.ndarray) -> Dict[Monomial, float]:

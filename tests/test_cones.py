@@ -9,6 +9,8 @@ from coposlab.cones import (CopRefutation, CpRefutation, InfeasibilityCert,
                             parrilo_member, quartic_target, spn_decompose)
 from coposlab.numerics import CholeskyFactor, QSqrt2, SymMatrix
 from coposlab.exceptional import load_reference_a5, load_reference_c
+from coposlab.quartic import monomials
+from coposlab.sdp import SdpStatus, sdp_solve, sos_gram_assemble
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,57 @@ def test_parrilo_level0_agrees_with_spn_on_random_matrices():
         assert isinstance(spn, SpnPair) == isinstance(sos, SosGram)
         agree += 1
     assert agree == 100
+
+
+def test_parrilo_blocked_status_matches_dense_reference():
+    rng = np.random.RandomState(31)
+    decided = 0
+    for _ in range(20):
+        a = rng.uniform(-1.0, 1.0, size=(4, 4))
+        a = 0.5 * (a + a.T)
+        np.fill_diagonal(a, rng.uniform(0.0, 1.0, size=4))
+        m = SymMatrix(a)
+        for r in (0, 1):
+            target = quartic_target(m, r)
+            basis = monomials(4, r + 2)
+            dense = sdp_solve(sos_gram_assemble(target, basis)).status
+            if dense == SdpStatus.INDETERMINATE:
+                continue
+            res = parrilo_member(m, r)
+            assert isinstance(res, SosGram) == (dense != SdpStatus.INFEASIBLE)
+            if isinstance(res, SosGram):
+                assert res.basis == basis
+                assert res.gram.shape == (len(basis), len(basis))
+                assert res.check({k: float(v) for k, v in target.items()}, 1e-6)
+            else:
+                assert isinstance(res, InfeasibilityCert)
+            decided += 1
+    assert decided >= 30
+
+
+def test_parrilo_ray_is_stated_on_the_dense_rows():
+    a = SymMatrix(horn_matrix().to_numpy() - 0.2 * np.eye(5))
+    res = parrilo_member(a, 1)
+    assert isinstance(res, InfeasibilityCert)
+    basis = monomials(5, 3)
+    dense = sos_gram_assemble(quartic_target(a, 1), basis)
+    y = res.ray.y
+    assert y.shape == (len(dense.constraints),)
+    b = np.array([rhs for _, rhs in dense.constraints])
+    assert float(b @ y) > 0.0
+    assert res.ray.max_violation() <= 1e-6
+    # -A^T y of the dense problem on the full Gram; odd-monomial rows carry 0
+    z = np.zeros((len(basis), len(basis)))
+    for yv, (expr, _) in zip(y, dense.constraints):
+        (_, _, i, j), _ = next(iter(expr.terms.items()))
+        if any(e % 2 for e in np.add(basis[i], basis[j])):
+            assert yv == 0.0
+        for (_, _, i, j), c in expr.terms.items():
+            v = yv * (c if i == j else c / 2.0)
+            z[i, j] -= v
+            if i != j:
+                z[j, i] -= v
+    assert np.allclose(res.ray.psd_operators[0], z, rtol=0.0, atol=1e-12)
 
 
 def test_parrilo_monotone_in_level():

@@ -6,8 +6,8 @@ import pytest
 
 from coposlab.quartic import monomials
 from coposlab.sdp import (BasisDeficiencyError, LinExpr, SdpProblem,
-                          SdpStatus, gram_form_coeffs, sdp_solve,
-                          sos_gram_assemble)
+                          SdpStatus, even_sos_assemble, gram_form_coeffs,
+                          sdp_solve, sos_gram_assemble)
 
 
 def trace_constraint(n, rhs):
@@ -168,6 +168,31 @@ def test_sos_roundtrip_50_random_grams():
         err = max(abs(got.get(kk, 0.0) - target.get(kk, 0.0))
                   for kk in set(got) | set(target))
         assert err <= 1e-7 * (1 + scale)
+
+
+def test_even_sos_rejects_odd_target():
+    with pytest.raises(ValueError, match="odd exponent"):
+        even_sos_assemble(monomials(2, 2), {(4, 0): 1.0, (3, 1): 0.5})
+    with pytest.raises(ValueError, match="odd exponent"):
+        even_sos_assemble(monomials(2, 2), {}, {(1, 3): {0: 1.0}}, 1)
+
+
+def test_even_sos_splits_by_parity_class():
+    # degree-3 basis in 5 variables: x_j^3 and x_i^2 x_j share the parity of
+    # x_j (five 5x5 blocks); each x_i x_j x_k is alone (ten orthant scalars)
+    basis = monomials(5, 3)
+    target = {tuple(6 if t == i else 0 for t in range(5)): 1.0 for i in range(5)}
+    prob, layout = even_sos_assemble(basis, target)
+    assert prob.psd_block_dims == [5] * 5
+    assert prob.nonneg_dim == 10
+    assert len(prob.constraints) == len(monomials(5, 3))  # one row per even monomial
+    assert sorted(sum(layout.blocks, []) + layout.singles) == list(range(len(basis)))
+    sol = sdp_solve(prob)
+    assert sol.status == SdpStatus.FEASIBLE_POINT
+    gram = layout.gram(sol)
+    assert gram.shape == (len(basis), len(basis))
+    got = gram_form_coeffs(basis, gram)
+    assert max(abs(got.get(k, 0.0) - target.get(k, 0.0)) for k in set(got) | set(target)) < 1e-7
 
 
 def test_sdp_problem_json_dump(tmp_path):
