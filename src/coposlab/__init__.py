@@ -22,6 +22,6 @@ from .exceptional import (CosPoly, EdnnResult, TrigGram, build_ednn_sdp,
                           load_reference_gram, read_off_series, trig_sos_check,
                           triple_integral, verify_paper_examples)
 from .volume import (SectionSpec, VradEstimate, check_bounds, radial,
-                     section_membership, vrad_mc, vrad_nn_exact)
+                     section_membership, section_radii, vrad_mc, vrad_nn_exact)
 
 __version__ = "0.1.0"

@@ -538,38 +538,44 @@ def dim_M(n: int) -> int:
     return n * (n + 1) // 2 - 1
 
 
-def _monomial_quartics(n: int) -> List[EvenQuartic]:
-    """Pivot order: x_1^4 .. x_n^4, then x_i^2 x_j^2 in lexicographic (i<j)."""
-    out = []
-    for i in range(n):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        rows[i][i] = Fraction(1)
-        out.append(EvenQuartic(tuple(map(tuple, rows))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = rows[j][i] = Fraction(1, 2)  # monomial x_i^2 x_j^2
-            out.append(EvenQuartic(tuple(map(tuple, rows))))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _basis_M_exact(n: int) -> tuple:
-    """Gram-Schmidt in exact arithmetic; unnormalized vectors plus norms squared."""
-    r2 = r_squared(n)
-    basis: List[EvenQuartic] = []
+    """Gram-Schmidt in exact arithmetic; unnormalized vectors plus norms squared.
+
+    Runs on the aggregated coordinates t (see `_l2_gram_exact`), where the
+    L2 pairing is t_f^T Gamma t_g; the result equals the same process run
+    with `l2_inner` on `EvenQuartic` objects.
+    """
+    keys, gam = _l2_gram_exact(n)
+    m = len(keys)
+    # the sphere average of f is <f, r^2> and r^2 has t = 1 (diagonal), 2 (off)
+    r2 = [Fraction(1) if i == j else Fraction(2) for (i, j) in keys]
+    avg = [sum(gam[p][q] * r2[q] for q in range(m)) for p in range(m)]  # Gamma t_{r^2}
+    basis: List[List[Fraction]] = []
+    gam_basis: List[List[Fraction]] = []  # Gamma t_b, for the pairings with b
     norms2: List[Fraction] = []
-    for mono in _monomial_quartics(n):
-        v = mono - r2.scale(mono.sphere_average())  # ||r2||_2 = 1
-        for b, n2 in zip(basis, norms2):
-            coef = l2_inner(v, b) / n2
-            v = v - b.scale(coef)
-        if v.is_zero():
+    # pivot monomials x_1^4 .. x_n^4, then x_i^2 x_j^2 (i < j) lexicographic
+    pivots = sorted(range(m), key=lambda p: (keys[p][0] != keys[p][1], keys[p]))
+    for p in pivots:
+        v = [-avg[p] * x for x in r2]  # ||r^2||_2 = 1
+        v[p] += 1
+        for b, gb, n2 in zip(basis, gam_basis, norms2):
+            coef = sum(x * y for x, y in zip(v, gb)) / n2
+            v = [x - coef * y for x, y in zip(v, b)]
+        if not any(v):
             continue
+        gv = [sum(gam[q][s] * v[s] for s in range(m)) for q in range(m)]
         basis.append(v)
-        norms2.append(l2_inner(v, v))
+        gam_basis.append(gv)
+        norms2.append(sum(x * y for x, y in zip(v, gv)))
     assert len(basis) == dim_M(n)
-    return tuple(zip(basis, norms2))
+    out = []
+    for v, n2 in zip(basis, norms2):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), x in zip(keys, v):
+            rows[i][j] = rows[j][i] = x if i == j else x / 2
+        out.append((EvenQuartic(tuple(map(tuple, rows))), n2))
+    return tuple(out)
 
 
 def basis_M(n: int) -> List[EvenQuartic]:
@@ -584,25 +590,34 @@ def basis_M(n: int) -> List[EvenQuartic]:
 
 
 @lru_cache(maxsize=None)
-def _l2_gram_float(n: int) -> tuple:
-    """Float Gram of the aggregated q-monomial coordinates, plus the key order.
+def _l2_gram_exact(n: int) -> tuple:
+    """Exact Gram of the aggregated q-monomial coordinates, plus the key order.
 
     Keys are (i, j) with i <= j; coordinate value t_ij is a_ii for i == j and
     2 a_ij otherwise, so <f, g> = t_f^T Gamma t_g.
     """
     keys = [(i, j) for i in range(n) for j in range(i, n)]
-    m = len(keys)
-    gam = np.zeros((m, m))
-    for p, (i, j) in enumerate(keys):
-        for q, (k, l) in enumerate(keys):
+    gam = []
+    for (i, j) in keys:
+        row = []
+        for (k, l) in keys:
             alpha = [0] * n
             alpha[i] += 2
             alpha[j] += 2
             alpha[k] += 2
             alpha[l] += 2
-            gam[p, q] = float(sphere_moment(tuple(alpha)))
+            row.append(sphere_moment(tuple(alpha)))
+        gam.append(tuple(row))
+    return tuple(keys), tuple(gam)
+
+
+@lru_cache(maxsize=None)
+def _l2_gram_float(n: int) -> tuple:
+    """`_l2_gram_exact` rounded to floats, read-only."""
+    keys, gam_exact = _l2_gram_exact(n)
+    gam = np.array([[float(x) for x in row] for row in gam_exact])
     gam.setflags(write=False)
-    return tuple(keys), gam
+    return keys, gam
 
 
 def coeff_vector(a: np.ndarray, n: int) -> np.ndarray:

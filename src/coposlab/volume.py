@@ -11,11 +11,23 @@ positive and strictly diagonally dominant, hence interior to the completely
 positive cone and to every cone containing it.  For the linear-forms cone
 the center is the average of the sampled fourth-power generators.
 
-Exactness policy: NN sections are simplices and get an exact volume via a
-rational Gram determinant; PSD/DNN radii are eigenvalue computations; SPN
-radii solve one small SDP per ray; COP/CP at n >= 5 are reported as
-inner/outer pairs only (membership there is NP-hard, and pretending
-otherwise would be false precision).
+Exactness policy: NN sections are simplices and also get an exact volume
+via a rational Gram determinant.  The radial problem is linear in t, so most
+sections have a closed-form radius, computed for a whole stack of directions
+at once (`section_radii`):
+
+- face rows (polyhedral sections {a : G vec(a) >= 0}): nn (the entries), cp
+  inner (the entries plus diagonal dominance) and lf outer (the apolar
+  pairings with sampled nonnegative forms);
+- a generalized eigenvalue: psd;
+- the minimum of the two: dnn, and cp at n <= 4 (mode "exact", CP = DNN);
+- the ball radius itself: ball.
+
+spn, and cop at n <= 4 (mode "exact", COP = SPN), solve one small parametric
+SDP per ray.  The rest bisect on the membership oracle: cop inner/outer, cp
+outer and lf inner.  COP/CP at n >= 5 are reported as inner/outer pairs only
+(membership there is NP-hard, and pretending otherwise would be false
+precision).
 """
 
 from __future__ import annotations
@@ -111,11 +123,6 @@ def _pos_samples(n: int, count: int, seed: int) -> List[np.ndarray]:
     return out
 
 
-def _diff_pairing(a: np.ndarray, b: np.ndarray) -> float:
-    """Apolar pairing of even quartics: 24 sum diag + 16 sum upper products."""
-    return float(8.0 * (a * b).sum() + 16.0 * (np.diag(a) @ np.diag(b)))
-
-
 @dataclass
 class SectionSpec:
     """Which cone section to study, with the oracle mode and star center.
@@ -125,6 +132,10 @@ class SectionSpec:
     where the hierarchy collapses), "inner" or "outer"; lf requires "inner"
     (conic hull of sampled generators) or "outer" (apolar pairing against
     sampled nonnegative forms).  "ball" is a calibration cone {|g| <= R}.
+
+    `closed_form` tells whether `section_radii` applies.  Polyhedral
+    sections keep their face rows G (on vec(a)) with the offsets G vec(c) at
+    the star center c; spectral ones keep L^{-1}, where c = L L^T.
     """
 
     cone: str
@@ -139,6 +150,7 @@ class SectionSpec:
     # derived fields
     dim: int = field(init=False)
     star_center: np.ndarray = field(init=False)
+    closed_form: bool = field(init=False)
 
     def __post_init__(self):
         if self.cone not in SECTION_CONES:
@@ -177,13 +189,49 @@ class SectionSpec:
             self._gen_cols = np.array([self._tvec(g) for g in pts]).T
             center_mat = pts.mean(axis=0)
             self.star_center = self.coords_of(center_mat)
-            self._pos = _pos_samples(self.n, max(64, self.generator_count // 4),
-                                     self.seed + 1)
+            if self.mode == "outer":
+                self._pos = np.array(_pos_samples(self.n, max(64, self.generator_count // 4),
+                                                  self.seed + 1))
+                self._pos_scale = 1.0 + np.abs(self._pos).max(axis=(1, 2))
         else:
             self.star_center = self.coords_of(_center_matrix(self.n))
         self._center_mat = self.matrix_of(self.star_center)
+        faces = self._face_rows()
+        self._faces = self._face_dir = self._face_off = None
+        if faces is not None:
+            self._faces = faces.reshape(len(faces), -1)
+            # face values along a direction g are g @ _face_dir
+            self._face_dir = self._bstack.reshape(self.dim, -1) @ self._faces.T
+            self._face_off = self._faces @ self._center_mat.ravel()
+        self._chol_inv = None
+        if self.cone in ("psd", "dnn") or (self.cone == "cp" and self.mode == "exact"):
+            self._chol_inv = np.linalg.inv(np.linalg.cholesky(self._center_mat))
+        self.closed_form = (self.cone == "ball" or faces is not None
+                            or self._chol_inv is not None)
         if self.check_center and not self.membership(self.star_center):
             raise ValueError("star center failed the membership oracle")
+
+    def _face_rows(self) -> Optional[np.ndarray]:
+        """Face rows of a polyhedral section as (m, n, n) functionals on a."""
+        n = self.n
+        iu = np.triu_indices(n)
+        entries = np.zeros((len(iu[0]), n, n))
+        entries[np.arange(len(iu[0])), iu[0], iu[1]] = 1.0
+        if self.cone in ("nn", "dnn") or (self.cone == "cp" and self.mode == "exact"):
+            return entries
+        diag = np.arange(n)
+        if self.cone == "cp" and self.mode == "inner":
+            # a_ii - sum_{j != i} a_ij >= 0, diagonal dominance once a >= 0
+            dom = np.zeros((n, n, n))
+            dom[diag, diag, :] = -1.0
+            dom[diag, diag, diag] = 1.0
+            return np.concatenate([entries, dom])
+        if self.cone == "lf" and self.mode == "outer":
+            # apolar pairing 8 sum a_ij p_ij + 16 sum a_ii p_ii with each p
+            rows = 8.0 * self._pos
+            rows[:, diag, diag] *= 3.0
+            return rows
+        return None
 
     # -- coordinate maps ----------------------------------------------------
     def _tvec(self, a: np.ndarray) -> np.ndarray:
@@ -254,10 +302,8 @@ class SectionSpec:
                           A_eq=self._gen_cols, b_eq=target,
                           bounds=(0, None), method="highs")
             return bool(res.status == 0)
-        for p in self._pos:
-            if _diff_pairing(a, p) < -max(tol, 1e-10) * (1.0 + np.abs(p).max()) * np.abs(a).max():
-                return False
-        return True
+        bound = max(tol, 1e-10) * self._pos_scale * np.abs(a).max()
+        return bool(np.all(self._faces @ a.ravel() >= -bound))
 
 
 def section_membership(spec: SectionSpec, g) -> bool:
@@ -272,22 +318,44 @@ class RadialError(RuntimeError):
     pass
 
 
-def _radial_nn(spec: SectionSpec, d_mat: np.ndarray) -> float:
-    neg = d_mat < 0
-    if not neg.any():
-        raise RadialError("direction never exits the section")
-    return float((-spec._center_mat[neg] / d_mat[neg]).min())
+# directions per `section_radii` call in `vrad_mc`; bounds the temporaries
+_BLOCK = 1024
 
 
-def _radial_psd(spec: SectionSpec, d_mat: np.ndarray) -> float:
-    if not hasattr(spec, "_chol"):
-        spec._chol = np.linalg.cholesky(spec._center_mat)
-    L = spec._chol
-    w = np.linalg.solve(L, np.linalg.solve(L, d_mat).T)
-    lam = np.linalg.eigvalsh(0.5 * (w + w.T))[0]
-    if lam >= 0:
+def _check_unit(dirs: np.ndarray) -> None:
+    if np.any(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) > 1e-12):
+        raise ValueError("direction must be normalized")
+
+
+def section_radii(spec: SectionSpec, directions) -> np.ndarray:
+    """Radii of a stack of unit directions, shape (k, dim), in closed form.
+
+    Face rows give min over rows with g.d < 0 of -(g.c)/(g.d); a spectral
+    section gives -1/lambda_min(L^{-1} D L^{-T}); a section with both takes
+    the smaller; the ball gives its radius.  Raises ValueError for a section
+    without a closed form (`spec.closed_form` is False).
+    """
+    if not spec.closed_form:
+        raise ValueError(f"the {spec.cone} section ({spec.mode}) has no closed-form radius")
+    dirs = np.asarray(directions, dtype=float)
+    _check_unit(dirs)
+    if spec.cone == "ball":
+        return np.full(len(dirs), spec.ball_radius)
+    # einsum, not BLAS: a direction's radius must not depend on the stack size
+    radii = np.full(len(dirs), np.inf)
+    if spec._face_dir is not None:
+        gd = np.einsum("kd,dm->km", dirs, spec._face_dir)
+        ratios = np.divide(-spec._face_off, gd, out=np.full(gd.shape, np.inf), where=gd < 0)
+        radii = ratios.min(axis=1)
+    if spec._chol_inv is not None:
+        d_mats = np.einsum("kd,dij->kij", dirs, spec._bstack)
+        w = spec._chol_inv @ d_mats @ spec._chol_inv.T
+        lam = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
+        radii = np.minimum(radii, np.divide(-1.0, lam, out=np.full(lam.shape, np.inf),
+                                            where=lam < 0))
+    if not np.isfinite(radii).all():
         raise RadialError("direction never exits the section")
-    return -1.0 / float(lam)
+    return radii
 
 
 def _radial_spn(spec: SectionSpec, d_mat: np.ndarray) -> float:
@@ -310,25 +378,22 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
            method: str = "auto") -> float:
     """Largest t with center + t * direction inside the section.
 
-    Exact closed forms cover nn (entry ratios) and psd (a generalized
-    eigenvalue); dnn is their minimum; spn solves one parametric SDP.  All
-    other oracles use bracket doubling plus bisection, the generic reference
-    path (also available for every cone via method="bisect").
+    method="auto": a closed-form section (nn, psd, dnn, ball, cp exact or
+    inner, lf outer) goes through `section_radii` on a stack of one; spn and
+    cop exact solve one parametric SDP; cop inner/outer, cp outer and lf
+    inner use bracket doubling plus bisection to `bisect_tol` on the
+    membership oracle.  method="bisect" forces that bisection, the generic
+    reference path, for every section.
     """
     g = np.asarray(direction, dtype=float)
-    nrm = float(np.linalg.norm(g))
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError("direction must be normalized")
+    _check_unit(g)
+    if method not in ("auto", "bisect"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        d_mat = np.tensordot(g, spec._bstack, axes=1)
-        if spec.cone == "nn":
-            return _radial_nn(spec, d_mat)
-        if spec.cone == "psd":
-            return _radial_psd(spec, d_mat)
-        if spec.cone == "dnn" or (spec.cone == "cp" and spec.mode == "exact"):
-            return min(_radial_nn(spec, d_mat), _radial_psd(spec, d_mat))
+        if spec.closed_form:
+            return float(section_radii(spec, g[None, :])[0])
         if spec.cone == "spn" or (spec.cone == "cop" and spec.mode == "exact"):
-            return _radial_spn(spec, d_mat)
+            return _radial_spn(spec, np.tensordot(g, spec._bstack, axes=1))
     # generic bracket + bisection on the membership oracle (convex section)
     c = spec.star_center
     hi = 1.0
@@ -363,8 +428,11 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with bootstrap CI.
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
-    translation invariant); deterministic given (seed, samples) regardless
-    of the COPOSLAB_THREADS parallelism degree.
+    translation invariant).  A closed-form section takes its radii from
+    `section_radii` in blocks of 1024 directions; the others take one
+    `radial` call per direction (`bisect_tol` applies to the bisecting
+    ones), spread over COPOSLAB_THREADS threads.  The result is
+    deterministic given (seed, samples) regardless of that thread count.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -374,7 +442,10 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
     nthreads = _thread_count()
-    if nthreads > 1 and spec.cone not in ("nn", "psd", "dnn"):
+    if spec.closed_form:
+        radii = np.concatenate([section_radii(spec, dirs[i:i + _BLOCK])
+                                for i in range(0, samples, _BLOCK)])
+    elif nthreads > 1:
         chunks = np.array_split(np.arange(samples), nthreads * 4)
 
         def work(idx):

@@ -421,6 +421,35 @@ def test_basis_M_count_and_orthonormality():
             assert in_m
 
 
+def _gram_schmidt_with_l2_inner(n: int) -> list:
+    """Reference: Gram-Schmidt on EvenQuartic objects, pairings by `l2_inner`."""
+    pivots = []
+    for i in range(n):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows[i][i] = Fraction(1)
+        pivots.append(EvenQuartic(tuple(map(tuple, rows))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows[i][j] = rows[j][i] = Fraction(1, 2)  # the monomial x_i^2 x_j^2
+            pivots.append(EvenQuartic(tuple(map(tuple, rows))))
+    r2 = r_squared(n)
+    out = []
+    for mono in pivots:
+        v = mono - r2.scale(mono.sphere_average())
+        for b, n2 in out:
+            v = v - b.scale(l2_inner(v, b) / n2)
+        if not v.is_zero():
+            out.append((v, l2_inner(v, v)))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_basis_M_exact_equals_gram_schmidt_with_l2_inner(n):
+    from coposlab.quartic import _basis_M_exact
+    assert list(_basis_M_exact(n)) == _gram_schmidt_with_l2_inner(n)
+
+
 # ---------------------------------------------------------------------------
 # fourth powers of linear forms
 # ---------------------------------------------------------------------------
