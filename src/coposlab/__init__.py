@@ -6,7 +6,8 @@ from .numerics import (CholeskyFactor, NegVector, PivotList, QSqrt2,
                        matrix_load_file, matrix_loads, psd_certificate,
                        sym_eigen)
 from .sdp import (LinExpr, SdpProblem, SdpSolution, SdpStatus,
-                  even_sos_assemble, sdp_solve, sos_gram_assemble)
+                  even_sos_assemble, sdp_solve, sdp_solve_many,
+                  sos_gram_assemble)
 from .cones import (ConeId, CopRefutation, CpRefutation, InfeasibilityCert,
                     SosGram, SpnPair, cop_refute, cp_refute, frobenius,
                     horn_matrix, membership_basic, parrilo_member,

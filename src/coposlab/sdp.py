@@ -30,11 +30,24 @@ INDETERMINATE with the reason.
 Problems here are tiny (total block size <= ~100, a few hundred equality
 constraints), so everything is dense numpy and deterministic: identical
 inputs produce bitwise-identical iterates.
+
+The interior-point loop works on a leading stack axis: sdp_solve_many solves
+problems of one layout (block sizes, orthant and free dimensions, rows kept
+by presolve) together, and sdp_solve is a stack of one.  Each problem
+decides for itself.  Its convergence, certificate and unboundedness tests,
+its KKT factorization and regularization retries, its refinement and
+centering fallback and its breakdowns are masks over the stack or loops over
+the problems concerned, and a problem leaves the stack when it ends.
+Nothing reduces across the stack: stacked matmul and the np.linalg gufuncs
+(cholesky, svd, eigvalsh) act slice by slice, each KKT matrix has its own
+LAPACK getrf/getrs, and scalar powers use libm.  So a problem's iterates,
+and its solution, are the same bits whatever else is in the stack.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import warnings
@@ -44,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 Monomial = Tuple[int, ...]
 
@@ -220,74 +234,86 @@ class SdpSolution:
 # svec helpers
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _svec_indices(d: int):
-    ii, jj = [], []
-    for i in range(d):
-        for j in range(i, d):
-            ii.append(i)
-            jj.append(j)
-    return np.array(ii), np.array(jj)
+    """Row-major upper-triangle indices (ii, jj) of a d x d matrix and the svec
+    scale of each entry (1 on the diagonal, sqrt 2 off it); read-only arrays,
+    built once per d."""
+    ii, jj = np.triu_indices(d)
+    scale = np.where(ii == jj, 1.0, _SQRT2)
+    for a in (ii, jj, scale):
+        a.flags.writeable = False
+    return ii, jj, scale
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
-    ii, jj = _svec_indices(d)
-    v = m[ii, jj].astype(float).copy()
-    v[ii != jj] *= _SQRT2
-    return v
+    """svec of a symmetric matrix, or of each matrix of a stack (..., d, d)."""
+    ii, jj, scale = _svec_indices(m.shape[-1])
+    return m[..., ii, jj] * scale
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    ii, jj = _svec_indices(d)
-    m = np.zeros((d, d))
-    vals = v.copy()
-    off = ii != jj
-    vals[off] /= _SQRT2
-    m[ii, jj] = vals
-    m[jj, ii] = vals
+    """Inverse of svec, for one vector or a stack (..., d(d+1)/2)."""
+    ii, jj, scale = _svec_indices(d)
+    m = np.zeros(v.shape[:-1] + (d, d))
+    vals = v / scale
+    m[..., ii, jj] = vals
+    m[..., jj, ii] = vals
     return m
 
 
 def _nt_operator(w: np.ndarray) -> np.ndarray:
-    """Dense svec-space matrix of X -> W X W for symmetric W."""
-    d = w.shape[0]
-    ii, jj = _svec_indices(d)
-    sc = np.where(ii == jj, 1.0, _SQRT2)
-    t1 = w[np.ix_(ii, ii)] * w[np.ix_(jj, jj)]
-    t2 = w[np.ix_(ii, jj)] * w[np.ix_(jj, ii)]
+    """Dense svec-space matrix of X -> W X W for one symmetric W."""
+    ii, jj, sc = _svec_indices(w.shape[0])
+    ic, jc = ii[:, None], jj[:, None]
+    t1 = w[ic, ii] * w[jc, jj]
+    t2 = w[ic, jj] * w[jc, ii]
     return (sc[:, None] * sc[None, :]) * (t1 + t2) * 0.5
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """Nesterov-Todd scaling of a positive definite pair (X, S).
+    """Nesterov-Todd scaling of positive definite pairs (X, S), stacked on
+    the leading axes.
 
     With Cholesky factors L_x L_x^T = X, L_s L_s^T = S and the SVD
     L_s^T L_x = U diag(lam) V^T, the matrix R = L_x V diag(lam)^{-1/2}
     satisfies R^{-1} X R^{-T} = R^T S R = diag(lam), so W = R R^T is the NT
     point (W S W = X).  Returns (R, R^{-1}, lam) with
     R^{-1} = diag(lam)^{-1/2} U^T L_s^T; no square root or inverse of X or S
-    is formed.  Raises LinAlgError when X or S is not numerically PD.
+    is formed.  Raises LinAlgError when some X or S is not numerically PD.
     """
     lx = np.linalg.cholesky(x)
     ls = np.linalg.cholesky(s)
-    u, lam, vt = np.linalg.svd(ls.T @ lx)
+    u, lam, vt = np.linalg.svd(_t(ls) @ lx)
     rt = np.sqrt(lam)
-    return (lx @ vt.T) / rt, (u.T @ ls.T) / rt[:, None], lam
+    return (lx @ _t(vt)) / rt[..., None, :], (_t(u) @ _t(ls)) / rt[..., :, None], lam
 
 
-def _max_step_scaled(m: np.ndarray) -> float:
-    """sup alpha with I + alpha m PSD, for symmetric m."""
-    lmin = np.linalg.eigvalsh(m)[0]
-    if lmin >= 0:
-        return np.inf
-    return -1.0 / lmin
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack."""
+    return a.swapaxes(-1, -2)
 
 
-def _max_step_vec(x: np.ndarray, dx: np.ndarray) -> float:
-    neg = dx < 0
-    if not neg.any():
-        return np.inf
-    return float((-x[neg] / dx[neg]).min())
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_i @ x_i for each problem i of a stack: (k, m, n), (k, n) -> (k, m)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i . y_i for each problem i of a stack: (k, n), (k, n) -> (k,)."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _max_step_scaled(m: np.ndarray) -> np.ndarray:
+    """sup alpha with I + alpha m_i PSD, for each symmetric m_i of a stack."""
+    lmin = np.linalg.eigvalsh(m)[:, 0]
+    return np.divide(-1.0, lmin, out=np.full(lmin.shape, np.inf), where=lmin < 0)
+
+
+def _max_step_vec(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """sup alpha with x_i + alpha dx_i >= 0, for each row i."""
+    ratios = np.divide(-x, dx, out=np.full(dx.shape, np.inf), where=dx < 0)
+    return ratios.min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +397,8 @@ def _presolve(A: np.ndarray, b: np.ndarray):
     (y_certificate) exposing inconsistent dependent rows.
     """
     m = A.shape[0]
-    scales = np.ones(m)
-    for i in range(m):
-        s = max(np.abs(A[i]).max(), abs(b[i]))
-        if s > 0:
-            scales[i] = s
+    scales = np.maximum(np.abs(A).max(axis=1), np.abs(b))
+    scales = np.where(scales > 0, scales, 1.0)
     A1 = A / scales[:, None]
     b1 = b / scales
 
@@ -432,37 +455,80 @@ def sdp_solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 200) -> Sd
     Status semantics: OPTIMAL / FEASIBLE_POINT carry a primal point whose
     blocks satisfy the cone and constraint residuals at tol; INFEASIBLE
     carries a DualRay; INDETERMINATE signals numerical failure or the
-    iteration cap, never a silent success.
+    iteration cap, never a silent success.  This is sdp_solve_many on a
+    stack of one problem.
+    """
+    return sdp_solve_many([problem], tol, max_iter)[0]
+
+
+def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9,
+                   max_iter: int = 200) -> List[SdpSolution]:
+    """Solve problems of one layout in one interior-point loop, in order.
+
+    The problems must share psd_block_dims, nonneg_dim and free_dim, and
+    keep the same number of rows after presolve; ValueError otherwise.  Each
+    problem decides for itself, so its solution is bit for bit the one
+    sdp_solve gives it alone, whatever else is in the stack.
     """
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
-    problem.validate()
-    std = _Standard(problem)
-    m = len(problem.constraints)
-    if m == 0:
-        raise ValueError("at least one constraint required")
+    problems = list(problems)
+    if len({(tuple(p.psd_block_dims), p.nonneg_dim, p.free_dim) for p in problems}) > 1:
+        raise ValueError("problems must share one block layout")
+    out: List[Optional[SdpSolution]] = [None] * len(problems)
+    prepared, where = [], []
+    for k, problem in enumerate(problems):
+        problem.validate()
+        std = _Standard(problem)
+        m = len(problem.constraints)
+        if m == 0:
+            raise ValueError("at least one constraint required")
+        A = np.zeros((m, std.N))
+        b = np.zeros(m)
+        for i, (expr, rhs) in enumerate(problem.constraints):
+            A[i] = std.row_of(expr)
+            b[i] = float(rhs)
+        A2, b2, keep, scales, bad_y = _presolve(A, b)
+        if bad_y is not None:
+            out[k] = SdpSolution(
+                status=SdpStatus.INFEASIBLE, psd_blocks=[], nonneg=np.zeros(0),
+                free=np.zeros(0), y=np.zeros(m), residuals=(np.inf, 0.0, 0.0),
+                objective_value=None, iterations=0, dual_ray=_make_ray(std, A, bad_y),
+                message="inconsistent linearly dependent constraints")
+            continue
+        prepared.append(_Prepared(A, b, A2, b2, std.row_of(problem.objective), keep, scales,
+                                  problem.objective.is_zero()))
+        where.append(k)
+    if len({len(p.b) for p in prepared}) > 1:
+        raise ValueError("problems must keep the same number of rows after presolve")
+    if prepared:
+        for k, sol in zip(where, _ipm(std, prepared, tol, max_iter)):
+            out[k] = sol
+    return out
 
-    A = np.zeros((m, std.N))
-    b = np.zeros(m)
-    for i, (expr, rhs) in enumerate(problem.constraints):
-        A[i] = std.row_of(expr)
-        b[i] = float(rhs)
-    c = std.row_of(problem.objective)
-    pure_feas = problem.objective.is_zero()
 
-    A2, b2, keep, scales, bad_y = _presolve(A, b)
-    if bad_y is not None:
-        ray = _make_ray(std, A, bad_y, m)
-        return SdpSolution(
-            status=SdpStatus.INFEASIBLE, psd_blocks=[], nonneg=np.zeros(0),
-            free=np.zeros(0), y=np.zeros(m), residuals=(np.inf, 0.0, 0.0),
-            objective_value=None, iterations=0, dual_ray=ray,
-            message="inconsistent linearly dependent constraints")
+@dataclass
+class _Prepared:
+    """One problem in standard form: its rows as given and as kept, scaled,
+    by presolve."""
 
-    return _ipm(problem, std, A2, b2, c, keep, scales, m, tol, max_iter, pure_feas, A)
+    A_orig: np.ndarray
+    b_orig: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    keep: List[int]
+    scales: np.ndarray
+    pure_feas: bool
+
+    def unscale_y(self, yv: np.ndarray) -> np.ndarray:
+        """A multiplier on the kept, scaled rows restated on the rows as given."""
+        y = np.zeros(len(self.b_orig))
+        y[self.keep] = yv / self.scales[self.keep]
+        return y
 
 
-def _make_ray(std: _Standard, A_orig: np.ndarray, y: np.ndarray, m: int) -> DualRay:
+def _make_ray(std: _Standard, A_orig: np.ndarray, y: np.ndarray) -> DualRay:
     z = -(A_orig.T @ y)
     psd_ops = []
     nonneg_part = np.zeros(0)
@@ -475,241 +541,335 @@ def _make_ray(std: _Standard, A_orig: np.ndarray, y: np.ndarray, m: int) -> Dual
     return DualRay(y=y, psd_operators=psd_ops, nonneg_part=nonneg_part, free_part=free_part)
 
 
-def _ipm(problem, std, A, b, c, keep, scales, m_orig, tol, max_iter, pure_feas, A_orig):
-    m, N = A.shape
+class _Stack:
+    """Per-problem arrays of the problems still in the interior-point loop,
+    stacked on axis 0."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.__dict__.update({name: v[mask] for name, v in vars(self).items()})
+
+
+def _pick(mask: np.ndarray, a, b):
+    """Rows of a where the per-problem mask holds, of b elsewhere."""
+    return np.where(mask.reshape((-1,) + (1,) * (np.ndim(a) - 1)), a, b)
+
+
+def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int) -> List[SdpSolution]:
+    """The HSDE loop over a stack of prepared problems; their solutions, in order."""
+    k = len(probs)
     f = std.free_dim
     cn = std.cone_N
-    AK = A[:, :cn]
-    AF = A[:, cn:]
-    cK = c[:cn]
-    cF = c[cn:]
-
     e = std.identity()
-    xk = e.copy()
-    xf = np.zeros(f)
-    s = e.copy()
-    y = np.zeros(m)
-    tau = 1.0
-    kappa = 1.0
-    nu = std.nu
+    A = np.array([p.A for p in probs])
+    c = np.array([p.c for p in probs])
+    st = _Stack(AK=A[:, :, :cn].copy(), AF=A[:, :, cn:].copy(), cK=c[:, :cn], cF=c[:, cn:],
+                b=np.array([p.b for p in probs]), pure=np.array([p.pure_feas for p in probs]),
+                xk=np.tile(e, (k, 1)), xf=np.zeros((k, f)), s=np.tile(e, (k, 1)),
+                y=np.zeros((k, A.shape[1])), tau=np.ones(k), kappa=np.ones(k),
+                last=np.full((k, 3), np.inf), pos=np.arange(k))
+    st.bnorm = 1.0 + np.abs(st.b).max(axis=1)
+    st.cnorm = 1.0 + np.abs(c).max(axis=1)
+    out: List[Optional[SdpSolution]] = [None] * k
 
-    bnorm = 1.0 + np.abs(b).max()
-    cnorm = 1.0 + (np.abs(c).max() if c.size else 0.0)
-    b_orig = np.array([rhs for _, rhs in problem.constraints], dtype=float)
-
-    def unscale_y(yv):
-        yfull = np.zeros(m_orig)
-        for pos, i in enumerate(keep):
-            yfull[i] = yv[pos] / scales[i]
-        return yfull
-
-    def package(status, res, it, ray=None, msg=""):
-        good = status in (SdpStatus.OPTIMAL, SdpStatus.FEASIBLE_POINT)
-        t = tau if (good and tau > 0) else max(tau, 1.0)
-        blocks = std.blocks(xk / t)
-        psd = [bm for kind, bm in blocks if kind == "s"]
-        nonneg = next((bv for kind, bv in blocks if kind == "l"), np.zeros(0))
-        free = xf / t
-        obj = float(cK @ (xk / t) + cF @ free) if not pure_feas else None
-        return SdpSolution(status=status, psd_blocks=psd, nonneg=nonneg, free=free,
-                           y=unscale_y(y / t), residuals=res, objective_value=obj,
-                           iterations=it, dual_ray=ray, message=msg)
-
-    last = (np.inf, np.inf, np.inf)
+    def end(ends: Dict[int, tuple], it: int) -> None:
+        """Package the problems in ends, row -> (status, ray, message), and
+        drop them from the stack."""
+        for i, (status, ray, msg) in ends.items():
+            p = probs[st.pos[i]]
+            good = status in (SdpStatus.OPTIMAL, SdpStatus.FEASIBLE_POINT)
+            tau = st.tau[i]
+            t = tau if (good and tau > 0) else max(tau, 1.0)
+            xk = st.xk[i] / t
+            blocks = std.blocks(xk)
+            free = st.xf[i] / t
+            obj = None if p.pure_feas else float(p.c[:cn] @ xk + p.c[cn:] @ free)
+            out[st.pos[i]] = SdpSolution(
+                status=status, psd_blocks=[bm for kind, bm in blocks if kind == "s"],
+                nonneg=next((bv for kind, bv in blocks if kind == "l"), np.zeros(0)),
+                free=free, y=p.unscale_y(st.y[i] / t),
+                residuals=tuple(float(v) for v in st.last[i]), objective_value=obj,
+                iterations=it, dual_ray=ray, message=msg)
+        gone = np.zeros(len(st.pos), dtype=bool)
+        gone[list(ends)] = True
+        st.keep(~gone)
 
     for it in range(1, max_iter + 1):
-        mu = (xk @ s + tau * kappa) / (nu + 1)
-        if not np.isfinite(mu) or tau <= 0 or kappa < 0:
-            return package(SdpStatus.INDETERMINATE, last, it, msg="numerical breakdown")
+        st.mu = (_dot(st.xk, st.s) + st.tau * st.kappa) / (std.nu + 1)
+        broke = ~np.isfinite(st.mu) | (st.tau <= 0) | (st.kappa < 0)
+        if np.count_nonzero(broke):
+            end({i: (SdpStatus.INDETERMINATE, None, "numerical breakdown")
+                 for i in broke.nonzero()[0]}, it)
+        AK, AF, cK, cF, b = st.AK, st.AF, st.cK, st.cF, st.b
 
         # scaled-back convergence tests
-        pres = np.abs(AK @ (xk / tau) + AF @ (xf / tau) - b).max() / bnorm
-        dres_cone = np.abs(AK.T @ (y / tau) + s / tau - cK).max() if cn else 0.0
-        dres_free = np.abs(AF.T @ (y / tau) - cF).max() if f else 0.0
-        dres = max(dres_cone, dres_free) / cnorm
-        pobj = float(cK @ xk + cF @ xf) / tau
-        dobj = float(b @ y) / tau
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        last = (pres, dres, gap)
-        if pure_feas:
-            # the deliverable is a primal point in the cone; dual quantities
-            # only matter for infeasibility detection
-            if pres <= tol and dres <= 100.0 * tol:
-                return package(SdpStatus.FEASIBLE_POINT, (pres, dres, gap), it)
-        elif pres <= tol and dres <= tol and gap <= tol:
-            return package(SdpStatus.OPTIMAL, (pres, dres, gap), it)
+        tau = st.tau[:, None]
+        pres = np.abs(_mv(AK, st.xk / tau) + _mv(AF, st.xf / tau) - b).max(axis=1) / st.bnorm
+        dres_cone = np.abs(_mv(_t(AK), st.y / tau) + st.s / tau - cK).max(axis=1, initial=0.0)
+        dres_free = np.abs(_mv(_t(AF), st.y / tau) - cF).max(axis=1, initial=0.0)
+        dres = np.maximum(dres_cone, dres_free) / st.cnorm
+        pobj = (_dot(cK, st.xk) + _dot(cF, st.xf)) / st.tau
+        dobj = _dot(b, st.y) / st.tau
+        gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
+        st.last = np.stack([pres, dres, gap], axis=1)
+        ends: Dict[int, tuple] = {}
+        conv = pres <= tol
+        if np.count_nonzero(conv):
+            # a pure feasibility problem delivers a primal point in the cone;
+            # dual quantities only matter for its infeasibility detection
+            for i in (conv & st.pure & (dres <= 100.0 * tol)).nonzero()[0]:
+                ends[i] = (SdpStatus.FEASIBLE_POINT, None, "")
+            for i in (conv & ~st.pure & (dres <= tol) & (gap <= tol)).nonzero()[0]:
+                ends[i] = (SdpStatus.OPTIMAL, None, "")
 
         # infeasibility certificate: y with b.y > 0, -A^T y in the dual cone
-        by = float(b @ y)
-        if by > tol * max(1.0, np.abs(y).max()):
-            ycand = y / by
-            z = -(A.T @ ycand)
-            zf_viol = np.abs(z[cn:]).max() if f else 0.0
-            if max(_cone_violation(std, z), zf_viol) <= tol * 10.0:
-                yfull = unscale_y(ycand)
-                yfull = yfull / float(b_orig @ yfull)
-                ray = _make_ray(std, A_orig, yfull, m_orig)
-                return package(SdpStatus.INFEASIBLE, last, it, ray=ray,
-                               msg="primal infeasible: improving dual ray")
-        cx = float(cK @ xk + cF @ xf)
-        if not pure_feas and cx < -tol * max(1.0, np.abs(xk).max(), np.abs(xf).max() if f else 0.0):
-            if np.abs(AK @ xk + AF @ xf).max() <= tol * 10.0 * max(1.0, -cx):
-                return package(SdpStatus.INDETERMINATE, last, it,
-                               msg="dual infeasible (primal objective unbounded below)")
+        by = _dot(b, st.y)
+        cand = by > tol * np.maximum(1.0, np.abs(st.y).max(axis=1))
+        cand = [i for i in cand.nonzero()[0] if i not in ends] if np.count_nonzero(cand) else []
+        if cand:
+            ycand = st.y[cand] / by[cand, None]
+            viol = np.maximum(_cone_violation(std, -_mv(_t(AK[cand]), ycand)),
+                              np.abs(_mv(_t(AF[cand]), ycand)).max(axis=1, initial=0.0))
+            for i, yc, v in zip(cand, ycand, viol):
+                if v <= tol * 10.0:
+                    p = probs[st.pos[i]]
+                    yfull = p.unscale_y(yc)
+                    yfull = yfull / float(p.b_orig @ yfull)
+                    ends[i] = (SdpStatus.INFEASIBLE, _make_ray(std, p.A_orig, yfull),
+                               "primal infeasible: improving dual ray")
 
-        try:
-            d = _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu)
-        except _Breakdown as exc:
-            return package(SdpStatus.INDETERMINATE, last, it, msg=str(exc))
-        dxk, dxf, dy, ds, dtau, dkappa, alpha = d
-        xk = xk + alpha * dxk
-        xf = xf + alpha * dxf
-        y = y + alpha * dy
-        s = s + alpha * ds
-        tau = tau + alpha * dtau
-        kappa = kappa + alpha * dkappa
+        # an improving primal ray: c.x < 0 with Ax ~ 0 (the scale is >= 1)
+        cx = _dot(cK, st.xk) + _dot(cF, st.xf)
+        unbounded = ~st.pure & (cx < -tol)
+        if np.count_nonzero(unbounded):
+            size = np.maximum(np.maximum(1.0, np.abs(st.xk).max(axis=1, initial=0.0)),
+                              np.abs(st.xf).max(axis=1, initial=0.0))
+            unbounded &= ((cx < -tol * size)
+                          & (np.abs(_mv(AK, st.xk) + _mv(AF, st.xf)).max(axis=1)
+                             <= tol * 10.0 * np.maximum(1.0, -cx)))
+            for i in unbounded.nonzero()[0]:
+                ends.setdefault(i, (SdpStatus.INDETERMINATE, None,
+                                    "dual infeasible (primal objective unbounded below)"))
+        if ends:
+            end(ends, it)
+        if not len(st.pos):
+            break
 
-    return package(SdpStatus.INDETERMINATE, last, max_iter, msg="iteration cap reached")
+        d, alpha, why = _newton_step(std, st.AK, st.AF, st.b, st.cK, st.cF, st.xk, st.xf,
+                                     st.y, st.s, st.tau, st.kappa, st.mu)
+        broke = [i for i, w in enumerate(why) if w is not None]
+        if broke:
+            live = np.ones(len(why), dtype=bool)
+            live[broke] = False
+            d = tuple(v[live] for v in d)
+            alpha = alpha[live]
+            end({i: (SdpStatus.INDETERMINATE, None, why[i]) for i in broke}, it)
+        a = alpha[:, None]
+        st.xk = st.xk + a * d[0]
+        st.xf = st.xf + a * d[1]
+        st.y = st.y + a * d[2]
+        st.s = st.s + a * d[3]
+        st.tau = st.tau + alpha * d[4]
+        st.kappa = st.kappa + alpha * d[5]
+
+    end({i: (SdpStatus.INDETERMINATE, None, "iteration cap reached")
+         for i in range(len(st.pos))}, max_iter)
+    return out
 
 
-class _Breakdown(Exception):
-    """Numerical failure inside one interior-point iteration; the message is
-    the reason given with the INDETERMINATE solution."""
+def _kkt_factor(mext: np.ndarray, m: int):
+    """LU factors (lu, piv) of one augmented KKT matrix, or None.
+
+    A zero or non-finite pivot is regularized away: reg is added on the
+    constraint block and subtracted on the free block, starting from 1e-13
+    of the mean Schur diagonal and growing 100-fold, for five tries in all.
+    """
+    f = mext.shape[0] - m
+    reg = 0.0
+    for _ in range(5):
+        r = np.array(mext, order="F")
+        if reg:
+            r[:m, :m] += reg * np.eye(m)
+            r[m:, m:] -= reg * np.eye(f)
+        lu, piv, _ = dgetrf(r, overwrite_a=True)
+        if np.all(np.isfinite(lu)) and np.all(np.diagonal(lu) != 0.0):
+            return lu, piv
+        reg = max(reg * 100.0, 1e-13 * max(1.0, np.trace(mext[:m, :m]) / max(1, m)))
+    return None
 
 
 def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu):
-    """One predictor-corrector step of the HSDE method from a strictly
-    interior iterate: the direction (dxk, dxf, dy, ds, dtau, dkappa) and the
-    step length alpha, with the new iterate at old + alpha * direction.
+    """One predictor-corrector step of the HSDE method for each problem of a
+    stack, from strictly interior iterates.
 
-    Raises _Breakdown when the scaling, the KKT matrix or a direction is not
-    finite, the KKT matrix cannot be factored, or the step length collapses.
+    Returns the stacked directions (dxk, dxf, dy, ds, dtau, dkappa), the step
+    lengths alpha, with the new iterates at old + alpha * direction, and
+    `why`: per problem None, or the reason it broke down (a scaling, KKT
+    matrix or direction that is not finite, a KKT matrix that cannot be
+    factored, or a step length that collapses).  A problem that breaks down
+    decides nothing more in the step, and its rows are reset to harmless
+    values so the rest of the stack goes on with finite numbers.
     """
-    m, cn = AK.shape
-    f = AF.shape[1]
+    k, m, cn = AK.shape
+    AKt, AFt = _t(AK), _t(AF)
+    why: List[Optional[str]] = [None] * k
+    ok = np.ones(k, dtype=bool)
+
+    def fail(bad, reason):
+        bad = bad & ok
+        if np.count_nonzero(bad):
+            for i in bad.nonzero()[0]:
+                why[i] = reason
+            ok[bad] = False
+
+    def require(finite, act, reason):
+        if np.count_nonzero(finite) < k:
+            fail(act & ~finite, reason)
 
     # NT scalings on the cone part: R per PSD block, x/s on the orthant
-    H = np.zeros((cn, cn))
+    H = np.zeros((k, cn, cn))
     scal = []
-    try:
-        for kind, d, sl in std.slices:
-            if kind == "s":
-                r, rinv, lam = _nt_scaling(smat(xk[sl], d), smat(s[sl], d))
-                H[sl, sl] = _nt_operator(r @ r.T)
-                scal.append((r, rinv, lam))
-            else:
-                H[sl, sl] = np.diag(xk[sl] / s[sl])
-                scal.append(None)
-    except np.linalg.LinAlgError:
-        raise _Breakdown("scaling breakdown") from None
-    if not (np.all(np.isfinite(H))
-            and all(np.all(np.isfinite(v)) for sc in scal if sc for v in sc)):
-        raise _Breakdown("non-finite NT scaling")
+    for kind, d, sl in std.slices:
+        if kind == "s":
+            xm, sm = smat(xk[:, sl], d), smat(s[:, sl], d)
+            try:
+                sc = _nt_scaling(xm, sm)
+            except np.linalg.LinAlgError:
+                bad = np.zeros(k, dtype=bool)
+                for i in range(k):
+                    try:
+                        _nt_scaling(xm[i], sm[i])
+                    except np.linalg.LinAlgError:
+                        bad[i] = True
+                fail(bad, "scaling breakdown")
+                xm[bad] = sm[bad] = np.eye(d)
+                sc = _nt_scaling(xm, sm)
+            H[:, sl, sl] = [_nt_operator(w) for w in sc[0] @ _t(sc[0])]
+            scal.append(sc)
+        else:
+            diag = np.arange(sl.start, sl.stop)
+            H[:, diag, diag] = xk[:, sl] / s[:, sl]
+            scal.append(None)
+    finite = np.isfinite(H).all(axis=(1, 2))
+    for r, rinv, lam in filter(None, scal):
+        finite &= np.isfinite(r).all(axis=(1, 2)) & np.isfinite(rinv).all(axis=(1, 2))
+        finite &= np.isfinite(lam).all(axis=1)
+    require(finite, ok, "non-finite NT scaling")
+    if not np.count_nonzero(ok):
+        return tuple(np.zeros_like(v) for v in (xk, xf, y, s, tau, kappa)), np.zeros(k), why
+    if np.count_nonzero(ok) < k:
+        H[~ok] = np.eye(cn)
+        for r, rinv, lam in filter(None, scal):
+            r[~ok] = rinv[~ok] = np.eye(r.shape[-1])
+            lam[~ok] = 1.0
+        e = std.identity()
+        xk, s = _pick(ok, xk, e), _pick(ok, s, e)
 
-    # augmented KKT matrix [[AK H AK^T, AF], [AF^T, 0]]
-    M = (AK @ H) @ AK.T
-    dim = m + f
-    Mext = np.zeros((dim, dim))
-    Mext[:m, :m] = M
-    if f:
-        Mext[:m, m:] = AF
-        Mext[m:, :m] = AF.T
-    if not np.all(np.isfinite(Mext)):
-        raise _Breakdown("non-finite KKT matrix")
-    reg = 0.0
-    trM = max(1.0, np.trace(M) / max(1, m))
-    lu = None
-    for _ in range(5):
-        R = Mext.copy()
-        if reg:
-            R[:m, :m] += reg * np.eye(m)
-            if f:
-                R[m:, m:] -= reg * np.eye(f)
-        with warnings.catch_warnings():
-            # an exactly zero pivot is caught below and regularized away
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(R)
-        if np.all(np.isfinite(lu[0])) and np.all(np.diag(lu[0]) != 0.0):
-            break
-        lu = None
-        reg = max(reg * 100.0, 1e-13 * trM)
-    if lu is None:
-        raise _Breakdown("KKT factorization failed")
-
+    # augmented KKT matrix [[AK H AK^T, AF], [AF^T, 0]], one LU per problem
+    dim = m + AF.shape[2]
+    Mext = np.zeros((k, dim, dim))
+    Mext[:, :m, :m] = (AK @ H) @ AKt
+    Mext[:, :m, m:] = AF
+    Mext[:, m:, :m] = AFt
+    require(np.isfinite(Mext).all(axis=(1, 2)), ok, "non-finite KKT matrix")
+    lus = [_kkt_factor(Mext[i], m) if ok[i] else None for i in range(k)]
+    fail(np.array([lu is None for lu in lus]), "KKT factorization failed")
+    if np.count_nonzero(ok) < k:
+        Mext[~ok] = np.eye(dim)
     Mext_ld = Mext.astype(np.longdouble)
 
-    def kkt_solve(r1, r2):
-        rhs = np.concatenate([r1, r2]) if f else r1
-        if not np.all(np.isfinite(rhs)):
-            raise _Breakdown("non-finite Newton direction")
-        sol = scipy.linalg.lu_solve(lu, rhs)
+    def kkt_solve(r1, r2, act):
+        # rows outside act are left at zero
+        rhs = np.concatenate([r1, r2], axis=1)
+        require(np.isfinite(rhs).all(axis=1), act, "non-finite Newton direction")
+        act = act & ok
+        if np.count_nonzero(act) < k:
+            rhs = _pick(act, rhs, 0.0)
+        sol = np.zeros_like(rhs)
+        rows = act.nonzero()[0]
+        for i in rows:
+            sol[i] = dgetrs(*lus[i], rhs[i])[0]
         # iterative refinement with extended-precision residuals
         rhs_ld = rhs.astype(np.longdouble)
+        corr = np.zeros_like(sol)
         for _ in range(2):
-            resid = np.asarray(rhs_ld - Mext_ld @ sol.astype(np.longdouble),
-                               dtype=float)
-            if not np.all(np.isfinite(resid)):
-                raise _Breakdown("non-finite Newton direction")
-            corr = scipy.linalg.lu_solve(lu, resid)
-            sol = sol + corr
-            if np.abs(corr).max() <= 1e-16 * (1.0 + np.abs(sol).max()):
+            resid = np.asarray(rhs_ld - _mv(Mext_ld, sol.astype(np.longdouble)), dtype=float)
+            finite = np.isfinite(resid).all(axis=1)
+            if np.count_nonzero(finite) < k:
+                fail(act & ~finite, "non-finite Newton direction")
+                act &= ok
+                rows = act.nonzero()[0]
+            for i in rows:
+                corr[i] = dgetrs(*lus[i], resid[i])[0]
+            if len(rows) == k:
+                sol += corr
+            else:
+                sol[rows] += corr[rows]
+            act &= ~(np.abs(corr).max(axis=1) <= 1e-16 * (1.0 + np.abs(sol).max(axis=1)))
+            rows = act.nonzero()[0]
+            if not len(rows):
                 break
-        return (sol[:m], sol[m:]) if f else (sol, np.zeros(0))
+        return sol[:, :m], sol[:, m:]
 
-    rp = AK @ xk + AF @ xf - b * tau
-    rdK = AK.T @ y + s - cK * tau
-    rdF = AF.T @ y - cF * tau if f else np.zeros(0)
-    rg = float(cK @ xk + cF @ xf - b @ y + kappa)
-    HcK = H @ cK
-    u1y, u1f = kkt_solve(b + AK @ HcK, cF)
-    bahc = b - AK @ HcK
+    rp = _mv(AK, xk) + _mv(AF, xf) - b * tau[:, None]
+    rdK = _mv(AKt, y) + s - cK * tau[:, None]
+    rdF = _mv(AFt, y) - cF * tau[:, None]
+    rg = _dot(cK, xk) + _dot(cF, xf) - _dot(b, y) + kappa
+    HcK = _mv(H, cK)
+    u1y, u1f = kkt_solve(b + _mv(AK, HcK), cF, ok)
+    bahc = b - _mv(AK, HcK)
     # denominator equals (AK^T u1y - cK)^T H (AK^T u1y - cK) + kappa/tau,
     # a sum of squares; evaluating it in that form avoids cancellation
-    vden = AK.T @ u1y - cK
-    denom = max(float(vden @ (H @ vden)), 0.0) + kappa / tau
-    if denom <= 0 or not np.isfinite(denom):
-        raise _Breakdown("singular Newton system")
+    vden = _mv(AKt, u1y) - cK
+    denom = np.maximum(_dot(vden, _mv(H, vden)), 0.0) + kappa / tau
+    fail((denom <= 0) | ~np.isfinite(denom), "singular Newton system")
+    if np.count_nonzero(ok) < k:
+        denom = np.where(ok, denom, 1.0)
 
-    def solve_newton(t1, t2K, t2F, t3, t4, t5):
+    def solve_newton(t, act):
         """Solve the linearized system with general right-hand sides:
         AK dxk + AF dxf - b dtau = t1;  AK^T dy + ds - cK dtau = t2K;
         AF^T dy - cF dtau = t2F;  c.dx - b.dy + dkappa = t3;
         dxk + H ds = t4;  kappa dtau + tau dkappa = t5.
         """
-        w = t4 - H @ t2K
-        u2y, u2f = kkt_solve(t1 - AK @ w, t2F)
-        numer = t5 / tau + float(cK @ w) - t3 - float(bahc @ u2y) + float(cF @ u2f)
+        t1, t2K, t2F, t3, t4, t5 = t
+        w = t4 - _mv(H, t2K)
+        u2y, u2f = kkt_solve(t1 - _mv(AK, w), t2F, act)
+        numer = t5 / tau + _dot(cK, w) - t3 - _dot(bahc, u2y) + _dot(cF, u2f)
         dtau = numer / denom
-        dy = u2y + u1y * dtau
-        dxf = u2f + u1f * dtau
-        ds = t2K + cK * dtau - AK.T @ dy
-        dxk = t4 - H @ ds
+        dy = u2y + u1y * dtau[:, None]
+        dxf = u2f + u1f * dtau[:, None]
+        ds = t2K + cK * dtau[:, None] - _mv(AKt, dy)
+        dxk = t4 - _mv(H, ds)
         dkappa = (t5 - kappa * dtau) / tau
         return dxk, dxf, dy, ds, dtau, dkappa
 
     def residual(t, d):
         dxk, dxf, dy, ds, dtau, dkappa = d
-        e = (t[0] - (AK @ dxk + AF @ dxf - b * dtau),
-             t[1] - (AK.T @ dy + ds - cK * dtau),
-             t[2] - (AF.T @ dy - cF * dtau) if f else np.zeros(0),
-             t[3] - (float(cK @ dxk + cF @ dxf - b @ dy) + dkappa),
-             t[4] - (dxk + H @ ds),
+        e = (t[0] - (_mv(AK, dxk) + _mv(AF, dxf) - b * dtau[:, None]),
+             t[1] - (_mv(AKt, dy) + ds - cK * dtau[:, None]),
+             t[2] - (_mv(AFt, dy) - cF * dtau[:, None]),
+             t[3] - (_dot(cK, dxk) + _dot(cF, dxf) - _dot(b, dy) + dkappa),
+             t[4] - (dxk + _mv(H, ds)),
              t[5] - (kappa * dtau + tau * dkappa))
-        return e, float(np.abs(np.hstack(e)).max())
+        flat = np.concatenate([e[0], e[1], e[2], e[3][:, None], e[4], e[5][:, None]], axis=1)
+        return e, np.abs(flat).max(axis=1)
 
     def scaled(d):
         """Per PSD block, the direction in the NT-scaled space:
         (R^{-1} dX R^{-T}, R^T dS R)."""
         out = []
-        for (kind, k, sl), sc in zip(std.slices, scal):
+        for (kind, n, sl), sc in zip(std.slices, scal):
             if kind == "s":
                 r, rinv, _ = sc
-                out.append((rinv @ smat(d[0][sl], k) @ rinv.T, r.T @ smat(d[3][sl], k) @ r))
+                out.append((rinv @ smat(d[0][:, sl], n) @ _t(rinv), _t(r) @ smat(d[3][:, sl], n) @ r))
             else:
                 out.append(None)
         return out
 
-    def direction(sigma, aff=None):
+    def direction(sigma, act, aff=None):
         # Newton step killing the linear residuals, with the complementarity
         # X S = sigma mu I linearized in the NT-scaled space, where X and S
         # both become diag(lam):  dxk + H ds = R Q R^T with
@@ -718,87 +878,99 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu):
         # the second-order terms of the affine direction aff are the Mehrotra
         # corrector.  Full-system iterative refinement recovers digits lost in
         # the ill-conditioned elimination near convergence; a correction is
-        # kept only if it lowers the residual of the full system.
-        t4 = np.empty(cn)
-        t5 = sigma * mu - tau * kappa
+        # kept only if it lowers the residual of the full system.  Only the
+        # problems in act decide; the other rows are computed and ignored.
+        smu = sigma * mu
+        t4 = np.empty((k, cn))
+        t5 = smu - tau * kappa
         aff_sc = scaled(aff) if aff is not None else None
-        for i, ((kind, k, sl), sc) in enumerate(zip(std.slices, scal)):
+        for i, ((kind, n, sl), sc) in enumerate(zip(std.slices, scal)):
             if kind == "s":
                 r, _, lam = sc
-                q = np.diag(sigma * mu - lam * lam)
+                q = np.zeros((k, n, n))
+                q.reshape(k, n * n)[:, ::n + 1] = smu[:, None] - lam * lam
                 if aff_sc is not None:
                     pq = aff_sc[i][0] @ aff_sc[i][1]
-                    q = q - 0.5 * (pq + pq.T)
-                q = q / (0.5 * (lam[:, None] + lam[None, :]))
-                t4[sl] = svec(r @ q @ r.T)
+                    q = q - 0.5 * (pq + _t(pq))
+                q = q / (0.5 * (lam[:, :, None] + lam[:, None, :]))
+                t4[:, sl] = svec(r @ q @ _t(r))
             else:
-                num = sigma * mu - xk[sl] * s[sl]
+                num = smu[:, None] - xk[:, sl] * s[:, sl]
                 if aff is not None:
-                    num = num - aff[0][sl] * aff[3][sl]
-                t4[sl] = num / s[sl]
+                    num = num - aff[0][:, sl] * aff[3][:, sl]
+                t4[:, sl] = num / s[:, sl]
         if aff is not None:
-            t5 -= aff[4] * aff[5]
+            t5 = t5 - aff[4] * aff[5]
         t = (-rp, -rdK, -rdF, -rg, t4, t5)
-        d = solve_newton(*t)
+        d = solve_newton(t, act)
         e, err = residual(t, d)
+        small = 1e-14 * (1.0 + np.abs(np.concatenate([t[0], t[1]], axis=1)).max(axis=1))
+        refine = act & ok
         for _ in range(2):
-            if err <= 1e-14 * (1.0 + np.abs(np.concatenate([t[0], t[1]])).max()):
+            refine &= ~(err <= small)
+            if not np.count_nonzero(refine):
                 break
-            cand = tuple(a + bb for a, bb in zip(d, solve_newton(*e)))
+            cand = tuple(a + bb for a, bb in zip(d, solve_newton(e, refine)))
+            refine &= ok
             e_c, err_c = residual(t, cand)
-            if not err_c < err:
-                break
-            d, e, err = cand, e_c, err_c
-        if not np.isfinite(err):
-            raise _Breakdown("non-finite Newton direction")
-        return d
+            refine &= err_c < err
+            if np.count_nonzero(refine) == k:
+                d, e, err = cand, e_c, err_c
+            else:
+                d = tuple(_pick(refine, a, bb) for a, bb in zip(cand, d))
+                e = tuple(_pick(refine, a, bb) for a, bb in zip(e_c, e))
+                err = np.where(refine, err_c, err)
+        require(np.isfinite(err), act, "non-finite Newton direction")
+        return d if np.count_nonzero(ok) == k else tuple(_pick(ok, a, 0.0) for a in d)
+
+    # the orthant, tau and kappa: one ratio test on their concatenation
+    lin = [sl for kind, _, sl in std.slices if kind == "l"]
+    lin_x = np.concatenate([tau[:, None], kappa[:, None]]
+                           + [v[:, sl] for sl in lin for v in (xk, s)], axis=1)
 
     def max_step(d):
         # X + alpha dX is PSD iff I + alpha lam^{-1/2} dX~ lam^{-1/2} is
-        alpha = np.inf
-        for (kind, k, sl), sc, dsc in zip(std.slices, scal, scaled(d)):
+        dlin = np.concatenate([d[4][:, None], d[5][:, None]]
+                              + [v[:, sl] for sl in lin for v in (d[0], d[3])], axis=1)
+        alpha = _max_step_vec(lin_x, dlin)
+        for (kind, n, sl), sc, dsc in zip(std.slices, scal, scaled(d)):
             if kind == "s":
                 rl = 1.0 / np.sqrt(sc[2])
-                for p in dsc:
-                    alpha = min(alpha, _max_step_scaled(rl[:, None] * p * rl[None, :]))
-            else:
-                alpha = min(alpha, _max_step_vec(xk[sl], d[0][sl]),
-                            _max_step_vec(s[sl], d[3][sl]))
-        if d[4] < 0:
-            alpha = min(alpha, -tau / d[4])
-        if d[5] < 0:
-            alpha = min(alpha, -kappa / d[5])
+                both = np.concatenate([rl[:, :, None] * p * rl[:, None, :] for p in dsc])
+                alpha = np.minimum(alpha, _max_step_scaled(both).reshape(2, k).min(axis=0))
         return alpha
 
-    aff = direction(0.0)
-    a_aff = min(1.0, 0.999 * max_step(aff))
-    mu_aff = ((xk + a_aff * aff[0]) @ (s + a_aff * aff[3])
+    aff = direction(0.0, ok)
+    a_aff = np.minimum(1.0, 0.999 * max_step(aff))
+    mu_aff = (_dot(xk + a_aff[:, None] * aff[0], s + a_aff[:, None] * aff[3])
               + (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])) / (std.nu + 1)
-    sigma = min(0.999, max(1e-8, (mu_aff / mu) ** 3))
+    # libm's pow, one problem at a time: numpy's SIMD power rounds ~5% of
+    # cubes differently, which moves the iterates of the fragile solves
+    sigma = np.array([min(0.999, max(1e-8, r ** 3)) for r in (mu_aff / mu).tolist()])
 
     # stopping at 95% of the way to the boundary keeps the smallest
     # eigenvalues of X and S from outrunning mu near the optimum
-    d = direction(sigma, aff)
-    alpha = min(1.0, 0.95 * max_step(d))
-    if alpha <= 1e-8 or not np.isfinite(alpha):
+    d = direction(sigma, ok, aff)
+    alpha = np.minimum(1.0, 0.95 * max_step(d))
+    retry = ok & ((alpha <= 1e-8) | ~np.isfinite(alpha))
+    if np.count_nonzero(retry):
         # fall back to a nearly pure centering step before giving up
-        d = direction(0.999)
-        alpha = min(1.0, 0.95 * max_step(d))
-        if alpha <= 1e-10 or not np.isfinite(alpha):
-            raise _Breakdown("step length collapsed")
-    return d + (alpha,)
+        centering = direction(0.999, retry)
+        d = tuple(_pick(retry, a, bb) for a, bb in zip(centering, d))
+        alpha = np.where(retry, np.minimum(1.0, 0.95 * max_step(centering)), alpha)
+        fail(retry & ((alpha <= 1e-10) | ~np.isfinite(alpha)), "step length collapsed")
+    return d, alpha, why
 
 
-def _cone_violation(std: _Standard, z: np.ndarray) -> float:
-    viol = 0.0
+def _cone_violation(std: _Standard, z: np.ndarray) -> np.ndarray:
+    """How far each row of a stack z (k, cone_N) lies outside the cone."""
+    viol = np.zeros(len(z))
     for kind, d, sl in std.slices:
         if kind == "s":
-            zm = smat(z[sl], d)
-            lam = np.linalg.eigvalsh(zm)[0]
-            viol = max(viol, max(0.0, -float(lam)))
+            lam = np.linalg.eigvalsh(smat(z[:, sl], d))[:, 0]
         else:
-            if z[sl].size:
-                viol = max(viol, max(0.0, -float(z[sl].min())))
+            lam = z[:, sl].min(axis=1)
+        viol = np.maximum(viol, -lam)
     return viol
 
 

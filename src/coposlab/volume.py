@@ -12,22 +12,23 @@ positive cone and to every cone containing it.  For the linear-forms cone
 the center is the average of the sampled fourth-power generators.
 
 Exactness policy: NN sections are simplices and also get an exact volume
-via a rational Gram determinant.  The radial problem is linear in t, so most
-sections have a closed-form radius, computed for a whole stack of directions
-at once (`section_radii`):
+via a rational Gram determinant.  The radial problem is linear in t, so no
+section bisects unless asked to (`radial(method="bisect")`) or unless its
+membership is itself a search:
 
-- face rows (polyhedral sections {a : G vec(a) >= 0}): nn (the entries), cp
+- closed form over a whole stack of directions (`section_radii`): face rows
+  of the polyhedral sections {a : G vec(a) >= 0}, i.e. nn (the entries), cp
   inner (the entries plus diagonal dominance) and lf outer (the apolar
-  pairings with sampled nonnegative forms);
-- a generalized eigenvalue: psd;
-- the minimum of the two: dnn, and cp at n <= 4 (mode "exact", CP = DNN);
-- the ball radius itself: ball.
+  pairings with sampled nonnegative forms); a generalized eigenvalue for psd;
+  the minimum of the two for dnn and for cp at n <= 4 (mode "exact",
+  CP = DNN); the ball radius itself for ball;
+- one parametric SDP per ray, all the rays of a block solved as one stack
+  (`sdp.sdp_solve_many`): spn, and cop at n <= 4 (mode "exact", COP = SPN);
+- one LP per ray: lf inner (max t with the point in the generators' hull);
+- bisection on the membership oracle: cop inner/outer and cp outer.
 
-spn, and cop at n <= 4 (mode "exact", COP = SPN), solve one small parametric
-SDP per ray.  The rest bisect on the membership oracle: cop inner/outer, cp
-outer and lf inner.  COP/CP at n >= 5 are reported as inner/outer pairs only
-(membership there is NP-hard, and pretending otherwise would be false
-precision).
+COP/CP at n >= 5 are reported as inner/outer pairs only (membership there is
+NP-hard, and pretending otherwise would be false precision).
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ class SectionSpec:
         if self.cone == "dnn" or (self.cone == "cp" and self.mode == "exact"):
             return (float(a.min()) >= -tol * scale
                     and float(np.linalg.eigvalsh(a)[0]) >= -tol * scale)
-        if self.cone == "spn" or (self.cone == "cop" and self.mode == "exact"):
+        if _is_spn_section(self):
             # a boundary query can leave the solver indeterminate; counting
             # that as non-membership keeps bisection within solver resolution
             try:
@@ -318,7 +319,8 @@ class RadialError(RuntimeError):
     pass
 
 
-# directions per `section_radii` call in `vrad_mc`; bounds the temporaries
+# directions per `section_radii` call or stacked SDP solve in `vrad_mc`;
+# bounds the temporaries
 _BLOCK = 1024
 
 
@@ -348,7 +350,7 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
         ratios = np.divide(-spec._face_off, gd, out=np.full(gd.shape, np.inf), where=gd < 0)
         radii = ratios.min(axis=1)
     if spec._chol_inv is not None:
-        d_mats = np.einsum("kd,dij->kij", dirs, spec._bstack)
+        d_mats = _direction_matrices(spec, dirs)
         w = spec._chol_inv @ d_mats @ spec._chol_inv.T
         lam = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
         radii = np.minimum(radii, np.divide(-1.0, lam, out=np.full(lam.shape, np.inf),
@@ -358,20 +360,58 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
     return radii
 
 
-def _radial_spn(spec: SectionSpec, d_mat: np.ndarray) -> float:
-    from .sdp import LinExpr, SdpProblem, SdpStatus, sdp_solve
+def _is_spn_section(spec: SectionSpec) -> bool:
+    """spn, or cop at n <= 4 (mode "exact"), where COP = SPN."""
+    return spec.cone == "spn" or (spec.cone == "cop" and spec.mode == "exact")
+
+
+def _direction_matrices(spec: SectionSpec, dirs: np.ndarray) -> np.ndarray:
+    """The coefficient matrix D of each direction of a stack, shape (k, n, n);
+    einsum, so a direction's D does not depend on the stack size."""
+    return np.einsum("kd,dij->kij", dirs, spec._bstack)
+
+
+def _radial_spn(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
+    """Radii of an spn (or cop exact) section along a stack of direction
+    matrices D, shape (k, n, n).
+
+    Each ray is the SDP max t s.t. X + N - t D = C, X PSD, N >= 0 entrywise,
+    with C the star center; the rays are solved as one stack.
+    """
+    from .sdp import LinExpr, SdpProblem, SdpStatus, sdp_solve_many
     n = spec.n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs), free_dim=1)
-    for k, (i, j) in enumerate(pairs):
-        expr = (LinExpr().add_psd_entry(0, i, j, 1.0).add_nonneg(k, 1.0)
-                .add_free(0, -float(d_mat[i, j])))
-        prob.constraints.append((expr, float(spec._center_mat[i, j])))
-    prob.objective = LinExpr().add_free(0, -1.0)
-    sol = sdp_solve(prob, tol=1e-8, max_iter=200)
-    if sol.status != SdpStatus.OPTIMAL:
-        raise RadialError(f"parametric SPN radial failed: {sol.message}")
-    return float(sol.free[0])
+    probs = []
+    for d_mat in d_mats:
+        prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs), free_dim=1)
+        for k, (i, j) in enumerate(pairs):
+            expr = (LinExpr().add_psd_entry(0, i, j, 1.0).add_nonneg(k, 1.0)
+                    .add_free(0, -float(d_mat[i, j])))
+            prob.constraints.append((expr, float(spec._center_mat[i, j])))
+        prob.objective = LinExpr().add_free(0, -1.0)
+        probs.append(prob)
+    radii = np.empty(len(probs))
+    for k, sol in enumerate(sdp_solve_many(probs, tol=1e-8, max_iter=200)):
+        if sol.status != SdpStatus.OPTIMAL:
+            raise RadialError(f"parametric SPN radial failed: {sol.message}")
+        radii[k] = sol.free[0]
+    return radii
+
+
+def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:
+    """Radius of the lf inner section along g as one LP: max t s.t.
+    sum_k lam_k tvec(G_k) = tvec(C) + t tvec(D), lam >= 0, t >= 0."""
+    d_col = spec._tvec(np.tensordot(g, spec._bstack, axes=1))
+    gens = spec._gen_cols
+    cost = np.zeros(gens.shape[1] + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_eq=np.hstack([gens, -d_col[:, None]]),
+                  b_eq=spec._tvec(spec._center_mat), bounds=(0, None), method="highs")
+    if res.status == 3:
+        raise RadialError("direction never exits the section")
+    if res.status != 0:
+        raise RadialError(f"lf inner radial LP failed: {res.message}")
+    return float(res.x[-1])
 
 
 def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
@@ -379,11 +419,13 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
     """Largest t with center + t * direction inside the section.
 
     method="auto": a closed-form section (nn, psd, dnn, ball, cp exact or
-    inner, lf outer) goes through `section_radii` on a stack of one; spn and
-    cop exact solve one parametric SDP; cop inner/outer, cp outer and lf
-    inner use bracket doubling plus bisection to `bisect_tol` on the
-    membership oracle.  method="bisect" forces that bisection, the generic
-    reference path, for every section.
+    inner, lf outer) goes through `section_radii`, and spn and cop exact
+    through the stacked parametric SDP of `_radial_spn`, both on a stack of
+    one, so the radius equals the one `vrad_mc` computes in its blocks; lf
+    inner solves one LP; cop inner/outer and cp outer use bracket doubling
+    plus bisection to `bisect_tol` on the membership oracle.
+    method="bisect" forces that bisection, the generic reference path, for
+    every section.
     """
     g = np.asarray(direction, dtype=float)
     _check_unit(g)
@@ -392,8 +434,10 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
     if method == "auto":
         if spec.closed_form:
             return float(section_radii(spec, g[None, :])[0])
-        if spec.cone == "spn" or (spec.cone == "cop" and spec.mode == "exact"):
-            return _radial_spn(spec, np.tensordot(g, spec._bstack, axes=1))
+        if _is_spn_section(spec):
+            return float(_radial_spn(spec, _direction_matrices(spec, g[None, :]))[0])
+        if spec.cone == "lf":
+            return _radial_lf_inner(spec, g)
     # generic bracket + bisection on the membership oracle (convex section)
     c = spec.star_center
     hi = 1.0
@@ -428,11 +472,13 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with bootstrap CI.
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
-    translation invariant).  A closed-form section takes its radii from
-    `section_radii` in blocks of 1024 directions; the others take one
-    `radial` call per direction (`bisect_tol` applies to the bisecting
-    ones), spread over COPOSLAB_THREADS threads.  The result is
-    deterministic given (seed, samples) regardless of that thread count.
+    translation invariant).  The directions go in blocks of 1024: a
+    closed-form section takes their radii from `section_radii`, spn and cop
+    exact from one stacked parametric SDP solve per block.  lf inner takes
+    one `radial` LP per direction.  The bisecting sections (cop inner/outer,
+    cp outer) take one `radial` call per direction, to `bisect_tol`, spread
+    over COPOSLAB_THREADS threads.  The result is deterministic given
+    (seed, samples) regardless of that thread count.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -442,10 +488,13 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
     nthreads = _thread_count()
+    blocks = [dirs[i:i + _BLOCK] for i in range(0, samples, _BLOCK)]
     if spec.closed_form:
-        radii = np.concatenate([section_radii(spec, dirs[i:i + _BLOCK])
-                                for i in range(0, samples, _BLOCK)])
-    elif nthreads > 1:
+        radii = np.concatenate([section_radii(spec, block) for block in blocks])
+    elif _is_spn_section(spec):
+        radii = np.concatenate([_radial_spn(spec, _direction_matrices(spec, block))
+                                for block in blocks])
+    elif nthreads > 1 and spec.cone != "lf":
         chunks = np.array_split(np.arange(samples), nthreads * 4)
 
         def work(idx):

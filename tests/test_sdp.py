@@ -8,7 +8,7 @@ from coposlab import sdp
 from coposlab.quartic import monomials
 from coposlab.sdp import (BasisDeficiencyError, LinExpr, SdpProblem,
                           SdpStatus, even_sos_assemble, gram_form_coeffs,
-                          sdp_solve, sos_gram_assemble)
+                          sdp_solve, sdp_solve_many, sos_gram_assemble)
 
 
 def trace_constraint(n, rhs):
@@ -84,6 +84,71 @@ def test_non_finite_scaling_is_indeterminate(monkeypatch):
         sol = sdp_solve(p)
     assert sol.status == SdpStatus.INDETERMINATE
     assert "non-finite" in sol.message
+
+
+def mixed_problems(count, seed):
+    """One layout (a 3x3 block, one orthant scalar, 4 rows); a trace row of
+    -1 makes every third problem infeasible, and every fourth has no
+    objective."""
+    rng = np.random.RandomState(seed)
+    out = []
+    for t in range(count):
+        p = SdpProblem(psd_block_dims=[3], nonneg_dim=1)
+        g = rng.randn(3, 3)
+        x0 = g @ g.T + 0.2 * np.eye(3)
+        for _ in range(3):
+            m = rng.randn(3, 3)
+            m = 0.5 * (m + m.T)
+            p.constraints.append((LinExpr().add_matrix_pairing(0, m).add_nonneg(0, 0.5),
+                                  float((m * x0).sum()) + 0.5))
+        p.constraints.append(trace_constraint(3, -1.0 if t % 3 == 0 else float(np.trace(x0))))
+        if t % 4:
+            c = rng.randn(3, 3)
+            p.objective = LinExpr().add_matrix_pairing(0, 0.5 * (c + c.T) + 2 * np.eye(3))
+        out.append(p)
+    return out
+
+
+def assert_same_solution(a, b):
+    assert (a.status, a.message, a.iterations) == (b.status, b.message, b.iterations)
+    assert a.residuals == b.residuals
+    assert a.objective_value == b.objective_value
+    assert len(a.psd_blocks) == len(b.psd_blocks)
+    for u, v in zip(a.psd_blocks + [a.nonneg, a.free, a.y], b.psd_blocks + [b.nonneg, b.free, b.y]):
+        assert np.array_equal(u, v)
+    assert (a.dual_ray is None) == (b.dual_ray is None)
+    if a.dual_ray is not None:
+        for u, v in zip([a.dual_ray.y, a.dual_ray.nonneg_part] + a.dual_ray.psd_operators,
+                        [b.dual_ray.y, b.dual_ray.nonneg_part] + b.dual_ray.psd_operators):
+            assert np.array_equal(u, v)
+
+
+def test_stack_returns_each_solo_result():
+    probs = mixed_problems(12, seed=8)
+    stacked = sdp_solve_many(probs)
+    assert {s.status for s in stacked} >= {SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE,
+                                          SdpStatus.FEASIBLE_POINT}
+    for p, s in zip(probs, stacked):
+        assert_same_solution(s, sdp_solve(p))
+    # a sub-stack in another order gives the same solutions again
+    order = [7, 0, 11, 3, 5]
+    for i, s in zip(order, sdp_solve_many([probs[i] for i in order])):
+        assert_same_solution(s, stacked[i])
+
+
+def test_stack_rejects_mixed_layouts():
+    p2 = SdpProblem(psd_block_dims=[2])
+    p2.constraints.append(trace_constraint(2, 1.0))
+    p3 = SdpProblem(psd_block_dims=[3])
+    p3.constraints.append(trace_constraint(3, 1.0))
+    with pytest.raises(ValueError, match="layout"):
+        sdp_solve_many([p2, p3])
+    two_rows = SdpProblem(psd_block_dims=[2])
+    two_rows.constraints += [trace_constraint(2, 1.0),
+                             (LinExpr().add_psd_entry(0, 0, 1, 1.0), 0.25)]
+    with pytest.raises(ValueError, match="rows"):
+        sdp_solve_many([p2, two_rows])
+    assert sdp_solve_many([]) == []
 
 
 def test_bitwise_reproducibility():

@@ -66,7 +66,8 @@ def test_lf_outer_membership_is_the_face_test():
 
 @pytest.mark.parametrize("cone,n,mode,kwargs", [
     ("psd", 4, None, {}),                            # closed form, in blocks
-    ("lf", 3, "inner", {"generator_count": 16}),     # bisection, in the pool
+    ("lf", 3, "inner", {"generator_count": 16}),     # one LP a ray
+    ("spn", 4, None, {}),                            # stacked SDPs, in blocks
 ])
 def test_vrad_mc_ignores_the_thread_count(cone, n, mode, kwargs, monkeypatch):
     spec = SectionSpec(cone=cone, n=n, mode=mode, **kwargs)
@@ -75,6 +76,30 @@ def test_vrad_mc_ignores_the_thread_count(cone, n, mode, kwargs, monkeypatch):
         monkeypatch.setenv("COPOSLAB_THREADS", threads)
         out.append(vrad_mc(spec, 100, seed=4, bisect_tol=1e-2).to_json_dict())
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("cone,n,mode", [("spn", 4, None), ("cop", 4, "exact")])
+def test_stacked_parametric_radii_equal_one_by_one(cone, n, mode):
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    dirs = unit_directions(spec.dim, 23, seed=6)
+    stacked = volume._radial_spn(spec, volume._direction_matrices(spec, dirs))
+    assert np.array_equal(stacked, np.array([radial(spec, g) for g in dirs]))
+
+
+@pytest.mark.parametrize("cone,n,mode", [("spn", 4, None), ("cop", 4, "exact")])
+def test_parametric_radii_match_bisection(cone, n, mode):
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    for g in unit_directions(spec.dim, 5, seed=12):
+        ref = radial(spec, g, method="bisect", bisect_tol=1e-7)
+        assert abs(radial(spec, g) - ref) <= 1e-6 * ref
+
+
+def test_lf_inner_radius_is_one_lp():
+    spec = SectionSpec(cone="lf", n=3, mode="inner", generator_count=64)
+    assert not spec.closed_form
+    for g in unit_directions(spec.dim, 5, seed=13):
+        ref = radial(spec, g, method="bisect", bisect_tol=1e-9)
+        assert abs(radial(spec, g) - ref) <= 1e-6 * ref
 
 
 def test_vrad_mc_spans_several_blocks():
