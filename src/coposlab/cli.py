@@ -10,6 +10,7 @@ feasible, 1 certified negative (refuted or infeasible), 2 indeterminate,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -279,7 +280,10 @@ def cmd_verify_paper(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: every parse_args call starts
+    from a fresh namespace, so requests share no state through it."""
     p = argparse.ArgumentParser(prog="coposlab",
                                 description="matrix cone certification, exceptional "
                                             "matrix construction and section volumes")

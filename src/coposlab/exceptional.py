@@ -32,7 +32,7 @@ from .cones import (InfeasibilityCert, SosGram, cp_refute, frobenius,
                     horn_matrix, membership_basic, quartic_target_linear,
                     _indeterminate)
 from .numerics import (CholeskyFactor, PivotList, QSqrt2, SymMatrix,
-                       exact_ldl_psd, matrix_loads, psd_certificate)
+                       exact_ldl_psd, matrix_loads)
 from .quartic import monomials
 from .sdp import (LinExpr, SdpProblem, SdpStatus, even_sos_assemble, sdp_solve)
 

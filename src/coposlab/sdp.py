@@ -910,9 +910,13 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu):
             refine &= ~(err <= small)
             if not np.count_nonzero(refine):
                 break
-            cand = tuple(a + bb for a, bb in zip(d, solve_newton(e, refine)))
-            refine &= ok
-            e_c, err_c = residual(t, cand)
+            # a correction may overflow on a near-singular system; numpy's
+            # warning is silenced because a non-finite correction is already
+            # rejected, by kkt_solve's checks or by err_c < err below
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand = tuple(a + bb for a, bb in zip(d, solve_newton(e, refine)))
+                refine &= ok
+                e_c, err_c = residual(t, cand)
             refine &= err_c < err
             if np.count_nonzero(refine) == k:
                 d, e, err = cand, e_c, err_c

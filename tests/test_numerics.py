@@ -61,7 +61,7 @@ def test_qsqrt2_equality_coerces_rationals():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# symmetric eigensolver
 # ---------------------------------------------------------------------------
 
 def test_sym_eigen_identity():
@@ -217,6 +217,29 @@ def test_sym_eigen_rejects_nonfinite():
         sym_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("kind", ["random", "identity-plus-ones"])
+def test_sym_eigen_contract_at_certify_sizes(kind, n):
+    if kind == "random":
+        a = np.random.RandomState(n).randn(n, n)
+        a = 0.5 * (a + a.T)
+    else:
+        a = np.eye(n) + np.ones((n, n))  # eigenvalue 1 repeated n - 1 times
+    w, v = sym_eigen(SymMatrix(a))
+    assert np.abs(v @ np.diag(w) @ v.T - a).max() <= 1e-12 * np.abs(a).max()
+    assert np.abs(v.T @ v - np.eye(n)).max() < 1e-12
+    assert np.all(np.diff(w) >= 0)
+    if kind == "identity-plus-ones":
+        assert np.allclose(w, [1.0] * (n - 1) + [n + 1.0], rtol=0, atol=1e-12)
+
+
+def test_sym_eigen_rejects_non_square():
+    with pytest.raises(ValueError):
+        sym_eigen(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        psd_certificate(np.ones((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # float PSD certificate
 # ---------------------------------------------------------------------------
@@ -249,6 +272,27 @@ def test_psd_certificate_singular_psd():
     cert = psd_certificate(g, 1e-10)
     assert isinstance(cert, CholeskyFactor)
     assert cert.residual(g) <= 1e-10
+
+
+def test_psd_certificate_mixed_sign_rank_one():
+    rng = np.random.RandomState(3)
+    for n in range(3, 41):
+        v = rng.randn(n)
+        a = np.outer(v, v)
+        cert = psd_certificate(a, 1e-9)
+        assert isinstance(cert, CholeskyFactor), n
+        assert cert.residual(a) <= 1e-9 * (1.0 + np.abs(a).max()), n
+
+
+@pytest.mark.parametrize("n", [5, 20, 40])
+def test_psd_certificate_indefinite_witness(n):
+    rng = np.random.RandomState(100 + n)
+    g = rng.randn(n, n)
+    a = g @ g.T - 2.0 * np.outer(g[:, 0], g[:, 0])  # one negative eigenvalue
+    cert = psd_certificate(a, 1e-9)
+    assert isinstance(cert, NegVector)
+    assert cert.value == cert.v @ a @ cert.v
+    assert cert.value < -1e-9
 
 
 # ---------------------------------------------------------------------------

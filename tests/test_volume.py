@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,22 @@ def test_parametric_radii_match_bisection(cone, n, mode):
     for g in unit_directions(spec.dim, 5, seed=12):
         ref = radial(spec, g, method="bisect", bisect_tol=1e-7)
         assert abs(radial(spec, g) - ref) <= 1e-6 * ref
+
+
+@pytest.mark.parametrize("cone,n,mode", [("spn", 4, None), ("cop", 4, "exact")])
+def test_boundary_bisection_emits_no_runtime_warning(cone, n, mode):
+    # the tight bisection queries boundary points where a refinement step of
+    # the solver overflows; the step is rejected, and the radii are those
+    # the solver gave before the overflow was silenced
+    want = [float.fromhex(h) for h in ("0x1.d464087600000p-2", "0x1.c4feb30a00000p-2",
+                                       "0x1.8eed4e8200000p-2", "0x1.e924034c00000p-2",
+                                       "0x1.b463920a00000p-2")]
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [radial(spec, g, method="bisect", bisect_tol=1e-9)
+               for g in unit_directions(spec.dim, 5, seed=12)]
+    assert got == want
 
 
 def test_lf_inner_radius_is_one_lp():
