@@ -188,11 +188,26 @@ def _upper_index(n: int):
 def spn_decompose(a: SymMatrix, tol: float = 1e-9):
     """Split A = P + N with P PSD and N >= 0, or produce a separating matrix.
 
-    Infeasibility yields M in DNN with <A, M> < 0 (the dual ray), which
-    refutes membership against every conceivable P + N split.
+    The summand cones are tried first.  An entrywise nonnegative A splits as
+    P = diag(A), N = A - diag(A); a PSD A (psd_certificate gives a factor)
+    as P = A, N = 0.  Only a matrix that is in neither goes to the
+    feasibility SDP.  Either way a positive answer is an SpnPair, checked by
+    SpnPair.check like any other.  Infeasibility yields M in DNN with
+    <A, M> < 0 (the dual ray), which refutes membership against every
+    conceivable P + N split.
     """
-    n = a.n
     arr = a.to_numpy()
+    if arr.min() >= -tol:
+        p = np.diag(np.diag(arr))
+        return SpnPair(p=p, n=arr - p)
+    if isinstance(psd_certificate(arr, tol), CholeskyFactor):
+        return SpnPair(p=arr, n=np.zeros_like(arr))
+    return _spn_sdp(arr, tol)
+
+
+def _spn_sdp(arr: np.ndarray, tol: float):
+    """The P + N feasibility SDP of spn_decompose, for any symmetric arr."""
+    n = arr.shape[0]
     pairs, _ = _upper_index(n)
     prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs))
     for k, (i, j) in enumerate(pairs):
@@ -395,15 +410,29 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
 
     A strictly negative optimum separates A from the completely positive
     cone (CP is dual to COP and K^(r) sits inside COP); the witness M ships
-    with its own hierarchy certificate.  At r = 1 the SOS condition on M is
-    solved block-diagonally by exponent parity (even_sos_assemble); the
-    certificate is still a Gram matrix over the full degree-3 basis.
+    with its own hierarchy certificate.  The entrywise nonnegative M, which
+    lie in K^(0) and so in every K^(r), are tried first: over them the
+    minimum is at a vertex M with M_ij = M_ji = 1/2 and zeros elsewhere,
+    which pairs with A as a_ij off the diagonal and as a_ii / 2 on it.  If
+    that is negative beyond solver resolution, the answer is a level-0
+    refutation with the certificate SpnPair(0, M), the same type an r = 0
+    SDP answer carries, and no SDP is solved.  Otherwise the SDP runs: at
+    r = 1 the SOS condition on M is solved block-diagonally by exponent
+    parity (even_sos_assemble), and the certificate is still a Gram matrix
+    over the full degree-3 basis.
     Returns None when the optimum is not negative beyond solver resolution.
     """
     if r not in (0, 1):
         raise ValueError("r must be 0 or 1 at desk scale")
     n = a.n
     arr = a.to_numpy()
+    weighted = arr - 0.5 * np.diag(np.diag(arr))  # <A, M> of each vertex M
+    i, j = np.unravel_index(int(np.argmin(weighted)), arr.shape)
+    if weighted[i, j] < -_cp_threshold(arr, tol):
+        m = np.zeros_like(arr)
+        m[i, j] = m[j, i] = 0.5
+        return CpRefutation(m=m, pairing=float((arr * m).sum()), level=0,
+                            certificate=SpnPair(p=np.zeros_like(arr), n=m))
     pairs, _ = _upper_index(n)
 
     if r == 0:

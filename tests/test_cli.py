@@ -1,9 +1,11 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 from coposlab import cli
+from coposlab.cones import SpnPair
 from coposlab.numerics import SymMatrix, matrix_dumps
 
 
@@ -87,3 +89,34 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["certify", "--cone", "parrilo", "--in", path]) == cli.EXIT_OK
     assert capsys.readouterr().out == first
+
+
+def test_certify_spn_mixed_sign_rank_one_exits_0_with_a_pair(tmp_path, capsys):
+    v = np.random.default_rng([1, zlib.crc32(b"certify-rank1-16")]).normal(size=16)
+    if v.min() >= 0.0 or v.max() <= 0.0:
+        v[0] = -v[0]
+    a = np.outer(v, v)
+    code = cli.main(["certify", "--cone", "spn", "--in", _write(tmp_path, a)])
+    assert code == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["member"] is True
+    cert = report["certificate"]
+    assert cert["kind"] == "spn-pair"
+    assert SpnPair(np.array(cert["psd_part"]), np.array(cert["nonneg_part"])).check(a, 1e-9)
+
+
+def test_certify_cp_negative_entry_exits_1_with_a_level0_separator(tmp_path, capsys):
+    a = np.eye(4) + np.ones((4, 4)) / 4
+    a[0, 3] = a[3, 0] = -0.4
+    code = cli.main(["certify", "--cone", "cp", "--in", _write(tmp_path, a)])
+    assert code == cli.EXIT_NEGATIVE
+    report = json.loads(capsys.readouterr().out)
+    assert report["member"] is False
+    cert = report["certificate"]
+    assert cert["kind"] == "cp-refutation"
+    assert cert["level"] == 0
+    m = np.array(cert["separator"])
+    assert cert["pairing"] == float((a * m).sum()) < 0.0
+    inner = cert["certificate"]
+    assert inner["kind"] == "spn-pair"
+    assert SpnPair(np.array(inner["psd_part"]), np.array(inner["nonneg_part"])).check(m, 1e-9)

@@ -1,8 +1,10 @@
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from coposlab import cones
 from coposlab.cones import (CopRefutation, CpRefutation, InfeasibilityCert,
                             SosGram, SpnPair, cop_refute, cp_refute,
                             frobenius, horn_matrix, membership_basic,
@@ -79,6 +81,74 @@ def test_spn_horn_refuted_with_separating_dnn_matrix():
     assert m.min() >= -1e-8
     pairing = float((horn_matrix().to_numpy() * m).sum())
     assert pairing < -0.9  # normalized to <A, M> = -1
+
+
+def _rank_one_mixed(rng, n):
+    v = rng.normal(size=n)
+    if v.min() >= 0.0 or v.max() <= 0.0:
+        v[0] = -v[0]
+    return np.outer(v, v)
+
+
+@pytest.fixture
+def no_sdp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SDP was solved")
+    monkeypatch.setattr(cones, "sdp_solve", refuse)
+
+
+@pytest.fixture
+def sdp_calls(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return sdp_solve(*args, **kwargs)
+    monkeypatch.setattr(cones, "sdp_solve", spy)
+    return calls
+
+
+def test_spn_psd_or_nn_input_needs_no_sdp(no_sdp):
+    inputs = [np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])]
+    for n in range(3, 41):
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n))
+        gram = g @ g.T / n
+        inputs += [np.abs(gram), gram, _rank_one_mixed(rng, n)]
+    for a in inputs:
+        res = spn_decompose(SymMatrix(a), 1e-9)
+        assert isinstance(res, SpnPair)
+        assert res.check(a, 1e-9)
+
+
+def test_spn_sum_of_nontrivial_summands_reaches_the_sdp(sdp_calls):
+    # the odd-trial generator of the hierarchy chain test: PSD + NN
+    rng = np.random.RandomState(22)
+    n, decided = 5, 0
+    for _ in range(30):
+        g = rng.randn(n, n)
+        nn = np.abs(rng.randn(n, n))
+        a = g @ g.T + 0.5 * (nn + nn.T)
+        if a.min() >= 0.0 or np.linalg.eigvalsh(a)[0] >= 0.0:
+            continue  # one summand alone already decides it
+        before = len(sdp_calls)
+        res = spn_decompose(SymMatrix(a), tol=1e-8)
+        assert len(sdp_calls) == before + 1
+        assert isinstance(res, SpnPair)
+        assert res.check(a, 1e-8)
+        decided += 1
+    assert decided >= 10
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="the HSDE step length collapses on this rank-one "
+                          "boundary input (ROADMAP known defect (a))")
+def test_spn_sdp_rank_one_boundary_input():
+    # the certify bench's rank1/n16 input at seed 1
+    a = _rank_one_mixed(np.random.default_rng([1, zlib.crc32(b"certify-rank1-16")]), 16)
+    res = cones._spn_sdp(a, 1e-9)
+    assert isinstance(res, SpnPair)
+    assert res.check(a, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +351,31 @@ def test_cp_refute_level0_dnn_input_none():
     # any doubly nonnegative matrix pairs nonnegatively with PSD + NN
     a5 = SymMatrix(load_reference_a5().to_numpy())
     assert cp_refute(a5, r=0) is None
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("i, j", [(0, 2), (1, 1)])
+def test_cp_refute_negative_entry_needs_no_sdp(r, i, j, no_sdp):
+    a = np.eye(4) + np.ones((4, 4)) / 4
+    a[i, j] = a[j, i] = -0.7
+    res = cp_refute(SymMatrix(a), r=r)
+    assert isinstance(res, CpRefutation)
+    assert res.level == 0
+    m = res.m
+    assert m.min() >= 0.0
+    assert float((m * (np.eye(4) + np.ones((4, 4)))).sum()) == 1.0
+    assert res.pairing == float((a * m).sum()) < 0.0
+    assert isinstance(res.certificate, SpnPair)
+    assert res.certificate.check(m, 1e-9)
+    assert SpnPair(np.zeros((4, 4)), m).check(m, 1e-9)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_cp_refute_negative_entry_within_threshold_goes_to_the_sdp(r, sdp_calls):
+    a = np.eye(5) + np.ones((5, 5)) / 5
+    a[1, 3] = a[3, 1] = -1e-12
+    assert cp_refute(SymMatrix(a), r=r) is None
+    assert len(sdp_calls) == 1
 
 
 # ---------------------------------------------------------------------------
