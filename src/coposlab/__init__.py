@@ -8,8 +8,8 @@ from .numerics import (CholeskyFactor, NegVector, PivotList, QSqrt2,
 from .sdp import (LinExpr, SdpProblem, SdpSolution, SdpStatus,
                   even_sos_assemble, sdp_solve, sdp_solve_many,
                   sos_gram_assemble)
-from .cones import (ConeId, CopRefutation, CpRefutation, InfeasibilityCert,
-                    SosGram, SpnPair, cop_refute, cp_refute, frobenius,
+from .cones import (CopRefutation, CpRefutation, InfeasibilityCert, SosGram,
+                    SpnPair, cop_inner, cop_refute, cp_refute, frobenius,
                     horn_matrix, membership_basic, parrilo_member,
                     spn_decompose)
 from .quartic import (EvenQuartic, GeneralQuartic, HarmonicParts, apply_T,
@@ -23,6 +23,6 @@ from .exceptional import (CosPoly, EdnnResult, TrigGram, build_ednn_sdp,
                           load_reference_gram, read_off_series, trig_sos_check,
                           triple_integral, verify_paper_examples)
 from .volume import (SectionSpec, VradEstimate, check_bounds, radial,
-                     section_membership, section_radii, vrad_mc, vrad_nn_exact)
+                     section_radii, vrad_mc, vrad_nn_exact)
 
 __version__ = "0.1.0"

@@ -103,77 +103,53 @@ class CliUsage(Exception):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_certify(args) -> int:
-    m = _load_matrix(args.infile)
+EXIT_OF_MEMBER = {True: EXIT_OK, False: EXIT_NEGATIVE, None: EXIT_INDETERMINATE}
+
+
+def _certify(m: SymMatrix, args):
+    """(member, report fields) for one certify request; member is True,
+    False or None (undecided).  Raises RuntimeError when the solver ends
+    indeterminate."""
     tol = args.tol
-    report = {"command": "certify", "cone": args.cone, "n": m.n, "tol": tol}
-    if args.cone in ("nn", "psd", "dnn"):
+    if args.cone in cones.BASIC_CONES:
         ok, cert = cones.membership_basic(m, args.cone, tol)
-        report.update(member=ok, certificate=_cert_json(cert))
-        _emit(report, args)
-        return EXIT_OK if ok else EXIT_NEGATIVE
+        return ok, {"certificate": _cert_json(cert)}
     if args.cone == "spn":
-        try:
-            res = cones.spn_decompose(m, tol)
-        except RuntimeError as exc:
-            report.update(member=None, error=str(exc))
-            _emit(report, args)
-            return EXIT_INDETERMINATE
-        ok = isinstance(res, cones.SpnPair)
-        report.update(member=ok, certificate=_cert_json(res))
-        _emit(report, args)
-        return EXIT_OK if ok else EXIT_NEGATIVE
+        res = cones.spn_decompose(m, tol)
+        return isinstance(res, cones.SpnPair), {"certificate": _cert_json(res)}
     if args.cone == "parrilo":
-        try:
-            res = cones.parrilo_member(m, args.level, tol)
-        except RuntimeError as exc:
-            report.update(member=None, error=str(exc))
-            _emit(report, args)
-            return EXIT_INDETERMINATE
-        ok = isinstance(res, cones.SosGram)
-        report.update(level=args.level, member=ok, certificate=_cert_json(res))
-        _emit(report, args)
-        return EXIT_OK if ok else EXIT_NEGATIVE
+        res = cones.parrilo_member(m, args.level, tol)
+        return isinstance(res, cones.SosGram), {"level": args.level,
+                                                 "certificate": _cert_json(res)}
     if args.cone == "cop":
-        for r in (0, 1):
-            try:
-                res = cones.parrilo_member(m, r, max(tol, 1e-7))
-            except RuntimeError:
-                continue
-            if isinstance(res, cones.SosGram):
-                report.update(member=True, inner_level=r, certificate=_cert_json(res))
-                _emit(report, args)
-                return EXIT_OK
+        inner = cones.cop_inner(m, tol)
+        if inner is not None:
+            return True, {"inner_level": inner[0], "certificate": _cert_json(inner[1])}
         wit = cones.cop_refute(m, attempts=args.attempts, seed=args.seed, tol=tol)
         if wit is not None:
-            report.update(member=False, certificate=_cert_json(wit))
-            _emit(report, args)
-            return EXIT_NEGATIVE
-        report.update(member=None,
-                      note="no hierarchy certificate at r <= 1 and no simplex witness")
-        _emit(report, args)
-        return EXIT_INDETERMINATE
+            return False, {"certificate": _cert_json(wit)}
+        return None, {"note": "no hierarchy certificate at r <= 1 and no simplex witness"}
     # cp: inner sufficient condition, else hierarchy separator
     arr = m.to_numpy()
     diag = np.diag(arr)
-    dd = bool(arr.min() >= -tol and np.all(diag >= np.abs(arr).sum(axis=1) - np.abs(diag) - tol))
-    if dd:
-        report.update(member=True, certificate={"kind": "diagonally-dominant-nn"})
-        _emit(report, args)
-        return EXIT_OK
-    try:
-        sep = cones.cp_refute(m, r=1, tol=max(tol, 1e-8))
-    except RuntimeError as exc:
-        report.update(member=None, error=str(exc))
-        _emit(report, args)
-        return EXIT_INDETERMINATE
+    if arr.min() >= -tol and np.all(diag >= np.abs(arr).sum(axis=1) - np.abs(diag) - tol):
+        return True, {"certificate": {"kind": "diagonally-dominant-nn"}}
+    sep = cones.cp_refute(m, r=1, tol=max(tol, 1e-8))
     if sep is not None:
-        report.update(member=False, certificate=_cert_json(sep))
-        _emit(report, args)
-        return EXIT_NEGATIVE
-    report.update(member=None, note="no separator found; membership undecided")
+        return False, {"certificate": _cert_json(sep)}
+    return None, {"note": "no separator found; membership undecided"}
+
+
+def cmd_certify(args) -> int:
+    m = _load_matrix(args.infile)
+    report = {"command": "certify", "cone": args.cone, "n": m.n, "tol": args.tol}
+    try:
+        member, fields = _certify(m, args)
+    except RuntimeError as exc:
+        member, fields = None, {"error": str(exc)}
+    report.update(member=member, **fields)
     _emit(report, args)
-    return EXIT_INDETERMINATE
+    return EXIT_OF_MEMBER[member]
 
 
 def cmd_construct_ednn(args) -> int:

@@ -31,24 +31,6 @@ from .sdp import (BasisDeficiencyError, DualRay, LinExpr, SdpProblem,
                   sdp_solve)
 
 BASIC_CONES = ("nn", "psd", "dnn")
-ALL_CONES = ("nn", "psd", "dnn", "spn", "cop", "cp")
-
-
-@dataclass(frozen=True)
-class ConeId:
-    """One of nn / psd / dnn / spn / cop / cp, or the hierarchy cone K^(r)."""
-
-    tag: str
-    level: Optional[int] = None
-
-    def __post_init__(self):
-        if self.tag == "parrilo":
-            if self.level is None or self.level < 0:
-                raise ValueError("parrilo cone needs level r >= 0")
-        elif self.tag not in ALL_CONES:
-            raise ValueError(f"unknown cone tag {self.tag!r}")
-        elif self.level is not None:
-            raise ValueError("level only valid for the parrilo tag")
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +87,7 @@ class CopRefutation:
     value: object  # exact x^T A x < 0
 
     def check_exact(self, a: SymMatrix) -> bool:
-        n = a.n
-        acc = None
-        exact = a.flavor == "exact"
-        for i in range(n):
-            for j in range(n):
-                aij = a[i, j] if exact else Fraction(float(a[i, j]))
-                t = self.x[i] * aij * self.x[j]
-                acc = t if acc is None else acc + t
-        if isinstance(acc, QSqrt2):
-            return acc.sign() < 0
-        return acc < 0
+        return _is_negative(_exact_quadratic(a, self.x))
 
 
 @dataclass
@@ -185,35 +157,59 @@ def _upper_index(n: int):
     return pairs, {p: k for k, p in enumerate(pairs)}
 
 
-def spn_decompose(a: SymMatrix, tol: float = 1e-9):
-    """Split A = P + N with P PSD and N >= 0, or produce a separating matrix.
+def _summand_split(arr: np.ndarray, tol: float) -> Optional[SpnPair]:
+    """The P + N split of a matrix already in one summand cone, else None.
 
-    The summand cones are tried first.  An entrywise nonnegative A splits as
-    P = diag(A), N = A - diag(A); a PSD A (psd_certificate gives a factor)
-    as P = A, N = 0.  Only a matrix that is in neither goes to the
-    feasibility SDP.  Either way a positive answer is an SpnPair, checked by
-    SpnPair.check like any other.  Infeasibility yields M in DNN with
-    <A, M> < 0 (the dual ray), which refutes membership against every
-    conceivable P + N split.
+    An entrywise nonnegative A splits as P = diag(A), N = A - diag(A); a PSD
+    A (psd_certificate gives a factor) as P = A, N = 0.
     """
-    arr = a.to_numpy()
     if arr.min() >= -tol:
         p = np.diag(np.diag(arr))
         return SpnPair(p=p, n=arr - p)
     if isinstance(psd_certificate(arr, tol), CholeskyFactor):
         return SpnPair(p=arr, n=np.zeros_like(arr))
-    return _spn_sdp(arr, tol)
+    return None
+
+
+def spn_decompose(a: SymMatrix, tol: float = 1e-9):
+    """Split A = P + N with P PSD and N >= 0, or produce a separating matrix.
+
+    The summand cones are tried first (_summand_split); only a matrix that
+    is in neither goes to the feasibility SDP.  Either way a positive answer
+    is an SpnPair, checked by SpnPair.check like any other.  Infeasibility
+    yields M in DNN with <A, M> < 0 (the dual ray), which refutes membership
+    against every conceivable P + N split.
+    """
+    arr = a.to_numpy()
+    pair = _summand_split(arr, tol)
+    return pair if pair is not None else _spn_sdp(arr, tol)
+
+
+def pn_problem(c: np.ndarray, d: Optional[np.ndarray] = None) -> SdpProblem:
+    """The P + N rows P_ij + N_ij = C_ij, i <= j, P PSD and N >= 0 entrywise.
+
+    Given a direction D the rows become P + N - t D = C in one free variable
+    t, and the objective maximizes t: the radius of C along D inside SPN.
+    """
+    n = c.shape[0]
+    pairs, _ = _upper_index(n)
+    prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs),
+                      free_dim=0 if d is None else 1)
+    for k, (i, j) in enumerate(pairs):
+        expr = LinExpr().add_psd_entry(0, i, j, 1.0).add_nonneg(k, 1.0)
+        if d is not None:
+            expr.add_free(0, -float(d[i, j]))
+        prob.constraints.append((expr, float(c[i, j])))
+    if d is not None:
+        prob.objective = LinExpr().add_free(0, -1.0)
+    return prob
 
 
 def _spn_sdp(arr: np.ndarray, tol: float):
     """The P + N feasibility SDP of spn_decompose, for any symmetric arr."""
     n = arr.shape[0]
     pairs, _ = _upper_index(n)
-    prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        expr = LinExpr().add_psd_entry(0, i, j, 1.0).add_nonneg(k, 1.0)
-        prob.constraints.append((expr, float(arr[i, j])))
-    sol = sdp_solve(prob, tol=tol)
+    sol = sdp_solve(pn_problem(arr), tol=tol)
     if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
         p = sol.psd_blocks[0]
         nm = np.zeros((n, n))
@@ -319,6 +315,44 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     raise _indeterminate(sol)
 
 
+def _level0_gram(pair: SpnPair) -> SosGram:
+    """The level-0 Gram of q_A = q_P + q_N over the degree-2 monomials: P +
+    diag(N) on the squares x_i^2 and 2 N_ij on the diagonal entry of each
+    x_i x_j, i < j.  PSD because P is and N >= 0."""
+    n = pair.p.shape[0]
+    basis = monomials(n, 2)
+    pos = {m: k for k, m in enumerate(basis)}
+    squares = [pos[tuple(2 if t == i else 0 for t in range(n))] for i in range(n)]
+    gram = np.zeros((len(basis), len(basis)))
+    gram[np.ix_(squares, squares)] = pair.p + np.diag(np.diag(pair.n))
+    for i, j in itertools.combinations(range(n), 2):
+        k = pos[tuple(1 if t in (i, j) else 0 for t in range(n))]
+        gram[k, k] = 2.0 * pair.n[i, j]
+    return SosGram(basis=basis, gram=gram)
+
+
+def cop_inner(a: SymMatrix, tol: float = 1e-9) -> Optional[Tuple[int, SosGram]]:
+    """The lowest level r <= 1 at which (sum x_i^2)^r q_A is a sum of
+    squares, with its Gram certificate; None when neither level certifies.
+
+    A matrix in a summand cone (_summand_split at tol) gets its level-0 Gram
+    without an SDP.  Otherwise parrilo_member runs at r = 0 and then r = 1,
+    at tol raised to 1e-7 at least, and a level that leaves the solver
+    indeterminate counts as not certified.
+    """
+    pair = _summand_split(a.to_numpy(), tol)
+    if pair is not None:
+        return 0, _level0_gram(pair)
+    for r in (0, 1):
+        try:
+            res = parrilo_member(a, r, max(tol, 1e-7))
+        except RuntimeError:
+            continue
+        if isinstance(res, SosGram):
+            return r, res
+    return None
+
+
 # ---------------------------------------------------------------------------
 # copositivity refutation: simplex minimization
 # ---------------------------------------------------------------------------
@@ -375,9 +409,7 @@ def cop_refute(a: SymMatrix, attempts: int = 64, seed: int = 0,
     for den in (10 ** 6, 10 ** 12):
         xr = tuple(Fraction(float(t)).limit_denominator(den) for t in best_x)
         cert = CopRefutation(x=xr, value=_exact_quadratic(a, xr))
-        val = cert.value
-        neg = val.sign() < 0 if isinstance(val, QSqrt2) else val < 0
-        if neg:
+        if _is_negative(cert.value):
             return cert
     return None
 
@@ -392,6 +424,10 @@ def _exact_quadratic(a: SymMatrix, x: tuple):
             t = x[i] * aij * x[j]
             acc = t if acc is None else acc + t
     return acc
+
+
+def _is_negative(value) -> bool:
+    return value.sign() < 0 if isinstance(value, QSqrt2) else value < 0
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,6 @@ class CosPoly:
             acc += 2.0 * float(self.coeffs[k]) * math.cos(2.0 * math.pi * k * x)
         return acc
 
-    def to_float(self) -> "CosPoly":
-        return CosPoly(tuple(float(c) for c in self.coeffs), "float")
-
 
 def triple_integral(j: int, k: int, l: int) -> Fraction:
     """Exact integral of cos(2j pi x) cos(2k pi x) cos(2l pi x) over [0,1].

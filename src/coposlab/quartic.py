@@ -33,10 +33,6 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
-def _zero_like(flavor: str):
-    return 0.0 if flavor == "float" else Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # monomial helpers (shared with the SOS assembly)
 # ---------------------------------------------------------------------------
@@ -413,11 +409,6 @@ class HarmonicParts:
     c0: object
     h2: tuple  # diagonal coefficients c_i of the traceless quadratic h2
     h4: EvenQuartic
-
-    def h2_matrix(self) -> SymMatrix:
-        n = self.n
-        return SymMatrix([[self.h2[i] if i == j else 0 for j in range(n)] for i in range(n)],
-                         "exact")
 
     def reconstruct(self) -> EvenQuartic:
         n = self.n

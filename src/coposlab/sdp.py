@@ -64,10 +64,6 @@ Monomial = Tuple[int, ...]
 _SQRT2 = math.sqrt(2.0)
 
 
-class SdpError(RuntimeError):
-    pass
-
-
 class BasisDeficiencyError(ValueError):
     """The SOS basis cannot produce a monomial carried by the target."""
 

@@ -14,16 +14,19 @@ the center is the average of the sampled fourth-power generators.
 Exactness policy: NN sections are simplices and also get an exact volume
 via a rational Gram determinant.  The radial problem is linear in t, so no
 section bisects unless asked to (`radial(method="bisect")`) or unless its
-membership is itself a search:
+membership is itself a search.  `_radii` is the one place that picks the
+radius method of a section, for a stack of directions:
 
-- closed form over a whole stack of directions (`section_radii`): face rows
-  of the polyhedral sections {a : G vec(a) >= 0}, i.e. nn (the entries), cp
-  inner (the entries plus diagonal dominance) and lf outer (the apolar
-  pairings with sampled nonnegative forms); a generalized eigenvalue for psd;
-  the minimum of the two for dnn and for cp at n <= 4 (mode "exact",
-  CP = DNN); the ball radius itself for ball;
-- one parametric SDP per ray, all the rays of a block solved as one stack
-  (`sdp.sdp_solve_many`): spn, and cop at n <= 4 (mode "exact", COP = SPN);
+- closed form (`section_radii`): face rows of the polyhedral sections
+  {a : G vec(a) >= 0}, i.e. nn (the entries), cp inner (the entries plus
+  diagonal dominance) and lf outer (the apolar pairings with sampled
+  nonnegative forms); a generalized eigenvalue for psd; the minimum of the
+  two for dnn and for cp at n <= 4 (mode "exact", CP = DNN); the ball
+  radius itself for ball.  The membership oracle of these sections tests
+  the same face rows and eigenvalue;
+- one parametric SDP per ray on the P + N rows of `cones.pn_problem`, the
+  rays solved as one stack (`sdp.sdp_solve_many`): spn, and cop at n <= 4
+  (mode "exact", COP = SPN);
 - one LP per ray: lf inner (max t with the point in the generators' hull);
 - bisection on the membership oracle: cop inner/outer and cp outer.
 
@@ -34,20 +37,19 @@ NP-hard, and pretending otherwise would be false precision).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .cones import cop_refute, cp_refute, parrilo_member, spn_decompose, SosGram, SpnPair
+from .cones import cop_inner, cop_refute, cp_refute, pn_problem, spn_decompose, SpnPair
 from .numerics import SymMatrix
 from .quartic import (EvenQuartic, basis_M, coeff_vector, dim_M, l2_inner,
                       _l2_gram_float, r_squared)
+from .sdp import SdpStatus, sdp_solve_many
 
 SECTION_CONES = ("nn", "psd", "dnn", "spn", "cop", "cp", "lf", "ball")
 
@@ -176,9 +178,7 @@ class SectionSpec:
         self.dim = dim_M(self.n)
         basis = basis_M(self.n)
         self._bstack = np.array([b.to_numpy() for b in basis])
-        keys, gam = _l2_gram_float(self.n)
-        self._keys = keys
-        self._gam = gam
+        self._gam = _l2_gram_float(self.n)[1]
         self._bcoef = np.array([coeff_vector(b, self.n) for b in self._bstack])
         if self.cone == "ball":
             self.star_center = np.zeros(self.dim)
@@ -187,13 +187,12 @@ class SectionSpec:
             self._gens = gens
             navg = self.n * (self.n + 2) / 3.0  # generators have average 3/(n(n+2))
             pts = gens * navg
-            self._gen_cols = np.array([self._tvec(g) for g in pts]).T
+            self._gen_cols = np.array([coeff_vector(g, self.n) for g in pts]).T
             center_mat = pts.mean(axis=0)
             self.star_center = self.coords_of(center_mat)
             if self.mode == "outer":
                 self._pos = np.array(_pos_samples(self.n, max(64, self.generator_count // 4),
                                                   self.seed + 1))
-                self._pos_scale = 1.0 + np.abs(self._pos).max(axis=(1, 2))
         else:
             self.star_center = self.coords_of(_center_matrix(self.n))
         self._center_mat = self.matrix_of(self.star_center)
@@ -235,12 +234,9 @@ class SectionSpec:
         return None
 
     # -- coordinate maps ----------------------------------------------------
-    def _tvec(self, a: np.ndarray) -> np.ndarray:
-        return np.array([a[i, j] * (1.0 if i == j else 2.0) for (i, j) in self._keys])
-
     def coords_of(self, a: np.ndarray) -> np.ndarray:
         """Coordinates in the orthonormal basis of M of q_A - r^2."""
-        diff = self._tvec(a - np.ones((self.n, self.n)))
+        diff = coeff_vector(a - np.ones((self.n, self.n)), self.n)
         return self._bcoef @ (self._gam @ diff)
 
     def matrix_of(self, g: np.ndarray) -> np.ndarray:
@@ -248,20 +244,26 @@ class SectionSpec:
 
     # -- the membership oracle ------------------------------------------------
     def membership(self, g: np.ndarray) -> bool:
-        """Is r^2 + sum g_i b_i in the (translated) cone section?"""
+        """Is r^2 + sum g_i b_i in the (translated) cone section?
+
+        A closed-form section tests what `section_radii` uses, under one
+        tolerance rule: with s = 1 + max |a_ij|, every face row f needs
+        f . vec(a) >= -oracle_tol * |f|_1 * s, and a spectral section needs
+        lambda_min(a) >= -oracle_tol * s; the ball needs |g| <= R + oracle_tol.
+        The other sections ask their cone's certificate or refutation search.
+        """
         g = np.asarray(g, dtype=float)
         tol = self.oracle_tol
         if self.cone == "ball":
             return float(np.linalg.norm(g)) <= self.ball_radius + tol
         a = self.matrix_of(g)
         scale = 1.0 + np.abs(a).max()
-        if self.cone == "nn":
-            return float(a.min()) >= -tol * scale
-        if self.cone == "psd":
-            return float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
-        if self.cone == "dnn" or (self.cone == "cp" and self.mode == "exact"):
-            return (float(a.min()) >= -tol * scale
-                    and float(np.linalg.eigvalsh(a)[0]) >= -tol * scale)
+        if self.closed_form:
+            if self._faces is not None:
+                bound = tol * scale * np.abs(self._faces).sum(axis=1)
+                if not np.all(self._faces @ a.ravel() >= -bound):
+                    return False
+            return self._chol_inv is None or float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
         if _is_spn_section(self):
             # a boundary query can leave the solver indeterminate; counting
             # that as non-membership keeps bisection within solver resolution
@@ -272,23 +274,10 @@ class SectionSpec:
             return isinstance(res, SpnPair)
         if self.cone == "cop":
             if self.mode == "inner":
-                for r in (0, 1):
-                    try:
-                        out = parrilo_member(SymMatrix(a), r, tol=max(tol, 1e-7))
-                    except RuntimeError:
-                        continue
-                    if isinstance(out, SosGram):
-                        return True
-                return False
+                return cop_inner(SymMatrix(a), tol) is not None
             return cop_refute(SymMatrix(a), attempts=self.refute_attempts,
                               seed=self.seed, tol=max(tol, 1e-9)) is None
-        if self.cone == "cp":
-            if self.mode == "inner":
-                if float(a.min()) < -tol * scale:
-                    return False
-                diag = np.diag(a)
-                off = np.abs(a).sum(axis=1) - np.abs(diag)
-                return bool(np.all(diag >= off - tol * scale))
+        if self.cone == "cp":  # outer
             if float(a.min()) < -tol * scale or np.linalg.eigvalsh(a)[0] < -tol * scale:
                 return False
             try:
@@ -296,19 +285,10 @@ class SectionSpec:
             except RuntimeError:
                 return True  # not refuted: stay on the outer side
             return sep is None
-        # lf
-        if self.mode == "inner":
-            target = self._tvec(a)
-            res = linprog(np.zeros(self._gen_cols.shape[1]),
-                          A_eq=self._gen_cols, b_eq=target,
-                          bounds=(0, None), method="highs")
-            return bool(res.status == 0)
-        bound = max(tol, 1e-10) * self._pos_scale * np.abs(a).max()
-        return bool(np.all(self._faces @ a.ravel() >= -bound))
-
-
-def section_membership(spec: SectionSpec, g) -> bool:
-    return spec.membership(np.asarray(g, dtype=float))
+        # lf inner
+        res = linprog(np.zeros(self._gen_cols.shape[1]), A_eq=self._gen_cols,
+                      b_eq=coeff_vector(a, self.n), bounds=(0, None), method="highs")
+        return bool(res.status == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +299,8 @@ class RadialError(RuntimeError):
     pass
 
 
-# directions per `section_radii` call or stacked SDP solve in `vrad_mc`;
-# bounds the temporaries
+# directions per `_radii` call in `vrad_mc`; bounds the temporaries of the
+# closed form and the size of a stacked SDP solve
 _BLOCK = 1024
 
 
@@ -376,20 +356,10 @@ def _radial_spn(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     matrices D, shape (k, n, n).
 
     Each ray is the SDP max t s.t. X + N - t D = C, X PSD, N >= 0 entrywise,
-    with C the star center; the rays are solved as one stack.
+    with C the star center (`cones.pn_problem`); the rays are solved as one
+    stack.
     """
-    from .sdp import LinExpr, SdpProblem, SdpStatus, sdp_solve_many
-    n = spec.n
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    probs = []
-    for d_mat in d_mats:
-        prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs), free_dim=1)
-        for k, (i, j) in enumerate(pairs):
-            expr = (LinExpr().add_psd_entry(0, i, j, 1.0).add_nonneg(k, 1.0)
-                    .add_free(0, -float(d_mat[i, j])))
-            prob.constraints.append((expr, float(spec._center_mat[i, j])))
-        prob.objective = LinExpr().add_free(0, -1.0)
-        probs.append(prob)
+    probs = [pn_problem(spec._center_mat, d_mat) for d_mat in d_mats]
     radii = np.empty(len(probs))
     for k, sol in enumerate(sdp_solve_many(probs, tol=1e-8, max_iter=200)):
         if sol.status != SdpStatus.OPTIMAL:
@@ -401,12 +371,13 @@ def _radial_spn(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
 def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:
     """Radius of the lf inner section along g as one LP: max t s.t.
     sum_k lam_k tvec(G_k) = tvec(C) + t tvec(D), lam >= 0, t >= 0."""
-    d_col = spec._tvec(np.tensordot(g, spec._bstack, axes=1))
+    d_col = coeff_vector(np.tensordot(g, spec._bstack, axes=1), spec.n)
     gens = spec._gen_cols
     cost = np.zeros(gens.shape[1] + 1)
     cost[-1] = -1.0
     res = linprog(cost, A_eq=np.hstack([gens, -d_col[:, None]]),
-                  b_eq=spec._tvec(spec._center_mat), bounds=(0, None), method="highs")
+                  b_eq=coeff_vector(spec._center_mat, spec.n), bounds=(0, None),
+                  method="highs")
     if res.status == 3:
         raise RadialError("direction never exits the section")
     if res.status != 0:
@@ -414,31 +385,9 @@ def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:
     return float(res.x[-1])
 
 
-def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
-           method: str = "auto") -> float:
-    """Largest t with center + t * direction inside the section.
-
-    method="auto": a closed-form section (nn, psd, dnn, ball, cp exact or
-    inner, lf outer) goes through `section_radii`, and spn and cop exact
-    through the stacked parametric SDP of `_radial_spn`, both on a stack of
-    one, so the radius equals the one `vrad_mc` computes in its blocks; lf
-    inner solves one LP; cop inner/outer and cp outer use bracket doubling
-    plus bisection to `bisect_tol` on the membership oracle.
-    method="bisect" forces that bisection, the generic reference path, for
-    every section.
-    """
-    g = np.asarray(direction, dtype=float)
-    _check_unit(g)
-    if method not in ("auto", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        if spec.closed_form:
-            return float(section_radii(spec, g[None, :])[0])
-        if _is_spn_section(spec):
-            return float(_radial_spn(spec, _direction_matrices(spec, g[None, :]))[0])
-        if spec.cone == "lf":
-            return _radial_lf_inner(spec, g)
-    # generic bracket + bisection on the membership oracle (convex section)
+def _bisect(spec: SectionSpec, g: np.ndarray, bisect_tol: float) -> float:
+    """Bracket doubling plus bisection to `bisect_tol` on the membership
+    oracle (the section is convex)."""
     c = spec.star_center
     hi = 1.0
     lo = 0.0
@@ -456,29 +405,48 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
     return 0.5 * (lo + hi)
 
 
+def _radii(spec: SectionSpec, dirs: np.ndarray, bisect_tol: float) -> np.ndarray:
+    """Radii of a stack of unit directions, shape (k, dim), by the section's
+    method: closed form, stacked P + N SDP, one LP a ray or bisection."""
+    if spec.closed_form:
+        return section_radii(spec, dirs)
+    if _is_spn_section(spec):
+        return _radial_spn(spec, _direction_matrices(spec, dirs))
+    if spec.cone == "lf":
+        return np.array([_radial_lf_inner(spec, g) for g in dirs])
+    return np.array([_bisect(spec, g, bisect_tol) for g in dirs])
+
+
+def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
+           method: str = "auto") -> float:
+    """Largest t with center + t * direction inside the section.
+
+    method="auto" is `_radii` on a stack of one, so the radius equals the
+    one `vrad_mc` computes in its blocks.  method="bisect" forces bisection
+    on the membership oracle, the generic reference path, for every section.
+    """
+    g = np.asarray(direction, dtype=float)
+    _check_unit(g)
+    if method not in ("auto", "bisect"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "bisect":
+        return _bisect(spec, g, bisect_tol)
+    return float(_radii(spec, g[None, :], bisect_tol)[0])
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo volume radius
 # ---------------------------------------------------------------------------
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("COPOSLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
 
 def vrad_mc(spec: SectionSpec, samples: int, seed: int,
             bisect_tol: float = 1e-6, bootstrap: int = 200) -> VradEstimate:
     """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with bootstrap CI.
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
-    translation invariant).  The directions go in blocks of 1024: a
-    closed-form section takes their radii from `section_radii`, spn and cop
-    exact from one stacked parametric SDP solve per block.  lf inner takes
-    one `radial` LP per direction.  The bisecting sections (cop inner/outer,
-    cp outer) take one `radial` call per direction, to `bisect_tol`, spread
-    over COPOSLAB_THREADS threads.  The result is deterministic given
-    (seed, samples) regardless of that thread count.
+    translation invariant).  The directions go to `_radii` in blocks of
+    `_BLOCK`, in one process and thread; `bisect_tol` matters only to the
+    bisecting sections (cop inner/outer, cp outer).  The result is
+    deterministic given (seed, samples).
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -486,26 +454,8 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     rng = np.random.RandomState(seed)
     dirs = rng.standard_normal((samples, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
-    nthreads = _thread_count()
-    blocks = [dirs[i:i + _BLOCK] for i in range(0, samples, _BLOCK)]
-    if spec.closed_form:
-        radii = np.concatenate([section_radii(spec, block) for block in blocks])
-    elif _is_spn_section(spec):
-        radii = np.concatenate([_radial_spn(spec, _direction_matrices(spec, block))
-                                for block in blocks])
-    elif nthreads > 1 and spec.cone != "lf":
-        chunks = np.array_split(np.arange(samples), nthreads * 4)
-
-        def work(idx):
-            return [radial(spec, dirs[i], bisect_tol) for i in idx]
-
-        radii = np.empty(samples)
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            for idx, vals in zip(chunks, ex.map(work, chunks)):
-                radii[idx] = vals
-    else:
-        radii = np.array([radial(spec, dirs[i], bisect_tol) for i in range(samples)])
+    radii = np.concatenate([_radii(spec, dirs[i:i + _BLOCK], bisect_tol)
+                            for i in range(0, samples, _BLOCK)])
 
     powers = radii ** d
     est = float(powers.mean() ** (1.0 / d))

@@ -4,8 +4,9 @@ import zlib
 import numpy as np
 import pytest
 
-from coposlab import cli
-from coposlab.cones import SpnPair
+from coposlab import cli, cones
+from coposlab.cones import SpnPair, horn_matrix
+from coposlab.exceptional import load_reference_a5, load_reference_c
 from coposlab.numerics import SymMatrix, matrix_dumps
 
 
@@ -39,8 +40,50 @@ def test_certify_spn_rank_one_psd_reports_a_pair(tmp_path, capsys):
 
 def _write(tmp_path, a):
     path = tmp_path / "a.json"
-    path.write_text(matrix_dumps(SymMatrix(a)), encoding="utf-8")
+    m = a if isinstance(a, SymMatrix) else SymMatrix(a)
+    path.write_text(matrix_dumps(m), encoding="utf-8")
     return str(path)
+
+
+def _dominant_nn():
+    return np.eye(4) * 3.0 + np.ones((4, 4)) / 2.0
+
+
+def _simplex_witness():
+    # x = (1/2, 1/2, 0) gives x^T A x = -1/2
+    return np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("make,argv,code,kind", [
+    (load_reference_a5, ["--cone", "dnn"], cli.EXIT_OK, "dnn"),
+    (load_reference_a5, ["--cone", "cp"], cli.EXIT_NEGATIVE, "cp-refutation"),
+    (load_reference_c, ["--cone", "cop"], cli.EXIT_OK, "sos-gram"),
+    (load_reference_c, ["--cone", "spn"], cli.EXIT_NEGATIVE, "infeasibility"),
+    (horn_matrix, ["--cone", "parrilo", "--level", "0"], cli.EXIT_NEGATIVE, "infeasibility"),
+    (horn_matrix, ["--cone", "parrilo", "--level", "1"], cli.EXIT_OK, "sos-gram"),
+    (_dominant_nn, ["--cone", "cp"], cli.EXIT_OK, "diagonally-dominant-nn"),
+    (_simplex_witness, ["--cone", "cop"], cli.EXIT_NEGATIVE, "cop-refutation"),
+], ids=["a5-dnn", "a5-cp", "c-cop", "c-spn", "horn-parrilo0", "horn-parrilo1",
+        "dominant-cp", "witness-cop"])
+def test_certify_exit_code_follows_the_answer(make, argv, code, kind, tmp_path, capsys):
+    path = _write(tmp_path, make())
+    assert cli.main(["certify", *argv, "--in", path]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert cli.EXIT_OF_MEMBER[report["member"]] == code
+    assert report["certificate"]["kind"] == kind
+    if kind == "cp-refutation":
+        assert report["certificate"]["level"] == 1
+
+
+def test_certify_solver_error_exits_2_with_the_error(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("solver indeterminate: stalled")
+    monkeypatch.setattr(cones, "cp_refute", fail)
+    path = _write(tmp_path, load_reference_a5())
+    assert cli.main(["certify", "--cone", "cp", "--in", path]) == cli.EXIT_INDETERMINATE
+    report = json.loads(capsys.readouterr().out)
+    assert report["member"] is None
+    assert report["error"] == "solver indeterminate: stalled"
 
 
 def test_certify_psd_gram_matrix_exits_0_with_a_factor(tmp_path, capsys):

@@ -140,6 +140,30 @@ def test_spn_sum_of_nontrivial_summands_reaches_the_sdp(sdp_calls):
     assert decided >= 10
 
 
+def test_cop_inner_psd_or_nn_input_needs_no_sdp(no_sdp):
+    for n in (3, 4, 6):
+        g = np.random.default_rng(n).normal(size=(n, n))
+        gram = g @ g.T / n
+        for a in (gram, np.abs(gram), _rank_one_mixed(np.random.default_rng(n), n)):
+            r, cert = cones.cop_inner(SymMatrix(a))
+            assert r == 0
+            assert cert.check(quartic_target(SymMatrix(a), 0), 1e-9)
+
+
+def test_cop_inner_sum_of_nontrivial_summands_solves_an_sdp(sdp_calls):
+    rng = np.random.RandomState(22)
+    n = 5
+    while True:
+        g = rng.randn(n, n)
+        nn = np.abs(rng.randn(n, n))
+        a = g @ g.T + 0.5 * (nn + nn.T)
+        if a.min() < 0.0 and np.linalg.eigvalsh(a)[0] < 0.0:
+            break
+    r, cert = cones.cop_inner(SymMatrix(a))
+    assert len(sdp_calls) >= 1
+    assert cert.check(quartic_target(SymMatrix(a), r), 1e-7)
+
+
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
                    reason="the HSDE step length collapses on this rank-one "
                           "boundary input (ROADMAP known defect (a))")

@@ -58,12 +58,13 @@ def test_unnormalized_direction_is_rejected():
         section_radii(spec, 2.0 * unit_directions(spec.dim, 3, seed=0))
 
 
-def test_lf_outer_membership_is_the_face_test():
-    spec = SectionSpec(cone="lf", n=4, mode="outer")
-    g = unit_directions(spec.dim, 1, seed=2)[0]
-    r = section_radii(spec, g[None, :])[0]
-    assert spec.membership(spec.star_center + 0.999 * r * g)
-    assert not spec.membership(spec.star_center + 1.001 * r * g)
+@pytest.mark.parametrize("cone,n,mode", [c for c in CLOSED_FORM if c[0] != "ball"])
+def test_closed_form_membership_agrees_with_the_radius(cone, n, mode):
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    for g in unit_directions(spec.dim, 3, seed=2):
+        r = section_radii(spec, g[None, :])[0]
+        assert spec.membership(spec.star_center + 0.999 * r * g)
+        assert not spec.membership(spec.star_center + 1.001 * r * g)
 
 
 @pytest.mark.parametrize("cone,n,mode,kwargs", [
@@ -71,12 +72,9 @@ def test_lf_outer_membership_is_the_face_test():
     ("lf", 3, "inner", {"generator_count": 16}),     # one LP a ray
     ("spn", 4, None, {}),                            # stacked SDPs, in blocks
 ])
-def test_vrad_mc_ignores_the_thread_count(cone, n, mode, kwargs, monkeypatch):
+def test_vrad_mc_is_deterministic(cone, n, mode, kwargs):
     spec = SectionSpec(cone=cone, n=n, mode=mode, **kwargs)
-    out = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("COPOSLAB_THREADS", threads)
-        out.append(vrad_mc(spec, 100, seed=4, bisect_tol=1e-2).to_json_dict())
+    out = [vrad_mc(spec, 100, seed=4, bisect_tol=1e-2).to_json_dict() for _ in range(2)]
     assert out[0] == out[1]
 
 
