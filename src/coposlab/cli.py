@@ -5,6 +5,10 @@ All commands emit a machine-readable JSON report on stdout (or --out FILE);
 --pretty switches to indented rendering.  Exit codes: 0 all checks passed or
 feasible, 1 certified negative (refuted or infeasible), 2 indeterminate,
 64 usage or input-format error.
+
+scipy is imported on first use, by an SDP or LP solve, so certify of nn, psd
+and dnn, certify of spn and cop on a PSD or NN input, vrad of a closed-form
+section and check-bounds load none of it.
 """
 
 from __future__ import annotations
@@ -208,7 +212,11 @@ def cmd_vrad(args) -> int:
     spec = volume.SectionSpec(cone=args.cone, n=args.n, mode=args.mode,
                               oracle_tol=args.tol, seed=args.seed,
                               ball_radius=args.ball_radius)
-    est = volume.vrad_mc(spec, args.samples, args.seed, bisect_tol=args.bisect_tol)
+    try:
+        est = volume.vrad_mc(spec, args.samples, args.seed, bisect_tol=args.bisect_tol)
+    except RuntimeError as exc:
+        _emit({"command": "vrad", "status": "indeterminate", "error": str(exc)}, args)
+        return EXIT_INDETERMINATE
     _emit(est.to_json_dict(), args)
     return EXIT_OK
 
@@ -220,18 +228,23 @@ def cmd_check_bounds(args) -> int:
     estimates = {}
     n = args.n
     for path in sorted(directory.glob("*.json")):
-        d = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(d, dict) or "cone" not in d or "estimate" not in d:
-            continue
-        if n is None:
-            n = int(d["n"])
-        if int(d["n"]) != n:
-            continue
-        est = volume.VradEstimate(cone=d["cone"], n=int(d["n"]), mode=d.get("mode"),
-                                  point_estimate=float(d["estimate"]),
-                                  ci_low=float(d["ci"][0]), ci_high=float(d["ci"][1]),
-                                  samples=int(d["samples"]), seed=int(d["seed"]),
-                                  dim=int(d["dim"]))
+        try:
+            d = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(d, dict) or "cone" not in d or "estimate" not in d:
+                continue
+            if n is None:
+                n = int(d["n"])
+            if int(d["n"]) != n:
+                continue
+            est = volume.VradEstimate(cone=d["cone"], n=int(d["n"]), mode=d.get("mode"),
+                                      point_estimate=float(d["estimate"]),
+                                      ci_low=float(d["ci"][0]), ci_high=float(d["ci"][1]),
+                                      samples=int(d["samples"]), seed=int(d["seed"]),
+                                      dim=int(d["dim"]))
+        except KeyError as exc:
+            raise CliUsage(f"malformed vrad report {path}: missing key {exc}")
+        except (IndexError, TypeError, ValueError) as exc:
+            raise CliUsage(f"malformed vrad report {path}: {exc}")
         estimates[est.cone] = est
     if n is None:
         _emit({"command": "check-bounds", "checks": [], "all_passed": True,

@@ -42,6 +42,9 @@ Nothing reduces across the stack: stacked matmul and the np.linalg gufuncs
 (cholesky, svd, eigvalsh) act slice by slice, each KKT matrix has its own
 LAPACK getrf/getrs, and scalar powers use libm.  So a problem's iterates,
 and its solution, are the same bits whatever else is in the stack.
+
+scipy.linalg is imported by sdp_solve_many, once per solve, not with the
+module: the commands that never solve an SDP never load scipy.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 Monomial = Tuple[int, ...]
 
@@ -386,8 +387,9 @@ class _Standard:
         return out
 
 
-def _presolve(A: np.ndarray, b: np.ndarray):
-    """Row scaling, duplicate removal and rank filtering.
+def _presolve(A: np.ndarray, b: np.ndarray, qr):
+    """Row scaling, duplicate removal and rank filtering; qr is
+    scipy.linalg.qr.
 
     Returns (A2, b2, keep, scales, bad) where bad is None or a tuple
     (y_certificate) exposing inconsistent dependent rows.
@@ -412,7 +414,7 @@ def _presolve(A: np.ndarray, b: np.ndarray):
 
     # rank filter via pivoted QR of A^T
     if A1k.shape[0] > 1:
-        q, r, piv = scipy.linalg.qr(A1k.T, mode="economic", pivoting=True)
+        q, r, piv = qr(A1k.T, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
         tol = max(A1k.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
         rank = int((diag > max(tol, 1e-13)).sum())
@@ -471,6 +473,8 @@ def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9,
     problems = list(problems)
     if len({(tuple(p.psd_block_dims), p.nonneg_dim, p.free_dim) for p in problems}) > 1:
         raise ValueError("problems must share one block layout")
+    from scipy.linalg import qr
+    from scipy.linalg.lapack import dgetrf, dgetrs
     out: List[Optional[SdpSolution]] = [None] * len(problems)
     prepared, where = [], []
     for k, problem in enumerate(problems):
@@ -484,7 +488,7 @@ def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9,
         for i, (expr, rhs) in enumerate(problem.constraints):
             A[i] = std.row_of(expr)
             b[i] = float(rhs)
-        A2, b2, keep, scales, bad_y = _presolve(A, b)
+        A2, b2, keep, scales, bad_y = _presolve(A, b, qr)
         if bad_y is not None:
             out[k] = SdpSolution(
                 status=SdpStatus.INFEASIBLE, psd_blocks=[], nonneg=np.zeros(0),
@@ -498,7 +502,7 @@ def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9,
     if len({len(p.b) for p in prepared}) > 1:
         raise ValueError("problems must keep the same number of rows after presolve")
     if prepared:
-        for k, sol in zip(where, _ipm(std, prepared, tol, max_iter)):
+        for k, sol in zip(where, _ipm(std, prepared, tol, max_iter, dgetrf, dgetrs)):
             out[k] = sol
     return out
 
@@ -553,8 +557,10 @@ def _pick(mask: np.ndarray, a, b):
     return np.where(mask.reshape((-1,) + (1,) * (np.ndim(a) - 1)), a, b)
 
 
-def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int) -> List[SdpSolution]:
-    """The HSDE loop over a stack of prepared problems; their solutions, in order."""
+def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int,
+         getrf, getrs) -> List[SdpSolution]:
+    """The HSDE loop over a stack of prepared problems; their solutions, in
+    order.  getrf and getrs are LAPACK's dgetrf and dgetrs."""
     k = len(probs)
     f = std.free_dim
     cn = std.cone_N
@@ -654,7 +660,7 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int) -> L
             break
 
         d, alpha, why = _newton_step(std, st.AK, st.AF, st.b, st.cK, st.cF, st.xk, st.xf,
-                                     st.y, st.s, st.tau, st.kappa, st.mu)
+                                     st.y, st.s, st.tau, st.kappa, st.mu, getrf, getrs)
         broke = [i for i, w in enumerate(why) if w is not None]
         if broke:
             live = np.ones(len(why), dtype=bool)
@@ -675,7 +681,7 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int) -> L
     return out
 
 
-def _kkt_factor(mext: np.ndarray, m: int):
+def _kkt_factor(mext: np.ndarray, m: int, getrf):
     """LU factors (lu, piv) of one augmented KKT matrix, or None.
 
     A zero or non-finite pivot is regularized away: reg is added on the
@@ -689,14 +695,14 @@ def _kkt_factor(mext: np.ndarray, m: int):
         if reg:
             r[:m, :m] += reg * np.eye(m)
             r[m:, m:] -= reg * np.eye(f)
-        lu, piv, _ = dgetrf(r, overwrite_a=True)
+        lu, piv, _ = getrf(r, overwrite_a=True)
         if np.all(np.isfinite(lu)) and np.all(np.diagonal(lu) != 0.0):
             return lu, piv
         reg = max(reg * 100.0, 1e-13 * max(1.0, np.trace(mext[:m, :m]) / max(1, m)))
     return None
 
 
-def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu):
+def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, getrs):
     """One predictor-corrector step of the HSDE method for each problem of a
     stack, from strictly interior iterates.
 
@@ -770,7 +776,7 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu):
     Mext[:, :m, m:] = AF
     Mext[:, m:, :m] = AFt
     require(np.isfinite(Mext).all(axis=(1, 2)), ok, "non-finite KKT matrix")
-    lus = [_kkt_factor(Mext[i], m) if ok[i] else None for i in range(k)]
+    lus = [_kkt_factor(Mext[i], m, getrf) if ok[i] else None for i in range(k)]
     fail(np.array([lu is None for lu in lus]), "KKT factorization failed")
     if np.count_nonzero(ok) < k:
         Mext[~ok] = np.eye(dim)
@@ -786,7 +792,7 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu):
         sol = np.zeros_like(rhs)
         rows = act.nonzero()[0]
         for i in rows:
-            sol[i] = dgetrs(*lus[i], rhs[i])[0]
+            sol[i] = getrs(*lus[i], rhs[i])[0]
         # iterative refinement with extended-precision residuals
         rhs_ld = rhs.astype(np.longdouble)
         corr = np.zeros_like(sol)
@@ -798,7 +804,7 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu):
                 act &= ok
                 rows = act.nonzero()[0]
             for i in rows:
-                corr[i] = dgetrs(*lus[i], resid[i])[0]
+                corr[i] = getrs(*lus[i], resid[i])[0]
             if len(rows) == k:
                 sol += corr
             else:

@@ -43,7 +43,6 @@ from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cones import cop_inner, cop_refute, cp_refute, pn_problem, spn_decompose, SpnPair
 from .numerics import SymMatrix
@@ -285,7 +284,8 @@ class SectionSpec:
             except RuntimeError:
                 return True  # not refuted: stay on the outer side
             return sep is None
-        # lf inner
+        # lf inner; only its LPs import scipy.optimize, so no other section loads it
+        from scipy.optimize import linprog
         res = linprog(np.zeros(self._gen_cols.shape[1]), A_eq=self._gen_cols,
                       b_eq=coeff_vector(a, self.n), bounds=(0, None), method="highs")
         return bool(res.status == 0)
@@ -371,6 +371,7 @@ def _radial_spn(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
 def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:
     """Radius of the lf inner section along g as one LP: max t s.t.
     sum_k lam_k tvec(G_k) = tvec(C) + t tvec(D), lam >= 0, t >= 0."""
+    from scipy.optimize import linprog
     d_col = coeff_vector(np.tensordot(g, spec._bstack, axes=1), spec.n)
     gens = spec._gen_cols
     cost = np.zeros(gens.shape[1] + 1)

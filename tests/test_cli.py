@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coposlab import cli, cones
+import coposlab
+from coposlab import cli, cones, volume
 from coposlab.cones import SpnPair, horn_matrix
 from coposlab.exceptional import load_reference_a5, load_reference_c
 from coposlab.numerics import SymMatrix, matrix_dumps
@@ -163,3 +168,91 @@ def test_certify_cp_negative_entry_exits_1_with_a_level0_separator(tmp_path, cap
     inner = cert["certificate"]
     assert inner["kind"] == "spn-pair"
     assert SpnPair(np.array(inner["psd_part"]), np.array(inner["nonneg_part"])).check(m, 1e-9)
+
+
+def test_vrad_ball_exits_0_and_check_bounds_accepts_its_report(tmp_path, capsys):
+    report = tmp_path / "ball.json"
+    argv = ["--out", str(report), "vrad", "--cone", "ball", "-n", "3", "--samples", "100"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(report.read_text(encoding="utf-8"))["estimate"] == 1.0
+    capsys.readouterr()
+    assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
+
+def test_vrad_radial_error_exits_2_with_the_error(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise volume.RadialError("direction never exits the section")
+    monkeypatch.setattr(volume, "vrad_mc", fail)
+    assert cli.main(["vrad", "--cone", "ball", "-n", "3"]) == cli.EXIT_INDETERMINATE
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"command": "vrad", "status": "indeterminate",
+                      "error": "direction never exits the section"}
+
+
+def test_check_bounds_on_a_file_exits_64(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text("{}", encoding="utf-8")
+    assert cli.main(["check-bounds", "--dir", str(path)]) == cli.EXIT_USAGE
+    assert "not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,reason", [
+    (json.dumps({"cone": "nn", "estimate": 0.2, "n": 3}), "missing key 'ci'"),
+    (json.dumps({"cone": "nn", "estimate": 0.2, "n": 3, "ci": None, "samples": 100,
+                 "seed": 1, "dim": 5}), "not subscriptable"),
+    ("{not json", "Expecting property name"),
+], ids=["no-ci", "null-ci", "not-json"])
+def test_check_bounds_malformed_report_exits_64_naming_the_file(text, reason, tmp_path, capsys):
+    path = tmp_path / "nn.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    error = json.loads(out.err)["error"]
+    assert error.startswith(f"malformed vrad report {path}: ") and reason in error
+
+
+def test_construct_ecop_bundled_a5_exits_0(capsys):
+    assert cli.main(["construct-ecop"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "feasible"
+    assert report["pairing"] < 0.0
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import coposlab, coposlab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+gram, horn = sys.argv[1:]
+steps = {"import": scipy_modules()}
+for cone in ("nn", "psd", "dnn", "cop"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = coposlab.cli.main(["certify", "--cone", cone,
+                                  "--in", horn if cone == "cop" else gram])
+    steps[cone] = [code, scipy_modules()]
+print(json.dumps(steps))
+"""
+
+
+def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
+    b = np.abs(np.random.RandomState(7).randn(8, 5))
+    gram = _write(tmp_path, b @ b.T)  # doubly nonnegative
+    horn = tmp_path / "horn.json"
+    horn.write_text(matrix_dumps(horn_matrix()), encoding="utf-8")
+    src = str(Path(coposlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, gram, str(horn)],
+                         env=env, capture_output=True, text=True, check=True)
+    steps = json.loads(run.stdout)
+    assert steps["import"] == []
+    for cone in ("nn", "psd", "dnn"):
+        assert steps[cone] == [cli.EXIT_OK, []], cone
+    # positive control: the copositivity of Horn takes an SDP, and with it scipy
+    code, loaded = steps["cop"]
+    assert code == cli.EXIT_OK
+    assert "scipy.linalg" in loaded
