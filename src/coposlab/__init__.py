@@ -19,8 +19,8 @@ from .quartic import (EvenQuartic, GeneralQuartic, HarmonicParts, apply_T,
                       sphere_moment, v4_project)
 from .exceptional import (CosPoly, EdnnResult, TrigGram, build_ednn_sdp,
                           compression_matrix, construct_ecop, construct_ednn,
-                          extend_ednn, load_reference_a5, load_reference_c,
-                          load_reference_gram, read_off_series, trig_sos_check,
+                          load_reference_a5, load_reference_c,
+                          load_reference_gram, read_off_series,
                           triple_integral, verify_paper_examples)
 from .volume import (SectionSpec, VradEstimate, check_bounds, radial,
                      section_radii, vrad_mc, vrad_nn_exact)

@@ -59,8 +59,6 @@ def _cert_json(cert) -> object:
     if isinstance(cert, cones.SosGram):
         return {"kind": "sos-gram", "basis": [list(m) for m in cert.basis],
                 "gram": _arr(cert.gram)}
-    if isinstance(cert, exceptional.TrigGram):
-        return {"kind": "trig-gram", "mprime": cert.mprime, "gram": _arr(cert.gram)}
     if isinstance(cert, DualRay):
         return {"kind": "dual-ray", "y": _arr(cert.y),
                 "psd_operators": [_arr(z) for z in cert.psd_operators],
@@ -225,7 +223,7 @@ def cmd_check_bounds(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise CliUsage(f"not a directory: {directory}")
-    estimates = {}
+    estimates, sources = {}, {}
     n = args.n
     for path in sorted(directory.glob("*.json")):
         try:
@@ -245,7 +243,10 @@ def cmd_check_bounds(args) -> int:
             raise CliUsage(f"malformed vrad report {path}: missing key {exc}")
         except (IndexError, TypeError, ValueError) as exc:
             raise CliUsage(f"malformed vrad report {path}: {exc}")
-        estimates[est.cone] = est
+        if est.cone in sources:
+            raise CliUsage(f"two vrad reports of cone {est.cone} at n={n}: "
+                           f"{sources[est.cone]} and {path}")
+        estimates[est.cone], sources[est.cone] = est, path
     if n is None:
         _emit({"command": "check-bounds", "checks": [], "all_passed": True,
                "note": "no estimate files found"}, args)

@@ -152,9 +152,19 @@ def membership_basic(a: SymMatrix, cone: str, tol: float = 1e-9):
 # SPN via feasibility SDP
 # ---------------------------------------------------------------------------
 
-def _upper_index(n: int):
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return pairs, {p: k for k, p in enumerate(pairs)}
+def _upper_pairs(n: int) -> List[Tuple[int, int]]:
+    """The upper entries (i, j), i <= j, of an n x n matrix, row by row."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def sym_from_upper(n: int, values) -> np.ndarray:
+    """The symmetric n x n matrix whose upper entries, in _upper_pairs
+    order, are values."""
+    m = np.zeros((n, n))
+    iu = np.triu_indices(n)
+    m[iu] = values
+    m.T[iu] = values
+    return m
 
 
 def _summand_split(arr: np.ndarray, tol: float) -> Optional[SpnPair]:
@@ -192,7 +202,7 @@ def pn_problem(c: np.ndarray, d: Optional[np.ndarray] = None) -> SdpProblem:
     t, and the objective maximizes t: the radius of C along D inside SPN.
     """
     n = c.shape[0]
-    pairs, _ = _upper_index(n)
+    pairs = _upper_pairs(n)
     prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs),
                       free_dim=0 if d is None else 1)
     for k, (i, j) in enumerate(pairs):
@@ -208,23 +218,13 @@ def pn_problem(c: np.ndarray, d: Optional[np.ndarray] = None) -> SdpProblem:
 def _spn_sdp(arr: np.ndarray, tol: float):
     """The P + N feasibility SDP of spn_decompose, for any symmetric arr."""
     n = arr.shape[0]
-    pairs, _ = _upper_index(n)
     sol = sdp_solve(pn_problem(arr), tol=tol)
     if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
-        p = sol.psd_blocks[0]
-        nm = np.zeros((n, n))
-        for k, (i, j) in enumerate(pairs):
-            nm[i, j] = nm[j, i] = sol.nonneg[k]
-        return SpnPair(p=p, n=nm)
+        return SpnPair(p=sol.psd_blocks[0], n=sym_from_upper(n, sol.nonneg))
     if sol.status == SdpStatus.INFEASIBLE:
-        y = sol.dual_ray.y
-        m = np.zeros((n, n))
-        for k, (i, j) in enumerate(pairs):
-            v = -y[k]
-            if i == j:
-                m[i, i] = v
-            else:
-                m[i, j] = m[j, i] = v / 2.0
+        # row (i, j) pairs with M_ij once on the diagonal and twice off it
+        m = sym_from_upper(n, -sol.dual_ray.y)
+        m = (m + np.diag(np.diag(m))) / 2.0
         return InfeasibilityCert(ray=sol.dual_ray, separator=m,
                                  note="M is DNN with <A, M> = -1")
     raise _indeterminate(sol)
@@ -265,14 +265,26 @@ def quartic_target(a: SymMatrix, r: int) -> Dict[Tuple[int, ...], object]:
     return out
 
 
-def quartic_target_linear(n: int, r: int):
-    """(sum_i x_i^2)^r q_M as a linear map of the entries of a symmetric M.
+def _pairing_expr(a: np.ndarray) -> LinExpr:
+    """<A, M> over the free scalars M_ij, i <= j, of a symmetric M."""
+    expr = LinExpr()
+    for k, (i, j) in enumerate(_upper_pairs(a.shape[0])):
+        expr.add_free(k, float(a[i, j]) * (1.0 if i == j else 2.0))
+    return expr
 
-    Returns (pairs, coef): pairs[k] = (i, j), i <= j, names the k-th free
-    entry M_ij, and coef[gamma][k] is its weight in the coefficient of the
-    monomial gamma, as even_sos_assemble takes it.
+
+def kr_problem(a: np.ndarray, r: int, rhs: float):
+    """The K^(r) matrix model: a free symmetric M with (sum_i x_i^2)^r q_M a
+    sum of squares, and the row <A, M> = rhs.
+
+    M is one free scalar per upper entry, in _upper_pairs order (read it
+    back with sym_from_upper).  The SOS condition is even, so
+    even_sos_assemble solves it block-diagonally by exponent parity over
+    the degree-(r + 2) monomials; the pairing row comes last.  Returns the
+    problem and its EvenSosLayout.
     """
-    pairs, _ = _upper_index(n)
+    n = a.shape[0]
+    pairs = _upper_pairs(n)
     rk = {(0,) * n: 1.0}
     for _ in range(r):
         rk = poly_mul(rk, sum_of_squares_poly(n))
@@ -282,7 +294,9 @@ def quartic_target_linear(n: int, r: int):
         w = 1.0 if i == j else 2.0
         for gamma, c in poly_mul({base: w}, rk).items():
             coef.setdefault(gamma, {})[k] = float(c)
-    return pairs, coef
+    prob, layout = even_sos_assemble(monomials(n, r + 2), {}, coef, len(pairs))
+    prob.constraints.append((_pairing_expr(a), rhs))
+    return prob, layout
 
 
 def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
@@ -469,10 +483,9 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
         m[i, j] = m[j, i] = 0.5
         return CpRefutation(m=m, pairing=float((arr * m).sum()), level=0,
                             certificate=SpnPair(p=np.zeros_like(arr), n=m))
-    pairs, _ = _upper_index(n)
-
     if r == 0:
         # M = P + N with the normalization <P + N, I + J> = 1
+        pairs = _upper_pairs(n)
         prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs))
         norm = LinExpr()
         obj = LinExpr()
@@ -491,31 +504,19 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
         if sol.objective_value >= -_cp_threshold(arr, tol):
             return None
         p = sol.psd_blocks[0]
-        nm = np.zeros((n, n))
-        for k, (i, j) in enumerate(pairs):
-            nm[i, j] = nm[j, i] = max(sol.nonneg[k], 0.0)
+        nm = sym_from_upper(n, np.maximum(sol.nonneg, 0.0))
         m = p + nm
         return CpRefutation(m=m, pairing=float((arr * m).sum()), level=0,
                             certificate=SpnPair(p=p, n=nm))
 
-    # r = 1: M free, B PSD over degree-3 monomials, (sum x^2) q_M = w^T B w
-    basis = monomials(n, 3)
-    _, coef = quartic_target_linear(n, 1)
-    prob, layout = even_sos_assemble(basis, {}, coef, len(pairs))
-    norm = LinExpr()
-    obj = LinExpr()
-    for k, (i, j) in enumerate(pairs):
-        norm.add_free(k, 2.0)
-        obj.add_free(k, float(arr[i, j]) if i == j else 2.0 * float(arr[i, j]))
-    prob.constraints.append((norm, 1.0))
-    prob.objective = obj
+    # r = 1: the K^(1) matrix model with the row <I + J, M> = 1
+    prob, layout = kr_problem(np.eye(n) + 1.0, 1, 1.0)
+    prob.objective = _pairing_expr(arr)
     sol = sdp_solve(prob, tol=tol)
     if sol.status != SdpStatus.OPTIMAL:
         raise _indeterminate(sol)
     if sol.objective_value >= -_cp_threshold(arr, tol):
         return None
-    m = np.zeros((n, n))
-    for k, (i, j) in enumerate(pairs):
-        m[i, j] = m[j, i] = sol.free[k]
+    m = sym_from_upper(n, sol.free)
     return CpRefutation(m=m, pairing=float((arr * m).sum()), level=1,
-                        certificate=SosGram(basis=basis, gram=layout.gram(sol)))
+                        certificate=SosGram(basis=layout.basis, gram=layout.gram(sol)))

@@ -1,15 +1,24 @@
 """Cosine-series bootstrap for exceptional matrices.
 
-A nonnegative cosine series f(x) = 1 + 2 sum_k a_k cos(2 k pi x) acts by
-multiplication on the span of {1, sqrt2 cos(2 pi x), sqrt2 cos(4 pi x), ...};
-its n x n compressions A^(n) are simultaneously Toeplitz-plus-Hankel in the
-coefficients a_k.  Choosing a_k >= 0 makes every compression entrywise
+A nonnegative cosine series acts by multiplication on the cosine part of
+L2[0,1]; its n x n compressions A^(n) are simultaneously Toeplitz-plus-Hankel
+in the coefficients a_k.  Choosing a_k >= 0 makes every compression entrywise
 nonnegative, a sum-of-squares certificate f = v^T B v makes every compression
 PSD, and steering the 5 x 5 compression against the Horn matrix
 (<A^(5), H> = -eps < 0) makes every compression of size >= 5 fail complete
 positivity.  A second feasibility SDP then turns any such A into a copositive
 matrix C that is not PSD + NN, via <A, C> < 0 plus an SOS certificate for
 (sum x_i^2)^k q_C.
+
+Three conventions, each used by exactly one table below:
+
+- the series is f(x) = a0 + 2 sum_{k>=1} a_k cos(2 k pi x) (CosPoly);
+- the compression basis is {1, sqrt2 cos(2 pi x), ..., sqrt2 cos(2 (n-1) pi x)},
+  orthonormal, so A_11 = a0, A_1k = sqrt2 a_{k-1} and
+  A_jk = a_|j-k| + a_{j+k-2} for j, k >= 2 (_compression_layout);
+- the Gram basis is v = (1, cos(2 pi x), ..., cos(2 m' pi x)), unnormalised,
+  and v^T B v is matched to f through its integrals against cos(2 i pi x),
+  which are a_i (_cosine_gram_table).
 
 The published rationalized instances ship in data/ and are re-verified in
 exact Q(sqrt2)/Q arithmetic by verify_paper_examples().  Only the cosine
@@ -20,21 +29,21 @@ so sine coefficients are excluded by construction.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from .cones import (InfeasibilityCert, SosGram, cp_refute, frobenius,
-                    horn_matrix, membership_basic, quartic_target_linear,
+                    horn_matrix, kr_problem, membership_basic, sym_from_upper,
                     _indeterminate)
-from .numerics import (CholeskyFactor, PivotList, QSqrt2, SymMatrix,
-                       exact_ldl_psd, matrix_loads)
-from .quartic import monomials
-from .sdp import (LinExpr, SdpProblem, SdpStatus, even_sos_assemble, sdp_solve)
+from .numerics import (PivotList, QSqrt2, SymMatrix, exact_ldl_psd,
+                       matrix_loads)
+from .sdp import LinExpr, SdpProblem, SdpStatus, sdp_solve
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -68,12 +77,6 @@ class CosPoly:
             return self.coeffs[k]
         return 0.0 if self.flavor == "float" else QSqrt2.of(0)
 
-    def eval(self, x: float) -> float:
-        acc = float(self.coeffs[0])
-        for k in range(1, self.m + 1):
-            acc += 2.0 * float(self.coeffs[k]) * math.cos(2.0 * math.pi * k * x)
-        return acc
-
 
 def triple_integral(j: int, k: int, l: int) -> Fraction:
     """Exact integral of cos(2j pi x) cos(2k pi x) cos(2l pi x) over [0,1].
@@ -99,52 +102,55 @@ def triple_integral(j: int, k: int, l: int) -> Fraction:
 # compressions of the multiplication operator
 # ---------------------------------------------------------------------------
 
-def compression_matrix(f: CosPoly, n: int) -> SymMatrix:
-    """n x n compression of multiplication by f on the cosine subspace.
+@functools.lru_cache(maxsize=None)
+def _compression_layout(n: int) -> tuple:
+    """The upper entries (j, k), j <= k, 0-based and row by row, of the
+    n x n compression: each with the series indices summed into it and
+    whether that sum is scaled by sqrt2."""
+    return tuple((j, k, (k,), k > 0) if j == 0 else (j, k, (k - j, j + k), False)
+                 for j in range(n) for k in range(j, n))
 
-    Basis {1, sqrt2 cos(2 pi x), ..., sqrt2 cos(2 (n-1) pi x)}; entries
-    A_11 = a0, A_1k = sqrt2 a_{k-1}, and A_jk = a_|j-k| + a_{j+k-2} for
-    j, k >= 2, with a_i = 0 past the series degree.
-    """
+
+def compression_matrix(f: CosPoly, n: int) -> SymMatrix:
+    """n x n compression of multiplication by f on the cosine subspace
+    (_compression_layout), float or exact as f is, with a_i = 0 past the
+    series degree."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    root2 = _SQRT2 if f.flavor == "float" else QSqrt2.sqrt2()
+    rows = [[None] * n for _ in range(n)]
+    for j, k, idx, scaled in _compression_layout(n):
+        v = f.coeff(idx[0])
+        if len(idx) == 2:
+            v = v + f.coeff(idx[1])
+        rows[j][k] = rows[k][j] = root2 * v if scaled else v
     if f.flavor == "float":
-        arr = np.zeros((n, n))
-        for j in range(1, n + 1):
-            for k in range(j, n + 1):
-                if j == 1:
-                    v = float(f.coeff(0)) if k == 1 else _SQRT2 * float(f.coeff(k - 1))
-                else:
-                    v = float(f.coeff(abs(j - k))) + float(f.coeff(j + k - 2))
-                arr[j - 1, k - 1] = arr[k - 1, j - 1] = v
-        return SymMatrix(arr)
-    rows = [[QSqrt2.of(0)] * n for _ in range(n)]
-    sqrt2 = QSqrt2.sqrt2()
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            if j == 1:
-                v = f.coeff(0) if k == 1 else sqrt2 * f.coeff(k - 1)
-            else:
-                v = f.coeff(abs(j - k)) + f.coeff(j + k - 2)
-            rows[j - 1][k - 1] = rows[k - 1][j - 1] = v
+        return SymMatrix(np.array(rows, dtype=float))
     return SymMatrix(rows, "exact")
-
-
-def extend_ednn(f: CosPoly, n: int) -> SymMatrix:
-    """Larger compression of the same series; the leading 5x5 block is A^(5).
-
-    Nonnegativity and PSD-ness transfer to every n, while the leading block
-    pins the failure of complete positivity: a nonnegative factorization of
-    the big matrix would compress to one for A^(5).
-    """
-    if n < 5:
-        raise ValueError("extension only meaningful for n >= 5")
-    return compression_matrix(f, n)
 
 
 # ---------------------------------------------------------------------------
 # trigonometric SOS certificates
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _cosine_gram_table(mprime: int) -> tuple:
+    """For each frequency i = 0..2 m', the terms (j, k, w), j <= k, with
+    w = (1 if j == k else 2) * triple_integral(j, k, i): the integral of
+    v^T B v against cos(2 i pi x) is sum w B_jk."""
+    return tuple(tuple((j, k, (1 if j == k else 2) * t)
+                       for j in range(mprime + 1) for k in range(j, mprime + 1)
+                       if (t := triple_integral(j, k, i)))
+                 for i in range(2 * mprime + 1))
+
+
+def gram_function_coeffs(gram, mprime: int) -> list:
+    """The integrals of v^T B v against cos(2 i pi x), i = 0..2 m'.
+
+    Plain + and *, so a float array gives floats and an exact SymMatrix
+    gives QSqrt2 values."""
+    return [sum(gram[j, k] * w for j, k, w in terms) for terms in _cosine_gram_table(mprime)]
+
 
 @dataclass
 class TrigGram:
@@ -153,80 +159,10 @@ class TrigGram:
     mprime: int
     gram: np.ndarray
 
-    def function_coeffs(self) -> List[float]:
-        """Cosine-functional coefficients (integral against cos(2 i pi x))."""
-        mp = self.mprime
-        out = []
-        for i in range(2 * mp + 1):
-            acc = 0.0
-            for j in range(mp + 1):
-                for k in range(mp + 1):
-                    t = triple_integral(j, k, i)
-                    if t:
-                        acc += float(self.gram[j, k]) * float(t)
-            out.append(acc)
-        return out
-
     def residual(self, f: CosPoly) -> float:
-        got = self.function_coeffs()
-        top = max(2 * self.mprime, f.m)
-        r = 0.0
-        for i in range(top + 1):
-            want = float(f.coeff(i)) if i else float(f.coeff(0))
-            have = got[i] if i < len(got) else 0.0
-            r = max(r, abs(have - want))
-        return r
-
-
-def gram_function_coeffs_exact(b: SymMatrix) -> List[QSqrt2]:
-    """Exact cosine-functional coefficients of v^T B v for an exact Gram B."""
-    mp = b.n - 1
-    out = []
-    for i in range(2 * mp + 1):
-        acc = QSqrt2.of(0)
-        for j in range(mp + 1):
-            for k in range(mp + 1):
-                t = triple_integral(j, k, i)
-                if t:
-                    acc = acc + b[j, k] * t
-        out.append(acc)
-    return out
-
-
-def trig_sos_check(f: CosPoly, mprime: int, tol: float = 1e-9):
-    """Decide f = v^T B v with B PSD by coefficient-matching feasibility.
-
-    The matching equates the integral of both sides against cos(2 i pi x)
-    for i = 0..max(2 m', deg f); frequencies of f beyond 2 m' must vanish,
-    otherwise the problem is structurally infeasible.
-    """
-    if mprime < 0:
-        raise ValueError("mprime must be >= 0")
-    for i in range(2 * mprime + 1, f.m + 1):
-        ci = f.coeff(i)
-        bad = (not ci.is_zero()) if isinstance(ci, QSqrt2) else float(ci) != 0.0
-        if bad:
-            return InfeasibilityCert(ray=None, note=f"frequency {i} of f exceeds 2*mprime")
-    prob = SdpProblem(psd_block_dims=[mprime + 1])
-    for i in range(2 * mprime + 1):
-        expr = LinExpr()
-        for j in range(mprime + 1):
-            for k in range(j, mprime + 1):
-                t = triple_integral(j, k, i)
-                if t:
-                    expr.add_psd_entry(0, j, k, float(t) * (1.0 if j == k else 2.0))
-        rhs = float(f.coeff(i))
-        if expr.is_zero():
-            if rhs != 0.0:
-                return InfeasibilityCert(ray=None, note=f"frequency {i} unreachable")
-            continue
-        prob.constraints.append((expr, rhs))
-    sol = sdp_solve(prob, tol=tol)
-    if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
-        return TrigGram(mprime=mprime, gram=sol.psd_blocks[0])
-    if sol.status == SdpStatus.INFEASIBLE:
-        return InfeasibilityCert(ray=sol.dual_ray, note="no PSD Gram over the cosine basis")
-    raise _indeterminate(sol)
+        got = gram_function_coeffs(self.gram, self.mprime)
+        got += [0.0] * (f.m + 1 - len(got))
+        return max(abs(have - float(f.coeff(i))) for i, have in enumerate(got))
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +183,11 @@ def horn_pairing_coefficients(m: int) -> Tuple[float, List[float]]:
     """<A^(5)(a), H> = c0 + sum_i c_i a_i as explicit linear coefficients."""
     h = horn_matrix().to_numpy()
     c = [0.0] * (m + 1)
-    for j in range(1, 6):
-        for k in range(j, 6):
-            w = (1.0 if j == k else 2.0) * h[j - 1, k - 1]
-            if j == 1:
-                if k == 1:
-                    c[0] += w
-                elif k - 1 <= m:
-                    c[k - 1] += w * _SQRT2
-            else:
-                for idx in (abs(j - k), j + k - 2):
-                    if idx <= m:
-                        c[idx] += w
+    for j, k, idx, scaled in _compression_layout(5):
+        w = (1.0 if j == k else 2.0) * h[j, k]
+        for i in idx:
+            if i <= m:
+                c[i] += w * _SQRT2 if scaled else w
     return c[0], c[1:]
 
 
@@ -275,19 +204,17 @@ def build_ednn_sdp(epsilon, m: int, mprime: int) -> SdpProblem:
     """
     if mprime > m:
         raise ValueError("mprime must not exceed m")
-    eps = Fraction(epsilon) if not isinstance(epsilon, float) else Fraction(epsilon)
+    eps = Fraction(epsilon)
     if eps < 0:
         raise ValueError("epsilon must be >= 0")
     prob = SdpProblem(psd_block_dims=[mprime + 1], nonneg_dim=m)
-    # coefficient matching: integral of v^T B v against cos(2 i pi x) equals
-    # a_0 = 1 at i = 0 and a_i at i >= 1 (zero past the series degree)
+    # coefficient matching: the integral of v^T B v against cos(2 i pi x)
+    # equals a_0 = 1 at i = 0 and a_i at i >= 1 (zero past the series degree)
+    table = _cosine_gram_table(mprime)
     for i in range(max(2 * mprime, m) + 1):
         expr = LinExpr()
-        for j in range(mprime + 1):
-            for k in range(j, mprime + 1):
-                t = triple_integral(j, k, i)
-                if t:
-                    expr.add_psd_entry(0, j, k, float(t) * (1.0 if j == k else 2.0))
+        for j, k, w in (table[i] if i < len(table) else ()):
+            expr.add_psd_entry(0, j, k, float(w))
         if i == 0:
             prob.constraints.append((expr, 1.0))
         else:
@@ -300,11 +227,10 @@ def build_ednn_sdp(epsilon, m: int, mprime: int) -> SdpProblem:
         for i, cv in enumerate(ci):
             pairing.add_nonneg(i, cv)
         prob.constraints.append((pairing, -float(eps) - c0))
-    prob.meta = {"kind": "ednn", "epsilon": str(eps), "m": m, "mprime": mprime}
     return prob
 
 
-def construct_ednn(epsilon, m: int = 6, mprime: int = 3, tol: float = 1e-9,
+def construct_ednn(epsilon, m: int = 12, mprime: int = 6, tol: float = 1e-9,
                    dump_sdp=None):
     """Solve the bootstrap SDP and package a fully re-verified EdnnResult.
 
@@ -368,16 +294,8 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
     epsp = Fraction(epsilon_prime)
     if epsp <= 0:
         raise ValueError("epsilon_prime must be > 0")
-    n = a.n
     arr = a.to_numpy()
-    basis = monomials(n, k + 2)
-    pairs, coef = quartic_target_linear(n, k)
-    prob, layout = even_sos_assemble(basis, {}, coef, len(pairs))
-    pair_expr = LinExpr()
-    for kidx, (i, j) in enumerate(pairs):
-        pair_expr.add_free(kidx, float(arr[i, j]) * (1.0 if i == j else 2.0))
-    prob.constraints.append((pair_expr, -float(epsp)))
-    prob.meta = {"kind": "ecop", "epsilon_prime": str(epsp), "k": k}
+    prob, layout = kr_problem(arr, k, -float(epsp))
     if dump_sdp:
         prob.dump_json(dump_sdp)
 
@@ -387,14 +305,12 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
                                  note="no copositive separator at this pairing")
     if sol.status not in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
         raise _indeterminate(sol)
-    cmat = np.zeros((n, n))
-    for kidx, (i, j) in enumerate(pairs):
-        cmat[i, j] = cmat[j, i] = sol.free[kidx]
-    gram = SosGram(basis=basis, gram=layout.gram(sol))
+    cmat = sym_from_upper(a.n, sol.free)
+    gram = SosGram(basis=layout.basis, gram=layout.gram(sol))
     pairing = float((arr * cmat).sum())
     if abs(pairing + float(epsp)) > 1e-7:
         raise VerificationError(f"pairing {pairing} missed target {-float(epsp)}")
-    return SymMatrix(0.5 * (cmat + cmat.T)), gram
+    return SymMatrix(cmat), gram
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +393,7 @@ def verify_paper_examples(sos_tol: float = 1e-8) -> PaperReport:
     checks.append(CheckResult(1, "compression matches read-off series", ok1,
                               "exact entrywise equality" if ok1 else "entry mismatch"))
 
-    got = gram_function_coeffs_exact(bmat)
+    got = gram_function_coeffs(bmat, bmat.n - 1)
     want = [f.coeff(i) for i in range(max(len(got), f.m + 1))]
     mismatches = []
     for i in range(len(want)):

@@ -14,11 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
-
-Rational = Fraction  # always reduced, positive denominator: fractions.Fraction guarantees both
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -149,8 +147,6 @@ class QSqrt2:
 
     __repr__ = __str__
 
-
-ExactScalar = Union[QSqrt2, Fraction, int]
 
 
 def _exact_rows(entries: Iterable[Iterable]) -> tuple:

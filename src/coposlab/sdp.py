@@ -55,7 +55,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,7 +128,6 @@ class SdpProblem:
     free_dim: int = 0
     constraints: List[Tuple[LinExpr, float]] = field(default_factory=list)
     objective: LinExpr = field(default_factory=LinExpr)
-    meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if any(d < 0 for d in self.psd_block_dims) or self.nonneg_dim < 0 or self.free_dim < 0:
@@ -213,18 +211,6 @@ class SdpSolution:
     iterations: int
     dual_ray: Optional[DualRay] = None
     message: str = ""
-
-    @property
-    def primal_res(self):
-        return self.residuals[0]
-
-    @property
-    def dual_res(self):
-        return self.residuals[1]
-
-    @property
-    def gap(self):
-        return self.residuals[2]
 
 
 # ---------------------------------------------------------------------------
@@ -1037,8 +1023,6 @@ def sos_gram_assemble(target_coeffs: Dict[Monomial, object],
         if expr.is_zero() and rhs == 0.0:
             continue
         problem.constraints.append((expr, rhs))
-    problem.meta = {"kind": "sos", "basis": basis,
-                    "constraint_monomials": gammas}
     return problem
 
 
@@ -1142,7 +1126,6 @@ def even_sos_assemble(monomial_basis: Sequence[Monomial],
             continue
         problem.constraints.append((expr, rhs))
         rows.append(gamma)
-    problem.meta = {"kind": "even-sos", "basis": basis, "constraint_monomials": rows}
     return problem, EvenSosLayout(basis=basis, blocks=blocks, singles=singles, rows=rows)
 
 

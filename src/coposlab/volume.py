@@ -47,7 +47,7 @@ import numpy as np
 from .cones import cop_inner, cop_refute, cp_refute, pn_problem, spn_decompose, SpnPair
 from .numerics import SymMatrix
 from .quartic import (EvenQuartic, basis_M, coeff_vector, dim_M, l2_inner,
-                      _l2_gram_float, r_squared)
+                      _l2_gram_float)
 from .sdp import SdpStatus, sdp_solve_many
 
 SECTION_CONES = ("nn", "psd", "dnn", "spn", "cop", "cp", "lf", "ball")

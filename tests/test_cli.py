@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import coposlab
-from coposlab import cli, cones, volume
+from coposlab import cli, cones, exceptional, volume
 from coposlab.cones import SpnPair, horn_matrix
 from coposlab.exceptional import load_reference_a5, load_reference_c
 from coposlab.numerics import SymMatrix, matrix_dumps
@@ -213,11 +213,43 @@ def test_check_bounds_malformed_report_exits_64_naming_the_file(text, reason, tm
     assert error.startswith(f"malformed vrad report {path}: ") and reason in error
 
 
+def test_check_bounds_two_reports_of_one_cone_exit_64_naming_both(tmp_path, capsys):
+    # check_bounds keys estimates by cone, so a second report would replace the first
+    report = {"cone": "cop", "n": 5, "estimate": 0.2, "ci": [0.1, 0.3], "samples": 100,
+              "seed": 1, "dim": 14}
+    for name, mode in (("inner.json", "inner"), ("outer.json", "outer")):
+        (tmp_path / name).write_text(json.dumps({**report, "mode": mode}), encoding="utf-8")
+    assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    error = json.loads(out.err)["error"]
+    assert str(tmp_path / "inner.json") in error and str(tmp_path / "outer.json") in error
+
+
 def test_construct_ecop_bundled_a5_exits_0(capsys):
     assert cli.main(["construct-ecop"]) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "feasible"
     assert report["pairing"] < 0.0
+
+
+def test_construct_ednn_cli_and_library_share_their_degrees():
+    args = cli.build_parser().parse_args(["construct-ednn"])
+    assert (args.m, args.mprime) == exceptional.construct_ednn.__defaults__[:2] == (12, 6)
+
+
+def test_construct_ednn_default_exits_0(capsys):
+    assert cli.main(["construct-ednn"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "feasible"
+    assert abs(report["horn_pairing"] + 0.05) <= 1e-6
+
+
+def test_verify_paper_exits_0_iff_all_passed(capsys):
+    code = cli.main(["verify-paper"])
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["checks"]) == 7
+    assert code == (cli.EXIT_OK if report["all_passed"] else cli.EXIT_NEGATIVE)
 
 
 _SCIPY_PROBE = """

@@ -1,10 +1,17 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coposlab.cones import InfeasibilityCert, SosGram, quartic_target
-from coposlab.exceptional import construct_ecop, load_reference_a5
+from coposlab.cones import (InfeasibilityCert, SosGram, horn_matrix, membership_basic,
+                            quartic_target)
+from coposlab.exceptional import (CosPoly, EdnnResult, TrigGram, build_ednn_sdp,
+                                  compression_matrix, construct_ecop, construct_ednn,
+                                  gram_function_coeffs, horn_pairing_coefficients,
+                                  load_reference_a5, load_reference_gram,
+                                  verify_paper_examples)
 from coposlab.numerics import SymMatrix
 from coposlab.quartic import monomials
 from coposlab.sdp import sos_gram_assemble
@@ -32,3 +39,88 @@ def test_construct_ecop_infeasible_ray_on_dense_rows_plus_pairing():
     assert -0.1 * ray.y[-1] > 0.0  # b^T y: the coefficient rows have b = 0
     assert ray.psd_operators[0].shape == (35, 35)
     assert ray.max_violation() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# exceptional DNN construction and the bundled reference examples
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ednn():
+    return construct_ednn(Fraction(1, 20), 12, 6)
+
+
+@pytest.fixture(scope="module")
+def paper_report():
+    return verify_paper_examples()
+
+
+def test_construct_ednn_pairs_a_dnn_a5_against_horn(ednn):
+    assert isinstance(ednn, EdnnResult)
+    assert abs(ednn.horn_pairing + 0.05) <= 1e-6
+    a5 = ednn.a5.to_numpy()
+    assert abs(float((a5 * horn_matrix().to_numpy()).sum()) + 0.05) <= 1e-6
+    assert membership_basic(ednn.a5, "dnn", 1e-7)[0]
+    assert TrigGram(mprime=6, gram=ednn.gram.to_numpy()).residual(ednn.f) <= 1e-6
+
+
+def test_construct_ednn_defaults_to_degrees_twelve_and_six(ednn):
+    res = construct_ednn(Fraction(1, 20))
+    assert isinstance(res, EdnnResult)
+    assert res.f == ednn.f and res.mprime == 6
+
+
+def test_construct_ednn_degree_six_returns_a_dual_ray():
+    # no degree-6 series with a_k >= 0 pairs negatively against Horn
+    res = construct_ednn(Fraction(1, 20), 6, 3)
+    assert isinstance(res, InfeasibilityCert)
+    assert res.ray.max_violation() <= 1e-6
+
+
+@pytest.mark.parametrize("check_id", [1, 3, 4, 5, 6, 7])
+def test_verify_paper_check_passes(paper_report, check_id):
+    assert [c.id for c in paper_report.checks] == list(range(1, 8))
+    check = paper_report.checks[check_id - 1]
+    assert check.passed, check.detail
+
+
+@pytest.mark.xfail(strict=True, reason="check 2: the bundled Gram B reproduces (1 + f)/2, "
+                                       "not f (known defect)")
+def test_verify_paper_all_passed(paper_report):
+    assert paper_report.all_passed
+
+
+def test_compression_float_equals_float_of_exact():
+    # dyadic coefficients: every float sum is exact, so the two flavours
+    # must agree bit for bit
+    rng = np.random.default_rng(7)
+    coeffs = [Fraction(int(v), 64) for v in rng.integers(0, 200, size=10)]
+    exact = compression_matrix(CosPoly.exact(coeffs), 8)
+    flt = compression_matrix(CosPoly.from_floats([float(c) for c in coeffs]), 8)
+    assert np.array_equal(flt.to_numpy(), exact.to_numpy())
+
+
+def test_gram_coefficients_float_and_exact_agree_on_bundled_b():
+    b = load_reference_gram()
+    exact = [float(c) for c in gram_function_coeffs(b, b.n - 1)]
+    flt = gram_function_coeffs(b.to_numpy(), b.n - 1)
+    assert len(flt) == len(exact) == 2 * b.n - 1
+    assert np.abs(np.array(flt) - np.array(exact)).max() <= 1e-15
+
+
+def test_horn_pairing_coefficients_reproduce_the_pairing():
+    c0, c = horn_pairing_coefficients(12)
+    horn = horn_matrix().to_numpy()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        a = rng.random(12)
+        a5 = compression_matrix(CosPoly.from_floats([1.0, *a]), 5).to_numpy()
+        assert c0 + float(np.dot(c, a)) == pytest.approx(float((a5 * horn).sum()), abs=1e-12)
+
+
+def test_build_ednn_sdp_is_pinned():
+    # every row, coefficient and right-hand side, float for float: a change
+    # to the cosine Gram table or the Horn coefficients shows here
+    d = build_ednn_sdp(Fraction(1, 20), 12, 6).to_json_dict()
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digest == "9ebf4763fe0e93c0e9a0c40964f141a485908c35af4d45d11ae9081e6b7e6ec5"
