@@ -12,11 +12,7 @@ from .cones import (CopRefutation, CpRefutation, InfeasibilityCert, SosGram,
                     SpnPair, cop_inner, cop_refute, cp_refute, frobenius,
                     horn_matrix, membership_basic, parrilo_member,
                     spn_decompose)
-from .quartic import (EvenQuartic, GeneralQuartic, HarmonicParts, apply_T,
-                      basis_M, classify_subspaces, diff_inner, group_action,
-                      harmonic_decompose, l2_inner, matrix_of_quartic,
-                      project_pr_Q, quartic_of_matrix, r_squared,
-                      sphere_moment, v4_project)
+from .quartic import EvenQuartic, basis_M, l2_inner, r_squared, sphere_moment
 from .exceptional import (CosPoly, EdnnResult, TrigGram, build_ednn_sdp,
                           compression_matrix, construct_ecop, construct_ednn,
                           load_reference_a5, load_reference_c,

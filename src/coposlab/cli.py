@@ -243,10 +243,11 @@ def cmd_check_bounds(args) -> int:
             raise CliUsage(f"malformed vrad report {path}: missing key {exc}")
         except (IndexError, TypeError, ValueError) as exc:
             raise CliUsage(f"malformed vrad report {path}: {exc}")
-        if est.cone in sources:
-            raise CliUsage(f"two vrad reports of cone {est.cone} at n={n}: "
-                           f"{sources[est.cone]} and {path}")
-        estimates[est.cone], sources[est.cone] = est, path
+        key = (est.cone, est.mode)
+        if key in sources:
+            raise CliUsage(f"two vrad reports of cone {est.cone} ({est.mode}) at n={n}: "
+                           f"{sources[key]} and {path}")
+        estimates[key], sources[key] = est, path
     if n is None:
         _emit({"command": "check-bounds", "checks": [], "all_passed": True,
                "note": "no estimate files found"}, args)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .numerics import (CholeskyFactor, NegVector, QSqrt2, SymMatrix,
-                       psd_certificate)
+                       psd_certificate, sym_eigen)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
 from .sdp import (BasisDeficiencyError, DualRay, LinExpr, SdpProblem,
                   SdpStatus, SdpSolution, even_sos_assemble, gram_form_coeffs,
@@ -465,11 +465,16 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
     minimum is at a vertex M with M_ij = M_ji = 1/2 and zeros elsewhere,
     which pairs with A as a_ij off the diagonal and as a_ii / 2 on it.  If
     that is negative beyond solver resolution, the answer is a level-0
-    refutation with the certificate SpnPair(0, M), the same type an r = 0
-    SDP answer carries, and no SDP is solved.  Otherwise the SDP runs: at
-    r = 1 the SOS condition on M is solved block-diagonally by exponent
-    parity (even_sos_assemble), and the certificate is still a Gram matrix
-    over the full degree-3 basis.
+    refutation with the certificate SpnPair(0, M).
+
+    Level 0 needs no SDP at all.  The slice of K^(0) = PSD + NN is the
+    convex hull of its PSD and NN slices, so its minimum is the smaller of
+    the NN vertex value and the PSD minimum; with I + J = L L^T the latter
+    is lambda_min(L^-1 A L^-T), attained at the rank-one M = L^-T v v^T L^-1
+    for the bottom eigenvector v, which comes with SpnPair(M, 0).  At r = 1
+    the SDP runs, with the SOS condition on M solved block-diagonally by
+    exponent parity (even_sos_assemble), and the certificate is a Gram
+    matrix over the full degree-3 basis.
     Returns None when the optimum is not negative beyond solver resolution.
     """
     if r not in (0, 1):
@@ -484,30 +489,18 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
         return CpRefutation(m=m, pairing=float((arr * m).sum()), level=0,
                             certificate=SpnPair(p=np.zeros_like(arr), n=m))
     if r == 0:
-        # M = P + N with the normalization <P + N, I + J> = 1
-        pairs = _upper_pairs(n)
-        prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs))
-        norm = LinExpr()
-        obj = LinExpr()
-        for k, (i, j) in enumerate(pairs):
-            w = 2.0  # I + J weighs diagonal 2 and each unordered off pair 2
-            norm.add_psd_entry(0, i, j, w)
-            norm.add_nonneg(k, w)
-            ow = float(arr[i, j]) * (1.0 if i == j else 2.0)
-            obj.add_psd_entry(0, i, j, ow)
-            obj.add_nonneg(k, ow)
-        prob.constraints.append((norm, 1.0))
-        prob.objective = obj
-        sol = sdp_solve(prob, tol=tol)
-        if sol.status != SdpStatus.OPTIMAL:
-            raise _indeterminate(sol)
-        if sol.objective_value >= -_cp_threshold(arr, tol):
+        # the NN vertices did not refute, so only the PSD slice can: with
+        # M = L^-T X L^-1 it is trace(X) = 1, X PSD, minimized at X = v v^T
+        lower = np.linalg.cholesky(np.eye(n) + 1.0)
+        w = np.linalg.solve(lower, np.linalg.solve(lower, arr).T)
+        _, vecs = sym_eigen(w)
+        u = np.linalg.solve(lower.T, vecs[:, 0])
+        m = np.outer(u, u)
+        pairing = float((arr * m).sum())
+        if pairing >= -_cp_threshold(arr, tol):
             return None
-        p = sol.psd_blocks[0]
-        nm = sym_from_upper(n, np.maximum(sol.nonneg, 0.0))
-        m = p + nm
-        return CpRefutation(m=m, pairing=float((arr * m).sum()), level=0,
-                            certificate=SpnPair(p=p, n=nm))
+        return CpRefutation(m=m, pairing=pairing, level=0,
+                            certificate=SpnPair(p=m, n=np.zeros_like(arr)))
 
     # r = 1: the K^(1) matrix model with the row <I + J, M> = 1
     prob, layout = kr_problem(np.eye(n) + 1.0, 1, 1.0)

@@ -347,6 +347,24 @@ def read_off_series(a5: SymMatrix) -> CosPoly:
     return CosPoly.exact(a)
 
 
+def _negative_value_note(f: CosPoly) -> str:
+    """The exact witness f(3/8) < 0, if it is one: no PSD Gram represents a
+    negative f.
+
+    f(3/8) = a0 + 2 sum a_k cos(3 pi k / 4), and the cosines cycle with
+    period 8 through 1, -h, 0, h, -1, h, 0, -h, h = sqrt2 / 2, so the value
+    is exact in Q(sqrt2).  3/8 is the point with such cosines nearest the
+    minimum of the bundled series (x ~ 0.3805).
+    """
+    h = QSqrt2.sqrt2(Fraction(1, 2))
+    zero = QSqrt2.of(0)
+    cycle = (QSqrt2.of(1), -h, zero, h, QSqrt2.of(-1), h, zero, -h)
+    v = f.coeff(0) + 2 * sum((f.coeff(k) * cycle[k % 8] for k in range(1, f.m + 1)), zero)
+    if v.sign() >= 0:
+        return ""
+    return f"; f(3/8) = {v} ~ {float(v):.4f} < 0, so no PSD Gram represents f"
+
+
 @dataclass
 class CheckResult:
     id: int
@@ -404,10 +422,7 @@ def verify_paper_examples(sos_tol: float = 1e-8) -> PaperReport:
     detail2 = "exact equality" if ok2 else (
         "cosine-functional mismatch (got vs required), frequencies "
         + "; ".join(f"{i}: {g} vs {w}" for i, g, w in mismatches[:3])
-        + ("; bundled Gram reproduces (1 + f)/2 exactly" if all(
-            (got[i] if i < len(got) else QSqrt2.of(0)) ==
-            (QSqrt2.of(1) if i == 0 else want[i] * Fraction(1, 2))
-            for i in range(len(want))) else ""))
+        + _negative_value_note(f))
     checks.append(CheckResult(2, "series equals v^T B v", ok2, detail2))
 
     ok3 = isinstance(exact_ldl_psd(bmat), PivotList)

@@ -11,11 +11,15 @@ positive and strictly diagonally dominant, hence interior to the completely
 positive cone and to every cone containing it.  For the linear-forms cone
 the center is the average of the sampled fourth-power generators.
 
-Exactness policy: NN sections are simplices and also get an exact volume
-via a rational Gram determinant.  The radial problem is linear in t, so no
-section bisects unless asked to (`radial(method="bisect")`) or unless its
-membership is itself a search.  `_radii` is the one place that picks the
-radius method of a section, for a stack of directions:
+Exactness policy: NN sections are simplices and also get an exact volume:
+the rational Gram determinant of the vertex differences, D^T Gamma D with
+Gamma the exact L2 Gram table `quartic._l2_gram_exact` (`vrad_nn_exact`).
+The orthonormal basis of M is built from the same table exactly and then
+rounded, and the coordinate maps pair through its float copy.  The radial
+problem is linear in t, so no section bisects unless asked to
+(`radial(method="bisect")`) or unless its membership is itself a search.
+`_radii` is the one place that picks the radius method of a section, for a
+stack of directions:
 
 - closed form (`section_radii`): face rows of the polyhedral sections
   {a : G vec(a) >= 0}, i.e. nn (the entries), cp inner (the entries plus
@@ -46,7 +50,7 @@ import numpy as np
 
 from .cones import cop_inner, cop_refute, cp_refute, pn_problem, spn_decompose, SpnPair
 from .numerics import SymMatrix
-from .quartic import (EvenQuartic, basis_M, coeff_vector, dim_M, l2_inner,
+from .quartic import (basis_M, coeff_vector, dim_M, _l2_gram_exact,
                       _l2_gram_float)
 from .sdp import SdpStatus, sdp_solve_many
 
@@ -175,8 +179,7 @@ class SectionSpec:
             if self.mode not in ("inner", "outer"):
                 raise ValueError("lf needs mode 'inner' or 'outer'")
         self.dim = dim_M(self.n)
-        basis = basis_M(self.n)
-        self._bstack = np.array([b.to_numpy() for b in basis])
+        self._bstack = basis_M(self.n)
         self._gam = _l2_gram_float(self.n)[1]
         self._bcoef = np.array([coeff_vector(b, self.n) for b in self._bstack])
         if self.cone == "ball":
@@ -477,23 +480,6 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
 # exact volume of the NN section (a simplex)
 # ---------------------------------------------------------------------------
 
-def _nn_vertices(n: int) -> List[EvenQuartic]:
-    """Extreme points of the NN section before translation: scaled monomials."""
-    out = []
-    c1 = Fraction(n * (n + 2), 3)
-    for i in range(n):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        rows[i][i] = c1
-        out.append(EvenQuartic(tuple(map(tuple, rows))))
-    c2 = Fraction(n * (n + 2), 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = rows[j][i] = c2
-            out.append(EvenQuartic(tuple(map(tuple, rows))))
-    return out
-
-
 def _fraction_det(m: List[List[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free-ish Gaussian elimination."""
     a = [row[:] for row in m]
@@ -521,20 +507,29 @@ def _fraction_det(m: List[List[Fraction]]) -> Fraction:
     return det
 
 
+_NN_EXACT_NS = range(3, 11)
+
+
 def vrad_nn_exact(n: int) -> float:
     """Exact volume radius of the NN section, a simplex on n(n+1)/2 vertices.
 
-    The volume comes from the rational Gram determinant of the vertex
-    differences in the L2 inner product: Vol = sqrt(det G) / d!, which
-    equals the coordinate determinant formula in any orthonormal basis of M.
+    Vertex p is the scaled monomial w_p e_p in the aggregated coordinates t
+    of `quartic._l2_gram_exact`: w = n(n+2)/3 on x_i^4 and n(n+2) on
+    x_i^2 x_j^2, each of sphere average one.  The Gram of the vertex
+    differences D is the rational D^T Gamma D, and Vol = sqrt(det) / d!,
+    which equals the coordinate determinant formula in any orthonormal basis
+    of M.
     """
-    if not 3 <= n <= 10:
-        raise ValueError("supported for 3 <= n <= 10")
-    verts = _nn_vertices(n)
-    d = dim_M(n)
-    assert len(verts) == d + 1
-    diffs = [verts[k] - verts[0] for k in range(1, d + 1)]
-    gram = [[l2_inner(diffs[i], diffs[j]) for j in range(d)] for i in range(d)]
+    if n not in _NN_EXACT_NS:
+        raise ValueError(f"supported for {_NN_EXACT_NS[0]} <= n <= {_NN_EXACT_NS[-1]}")
+    keys, gam = _l2_gram_exact(n)
+    m = len(keys)
+    w = [Fraction(n * (n + 2), 3 if i == j else 1) for (i, j) in keys]
+    # Gamma between the vertices; D has columns w_k e_k - w_0 e_0, k >= 1
+    gv = [[w[p] * gam[p][q] * w[q] for q in range(m)] for p in range(m)]
+    gram = [[gv[k][l] - gv[k][0] - gv[0][l] + gv[0][0] for l in range(1, m)]
+            for k in range(1, m)]
+    d = m - 1
     det = _fraction_det(gram)
     vol = math.sqrt(float(det)) / math.factorial(d)
     ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
@@ -545,8 +540,11 @@ def vrad_nn_exact(n: int) -> float:
 # bound checks
 # ---------------------------------------------------------------------------
 
+# cone inclusions; they hold for the inner and outer sections alike
 ORDER_PAIRS = [("cp", "dnn"), ("dnn", "psd"), ("dnn", "nn"),
                ("psd", "spn"), ("nn", "spn"), ("spn", "cop")]
+# the sections of one cone nest as inner <= exact <= outer
+_MODE_RANK = {"inner": 0, "exact": 1, None: 1, "outer": 2}
 
 
 @dataclass
@@ -564,27 +562,41 @@ class BoundsReport:
                 "checks": self.items}
 
 
-def check_bounds(n: int, estimates: Dict[str, VradEstimate]) -> BoundsReport:
-    """Check estimates against the universal band and the inclusion order.
+def check_bounds(n: int, estimates: Dict[Tuple[str, Optional[str]], VradEstimate]
+                 ) -> BoundsReport:
+    """Check estimates, keyed by (cone, mode), against the universal band and
+    the inclusion order.
 
     (a) every 95% CI intersects [(2^4 sqrt2)^-1 / n, 2^8 sqrt2 / n];
-    (b) inner-cone estimates do not exceed outer-cone ones beyond CI overlap;
-    (c) the exact NN volume radius is at least (sqrt2 n)^-1.
+    (b) an inner section's estimate does not exceed an outer one's beyond CI
+        overlap, for each ORDER_PAIRS pair in any modes and for the inner,
+        exact and outer sections of one cone;
+    (c) the exact NN volume radius is at least (sqrt2 n)^-1, where
+        `vrad_nn_exact` is defined (3 <= n <= 10).
     """
+    for cone, mode in estimates:
+        if mode not in _MODE_RANK:
+            raise ValueError(f"unknown mode {mode!r} of cone {cone}")
     lo = 1.0 / (16.0 * math.sqrt(2.0) * n)
     hi = 256.0 * math.sqrt(2.0) / n
+    keys = sorted(estimates, key=lambda k: (k[0], _MODE_RANK[k[1]]))
     items: List[dict] = []
-    for cone, est in sorted(estimates.items()):
+    for cone, mode in keys:
+        est = estimates[cone, mode]
         ok = est.ci_high >= lo and est.ci_low <= hi
-        items.append({"check": "band", "cone": cone, "passed": bool(ok),
+        items.append({"check": "band", "cone": cone, "mode": mode, "passed": bool(ok),
                       "ci": [est.ci_low, est.ci_high], "band": [lo, hi]})
-    for inner, outer in ORDER_PAIRS:
-        if inner in estimates and outer in estimates:
+    for inner in keys:
+        for outer in keys:
+            if (inner[0], outer[0]) not in ORDER_PAIRS and not (
+                    inner[0] == outer[0] and _MODE_RANK[inner[1]] < _MODE_RANK[outer[1]]):
+                continue
             ei, eo = estimates[inner], estimates[outer]
             ok = (ei.point_estimate <= eo.point_estimate) or (ei.ci_low <= eo.ci_high)
-            items.append({"check": "order", "pair": [inner, outer], "passed": bool(ok),
+            items.append({"check": "order", "pair": [list(inner), list(outer)],
+                          "passed": bool(ok),
                           "estimates": [ei.point_estimate, eo.point_estimate]})
-    if estimates:
+    if estimates and n in _NN_EXACT_NS:
         exact = vrad_nn_exact(n)
         ok = exact >= 1.0 / (math.sqrt(2.0) * n)
         items.append({"check": "nn-exact-lower", "passed": bool(ok),

@@ -214,16 +214,42 @@ def test_check_bounds_malformed_report_exits_64_naming_the_file(text, reason, tm
 
 
 def test_check_bounds_two_reports_of_one_cone_exit_64_naming_both(tmp_path, capsys):
-    # check_bounds keys estimates by cone, so a second report would replace the first
-    report = {"cone": "cop", "n": 5, "estimate": 0.2, "ci": [0.1, 0.3], "samples": 100,
-              "seed": 1, "dim": 14}
-    for name, mode in (("inner.json", "inner"), ("outer.json", "outer")):
-        (tmp_path / name).write_text(json.dumps({**report, "mode": mode}), encoding="utf-8")
+    # check_bounds keys estimates by (cone, mode), so a second report of one
+    # section would replace the first
+    report = {"cone": "cop", "n": 5, "mode": "inner", "estimate": 0.2, "ci": [0.1, 0.3],
+              "samples": 100, "seed": 1, "dim": 14}
+    for name, seed in (("a.json", 1), ("b.json", 2)):
+        (tmp_path / name).write_text(json.dumps({**report, "seed": seed}), encoding="utf-8")
     assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == ""
     error = json.loads(out.err)["error"]
-    assert str(tmp_path / "inner.json") in error and str(tmp_path / "outer.json") in error
+    assert str(tmp_path / "a.json") in error and str(tmp_path / "b.json") in error
+
+
+def test_check_bounds_pairs_the_inner_and_outer_sections_of_one_cone(tmp_path, capsys):
+    report = {"cone": "cop", "n": 5, "samples": 100, "seed": 1, "dim": 14}
+    for mode, est, ci in (("inner", 0.2, [0.15, 0.25]), ("outer", 0.3, [0.25, 0.35])):
+        (tmp_path / f"{mode}.json").write_text(
+            json.dumps({**report, "mode": mode, "estimate": est, "ci": ci}), encoding="utf-8")
+    assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    order = [c for c in out["checks"] if c["check"] == "order"]
+    assert order == [{"check": "order", "pair": [["cop", "inner"], ["cop", "outer"]],
+                      "passed": True, "estimates": [0.2, 0.3]}]
+    assert {(c["cone"], c["mode"]) for c in out["checks"] if c["check"] == "band"} == \
+        {("cop", "inner"), ("cop", "outer")}
+
+
+def test_check_bounds_accepts_a_ball_report_past_the_exact_nn_range(tmp_path, capsys):
+    # vrad_nn_exact covers 3 <= n <= 10; past it the nn-exact-lower item is left out
+    report = {"cone": "ball", "n": 12, "mode": "exact", "estimate": 1.0, "ci": [1.0, 1.0],
+              "samples": 100, "seed": 42, "dim": 77}
+    (tmp_path / "ball.json").write_text(json.dumps(report), encoding="utf-8")
+    assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 12 and out["all_passed"] is True
+    assert [c["check"] for c in out["checks"]] == ["band"]
 
 
 def test_construct_ecop_bundled_a5_exits_0(capsys):

@@ -12,7 +12,8 @@ from coposlab.cones import (CopRefutation, CpRefutation, InfeasibilityCert,
 from coposlab.numerics import CholeskyFactor, QSqrt2, SymMatrix
 from coposlab.exceptional import load_reference_a5, load_reference_c
 from coposlab.quartic import monomials
-from coposlab.sdp import SdpStatus, sdp_solve, sos_gram_assemble
+from coposlab.sdp import (LinExpr, SdpProblem, SdpStatus, sdp_solve,
+                          sos_gram_assemble)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +400,49 @@ def test_cp_refute_negative_entry_within_threshold_goes_to_the_sdp(r, sdp_calls)
     a = np.eye(5) + np.ones((5, 5)) / 5
     a[1, 3] = a[3, 1] = -1e-12
     assert cp_refute(SymMatrix(a), r=r) is None
-    assert len(sdp_calls) == 1
+    # level 0 takes its PSD minimum in closed form; only level 1 solves an SDP
+    assert len(sdp_calls) == r
+
+
+def test_cp_refute_level0_psd_separator_needs_no_sdp(no_sdp):
+    # nonnegative but not PSD: no NN vertex refutes, the PSD slice does
+    a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    res = cp_refute(SymMatrix(a), r=0)
+    assert isinstance(res, CpRefutation) and res.level == 0
+    m = res.m
+    assert res.pairing == float((a * m).sum()) < 0.0
+    assert abs(float((m * (np.eye(3) + np.ones((3, 3)))).sum()) - 1.0) <= 1e-12
+    assert isinstance(res.certificate, SpnPair) and res.certificate.check(m, 1e-9)
+    # the closed form is the minimum over the PSD slice: lambda_min(L^-1 A L^-T)
+    lower = np.linalg.cholesky(np.eye(3) + np.ones((3, 3)))
+    w = np.linalg.inv(lower) @ a @ np.linalg.inv(lower).T
+    assert abs(res.pairing - np.linalg.eigvalsh(w)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cp_refute_level0_matches_the_psd_plus_nn_sdp(n):
+    # the hull of the PSD and NN slices is the slice of PSD + NN: the closed
+    # form agrees with the SDP over M = P + N, <P + N, I + J> = 1
+    rng = np.random.RandomState(40 + n)
+    for _ in range(4):
+        b = rng.rand(n, n)
+        a = b + b.T  # nonnegative, so no NN vertex refutes it
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        prob = SdpProblem(psd_block_dims=[n], nonneg_dim=len(pairs))
+        norm, obj = LinExpr(), LinExpr()
+        for k, (i, j) in enumerate(pairs):
+            w = 1.0 if i == j else 2.0
+            norm.add_psd_entry(0, i, j, 2.0).add_nonneg(k, 2.0)
+            obj.add_psd_entry(0, i, j, w * a[i, j]).add_nonneg(k, w * a[i, j])
+        prob.constraints.append((norm, 1.0))
+        prob.objective = obj
+        sol = sdp_solve(prob, tol=1e-9)
+        assert sol.status == SdpStatus.OPTIMAL
+        res = cp_refute(SymMatrix(a), r=0)
+        if res is None:
+            assert sol.objective_value >= -1e-6
+        else:
+            assert abs(res.pairing - sol.objective_value) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

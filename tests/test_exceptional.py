@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from coposlab.exceptional import (CosPoly, EdnnResult, TrigGram, build_ednn_sdp,
                                   compression_matrix, construct_ecop, construct_ednn,
                                   gram_function_coeffs, horn_pairing_coefficients,
                                   load_reference_a5, load_reference_gram,
-                                  verify_paper_examples)
+                                  read_off_series, verify_paper_examples)
 from coposlab.numerics import SymMatrix
 from coposlab.quartic import monomials
 from coposlab.sdp import sos_gram_assemble
@@ -82,6 +84,20 @@ def test_verify_paper_check_passes(paper_report, check_id):
     assert [c.id for c in paper_report.checks] == list(range(1, 8))
     check = paper_report.checks[check_id - 1]
     assert check.passed, check.detail
+
+
+def test_verify_paper_check_2_names_the_negative_value_of_f(paper_report):
+    # f = 1 + 2 sum a_k cos(2 pi k x) is negative at 3/8, so no PSD Gram
+    # represents it; the detail gives that value exactly
+    check = paper_report.checks[1]
+    assert not check.passed
+    match = re.search(r"f\(3/8\) = (\S+) ~ (-[0-9.]+) < 0", check.detail)
+    assert match is not None, check.detail
+    coeffs = [float(c) for c in read_off_series(load_reference_a5()).coeffs]
+    value = coeffs[0] + 2.0 * sum(c * math.cos(2.0 * math.pi * k * 3.0 / 8.0)
+                                  for k, c in enumerate(coeffs) if k)
+    assert value < -0.1
+    assert abs(float(match.group(2)) - value) <= 1e-4
 
 
 @pytest.mark.xfail(strict=True, reason="check 2: the bundled Gram B reproduces (1 + f)/2, "

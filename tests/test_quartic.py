@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coposlab.cones import horn_matrix, quartic_target
 from coposlab.numerics import SymMatrix
-from coposlab.quartic import (EvenQuartic, GeneralQuartic, apply_T, basis_M,
-                              classify_subspaces, diff_inner, dim_M,
-                              group_action, harmonic_decompose, l2_inner,
-                              linear_form_power4, matrix_of_quartic, monomials,
-                              project_pr_Q, quartic_of_matrix, r_squared,
-                              sphere_moment, v4_project)
+from coposlab.quartic import (EvenQuartic, _l2_gram_float, basis_M,
+                              coeff_vector, dim_M, l2_inner, poly_mul,
+                              r_squared, sphere_moment, sum_of_squares_poly)
+from coposlab.volume import lf_generators
 
 
 def rand_even_quartic(rng, n, lo=-8, hi=8, den=4) -> EvenQuartic:
@@ -95,40 +94,52 @@ def test_sphere_moment_monte_carlo_degree_4_and_8(n):
 
 
 # ---------------------------------------------------------------------------
-# matrix <-> form correspondence and evaluation
+# matrix <-> form correspondence
 # ---------------------------------------------------------------------------
 
 def test_quartic_of_identity_two_vars():
-    f = quartic_of_matrix(SymMatrix([[1, 0], [0, 1]], "exact"))
-    assert f.monomial_coeffs() == {(4, 0): Fraction(1), (0, 4): Fraction(1)}
+    q = quartic_target(SymMatrix([[1, 0], [0, 1]], "exact"), 0)
+    assert q == {(4, 0): Fraction(1), (0, 4): Fraction(1)}
 
 
 def test_quartic_of_ones_is_r_squared():
-    f = quartic_of_matrix(SymMatrix([[1, 1], [1, 1]], "exact"))
-    assert f == r_squared(2)
-    # (x^2+y^2)^2 at a few rational points
-    for x, y in [(1, 2), (3, -1)]:
-        assert f.eval((Fraction(x), Fraction(y))) == (x * x + y * y) ** 2
+    q = quartic_target(SymMatrix([[1, 1], [1, 1]], "exact"), 0)
+    s = sum_of_squares_poly(2)
+    assert q == poly_mul(s, s) == r_squared(2).monomial_coeffs()
 
 
 def test_quartic_horn_monomial_coefficient():
-    from coposlab.cones import horn_matrix
-    q = quartic_of_matrix(horn_matrix())
-    assert q.monomial_coeffs()[(2, 2, 0, 0, 0)] == -2
+    assert quartic_target(horn_matrix(), 0)[(2, 2, 0, 0, 0)] == -2
+
+
+def _eval_coeffs(coeffs, x):
+    """Evaluate a monomial coefficient map at the point x."""
+    total = Fraction(0)
+    for alpha, c in coeffs.items():
+        term = Fraction(c)
+        for xi, e in zip(x, alpha):
+            term *= xi ** e
+        total += term
+    return total
 
 
 def test_eval_examples():
     n = 5
-    qi = quartic_of_matrix(SymMatrix.identity(n, "exact"))
-    assert qi.eval([Fraction(1)] * n) == n
-    from coposlab.cones import horn_matrix
+    qi = quartic_target(SymMatrix.identity(n, "exact"), 0)
+    assert _eval_coeffs(qi, [Fraction(1)] * n) == n
     h = horn_matrix()
-    qh = quartic_of_matrix(h)
+    hn = h.to_numpy()
+    qh = quartic_target(h, 0)
     # independent oracle: e^T H e = sum of all entries of H
-    total = sum(int(h.to_numpy()[i, j]) for i in range(5) for j in range(5))
-    assert qh.eval([Fraction(1)] * 5) == total == 5
-    assert qh.eval([Fraction(0)] * 5) == 0
-    assert quartic_of_matrix(matrix_of_quartic(qh)) == qh  # round trip
+    total = sum(int(hn[i, j]) for i in range(5) for j in range(5))
+    assert _eval_coeffs(qh, [Fraction(1)] * 5) == total == 5
+    assert _eval_coeffs(qh, [Fraction(0)] * 5) == 0
+    # q_H(x) = (x o x)^T H (x o x) at a rational point
+    x = [Fraction(1), Fraction(-2, 3), Fraction(1, 2), Fraction(3), Fraction(0)]
+    want = sum(int(hn[i, j]) * x[i] ** 2 * x[j] ** 2 for i in range(5) for j in range(5))
+    assert _eval_coeffs(qh, x) == want
+    # the SOS assembly's matrix -> form map agrees with EvenQuartic's
+    assert EvenQuartic([[int(v) for v in row] for row in hn]).monomial_coeffs() == qh
 
 
 # ---------------------------------------------------------------------------
@@ -160,211 +171,40 @@ def test_l2_inner_against_r2_is_sphere_average():
         assert l2_inner(f, r_squared(n)) == f.sphere_average()
 
 
-def test_diff_inner_pure_power():
-    f = GeneralQuartic(2, {(4, 0): Fraction(1)})
-    assert diff_inner(f, f) == 24
-
-
-def test_diff_inner_monomial_pairings():
-    rng = random.Random(11)
-    n = 4
-    f = rand_even_quartic(rng, n)
-    a = f.a
-    for k in range(n):
-        mono = GeneralQuartic(n, {tuple(4 if t == k else 0 for t in range(n)): Fraction(1)})
-        assert diff_inner(f, mono) == 24 * a[k][k]
-    for k in range(n):
-        for l in range(k + 1, n):
-            key = tuple((2 if t == k else 0) + (2 if t == l else 0) for t in range(n))
-            mono = GeneralQuartic(n, {key: Fraction(1)})
-            assert diff_inner(f, mono) == 8 * a[k][l]
-
-
-def test_diff_inner_v4_reproduces_evaluation():
-    rng = random.Random(23)
-    n = 5
-    for _ in range(20):
-        f = rand_even_quartic(rng, n)
-        v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        assert diff_inner(f, v4_project(v)) == 24 * f.eval(v)
-
-
-def _sympy_diff_oracle(f: EvenQuartic, g: EvenQuartic) -> Fraction:
-    """Apolar pairing via symbolic fourth derivatives."""
-    import sympy
-    n = f.n
-    xs = sympy.symbols(f"x0:{n}")
-    gf = sum(sympy.Rational(c.numerator, c.denominator)
-             * sympy.prod([xs[i] ** e for i, e in enumerate(k)])
-             for k, c in g.monomial_coeffs().items())
-    total = sympy.Integer(0)
-    for k, c in f.monomial_coeffs().items():
-        d = gf
-        for i, e in enumerate(k):
-            for _ in range(e):
-                d = sympy.diff(d, xs[i])
-        total += sympy.Rational(c.numerator, c.denominator) * d
-    total = sympy.nsimplify(total)
-    return Fraction(int(sympy.Integer(total.p)), int(sympy.Integer(total.q)))
-
-
-def test_diff_inner_matches_symbolic_fourth_derivatives():
-    rng = random.Random(31)
-    for _ in range(10):
-        n = rng.choice([2, 3])
-        f = rand_even_quartic(rng, n, lo=-4, hi=4, den=3)
-        g = rand_even_quartic(rng, n, lo=-4, hi=4, den=3)
-        assert diff_inner(f, g) == _sympy_diff_oracle(f, g)
-
-
-def test_diff_inner_closed_form_on_matrices():
-    rng = random.Random(37)
-    n = 5
-    f = rand_even_quartic(rng, n)
-    g = rand_even_quartic(rng, n)
-    a, b = f.a, g.a
-    want = 24 * sum(a[k][k] * b[k][k] for k in range(n)) + \
-        16 * sum(a[k][l] * b[k][l] for k in range(n) for l in range(k + 1, n))
-    assert diff_inner(f, g) == want
-
-
-def test_nn_selfduality_in_apolar_metric():
-    rng = random.Random(41)
-    n = 4
-    for _ in range(25):
-        f = rand_even_quartic(rng, n, lo=0, hi=8)
-        g = rand_even_quartic(rng, n, lo=0, hi=8)
-        assert diff_inner(f, g) >= 0
-    f = rand_even_quartic(rng, n, lo=0, hi=8)
-    rows = [list(r) for r in f.a]
-    rows[0][1] = rows[1][0] = Fraction(-1)
-    f = EvenQuartic(tuple(map(tuple, rows)))
-    key = (2, 2, 0, 0)
-    mono = GeneralQuartic(n, {key: Fraction(1)})
-    assert diff_inner(f, mono) < 0
-
-
-# ---------------------------------------------------------------------------
-# projection pr_Q
-# ---------------------------------------------------------------------------
-
-def test_pr_q_binomial_expansion():
-    g = linear_form_power4([Fraction(1), Fraction(1)])
-    f = project_pr_Q(g)
-    assert f.monomial_coeffs() == {(4, 0): Fraction(1), (2, 2): Fraction(6),
-                                   (0, 4): Fraction(1)}
-
-
-def test_pr_q_idempotent_on_even_quartics():
-    rng = random.Random(3)
-    f = rand_even_quartic(rng, 4)
-    assert project_pr_Q(f.to_general()) == f
-
-
-def test_pr_q_kills_odd_monomials():
-    g = GeneralQuartic(2, {(3, 1): Fraction(1)})
-    assert project_pr_Q(g).is_zero()
-
-
-def test_pr_q_is_l2_orthogonal_projection():
-    # <f - pr(f), q> = 0 for every even quartic q
-    rng = random.Random(8)
-    n = 3
-    g = GeneralQuartic(n, {(3, 1, 0): Fraction(2), (2, 1, 1): Fraction(-1),
-                           (4, 0, 0): Fraction(1), (2, 2, 0): Fraction(5, 2)})
-    p = project_pr_Q(g)
-    for _ in range(10):
-        q = rand_even_quartic(rng, n)
-        lhs = l2_inner(g, q)
-        rhs = l2_inner(p, q)
-        assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# harmonic decomposition and T
-# ---------------------------------------------------------------------------
-
-def test_harmonic_decompose_r2():
-    parts = harmonic_decompose(r_squared(4))
-    assert parts.c0 == 1
-    assert all(c == 0 for c in parts.h2)
-    assert parts.h4.is_zero()
-
-
-def test_harmonic_decompose_reconstructs_exactly():
-    rng = random.Random(17)
-    for n in (2, 3, 5):
-        for _ in range(10):
-            f = rand_even_quartic(rng, n)
-            parts = harmonic_decompose(f)
-            assert parts.reconstruct() == f
-            assert sum(parts.h2) == 0  # traceless quadratic part
-            in_l, in_m, in_h4 = classify_subspaces(parts.h4)
-            assert in_h4 and in_m
-            assert parts.h4.sphere_average() == 0
-
-
-def test_harmonic_x4_n2_example():
-    rows = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
-    f = EvenQuartic(rows)
-    parts = harmonic_decompose(f)
-    assert parts.reconstruct() == f
-
-
-def test_apply_T_fixes_r2_direction():
-    for n in (3, 5, 7):
-        tf = apply_T(r_squared(n))
-        assert tf == r_squared(n).scale(Fraction(3, n * (n + 2)))
-
-
-def test_apolarity_bridge_exact():
-    rng = random.Random(19)
-    n = 5
-    for _ in range(20):
-        f = rand_even_quartic(rng, n)
-        g = rand_even_quartic(rng, n)
-        assert diff_inner(apply_T(f), g) == 24 * l2_inner(f, g)
-
-
-def test_T_injective_on_random_sample():
-    rng = random.Random(29)
-    for _ in range(20):
-        f = rand_even_quartic(rng, 4)
-        if f.is_zero():
+def _exact_rank(rows) -> int:
+    """Rank of a list of Fraction rows by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
             continue
-        assert not apply_T(f).is_zero()
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                fct = m[r][col] / m[rank][col]
+                m[r] = [a - fct * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
-# ---------------------------------------------------------------------------
-# subspace classification
-# ---------------------------------------------------------------------------
-
-def test_classify_r2():
-    in_l, in_m, _ = classify_subspaces(r_squared(5))
-    assert in_l and not in_m
-
-
-def test_classify_extreme_nn_point_in_M():
-    n = 5
+def _r2_times_square(n: int, i: int) -> EvenQuartic:
+    """r^2 x_i^2 = x_i^4 + sum_{j != i} x_i^2 x_j^2."""
     rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(n * (n + 2), 3)
-    p = EvenQuartic(tuple(map(tuple, rows))) - r_squared(n)
-    _, in_m, _ = classify_subspaces(p)
-    assert in_m
+    rows[i][i] = Fraction(1)
+    for j in range(n):
+        if j != i:
+            rows[i][j] = rows[j][i] = Fraction(1, 2)
+    return EvenQuartic(tuple(map(tuple, rows)))
 
 
-def test_classify_h4_construction():
-    rng = random.Random(43)
-    n = 5
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    for i in range(n):
-        rows[i][i] = -Fraction(1, 3) * sum(rows[i][j] for j in range(n) if j != i)
-    f = EvenQuartic(tuple(map(tuple, rows)))
-    in_l, in_m, in_h4 = classify_subspaces(f)
-    assert in_h4 and in_m
+def _in_span_of_M(f: EvenQuartic) -> bool:
+    """f equals its L2 projection onto the exact basis of M."""
+    from coposlab.quartic import _basis_M_exact
+    proj = f.scale(0)
+    for b, n2 in _basis_M_exact(f.n):
+        proj = proj - b.scale(-l2_inner(f, b) / n2)
+    return proj == f
 
 
 def test_h4_constraint_rank_is_n():
@@ -383,24 +223,81 @@ def test_h4_constraint_rank_is_n():
                     c = Fraction(0)
                 row.append(c)
             rows.append(row)
-        # exact rank by Gaussian elimination
-        m = [r[:] for r in rows]
-        rank = 0
-        for col in range(len(keys)):
-            piv = next((r for r in range(rank, n) if m[r][col] != 0), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = 1 / m[rank][col]
-            for r in range(n):
-                if r != rank and m[r][col] != 0:
-                    fct = m[r][col] * inv
-                    for c in range(col, len(keys)):
-                        m[r][c] -= fct * m[rank][c]
-            rank += 1
+        rank = _exact_rank(rows)
         assert rank == n
         # hence dim(H4 cap Q) = dim Q - n = n(n-1)/2
         assert n * (n + 1) // 2 - rank == n * (n - 1) // 2
+        if n > 5:
+            continue
+        # the Laplacian rows span the same space as the L2 pairings with
+        # r^2 x_i^2: harmonic quartics are L2-orthogonal to r^2 * quadratics
+        l2_rows = []
+        for i in range(n):
+            g = _r2_times_square(n, i)
+            row = []
+            for (p, q) in keys:
+                unit = [[Fraction(0)] * n for _ in range(n)]
+                unit[p][q] = unit[q][p] = Fraction(1)
+                row.append(l2_inner(EvenQuartic(tuple(map(tuple, unit))), g))
+            l2_rows.append(row)
+        assert _exact_rank(l2_rows) == n
+        assert _exact_rank(rows + l2_rows) == n
+
+
+def test_classify_r2():
+    # r^2 has sphere average one (in L), and it is L2-orthogonal to all of M
+    n = 5
+    r2 = r_squared(n)
+    assert r2.sphere_average() == 1
+    from coposlab.quartic import _basis_M_exact
+    assert all(l2_inner(r2, b) == 0 for b, _ in _basis_M_exact(n))
+    assert not _in_span_of_M(r2)
+
+
+def test_classify_h4_construction():
+    rng = random.Random(43)
+    n = 5
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    for i in range(n):
+        rows[i][i] = -Fraction(1, 3) * sum(rows[i][j] for j in range(n) if j != i)
+    f = EvenQuartic(tuple(map(tuple, rows)))
+    # harmonic: L2-orthogonal to every r^2 x_i^2, hence to r^4 as well
+    assert all(l2_inner(f, _r2_times_square(n, i)) == 0 for i in range(n))
+    assert f.sphere_average() == 0
+    assert _in_span_of_M(f)
+
+
+def test_classify_extreme_nn_point_in_M():
+    # the NN simplex vertices of vrad_nn_exact, n(n+2)/3 x_i^4 and
+    # n(n+2) x_i^2 x_j^2, have sphere average one: minus r^2 they lie in M
+    for n in (3, 5):
+        c = Fraction(n * (n + 2))
+        diag = [[Fraction(0)] * n for _ in range(n)]
+        diag[0][0] = c / 3
+        off = [[Fraction(0)] * n for _ in range(n)]
+        off[0][1] = off[1][0] = c / 2
+        for vertex in (diag, off):
+            assert (EvenQuartic(vertex) - r_squared(n)).sphere_average() == 0
+
+
+# ---------------------------------------------------------------------------
+# fourth powers of linear forms (the lf generators)
+# ---------------------------------------------------------------------------
+
+def test_v4_project_axis():
+    # pr_Q((v.x)^4) has diagonal v_i^4 and off-diagonal entries 3 v_i^2 v_j^2
+    gens = lf_generators(2, 3, seed=0)
+    assert np.array_equal(gens[0], np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert np.array_equal(gens[1], np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def test_v4_project_diagonal_direction():
+    gens = lf_generators(2, 3, seed=0)
+    want = np.array([[0.25, 0.75], [0.75, 0.25]])  # (x^4 + 6x^2y^2 + y^4)/4
+    assert np.abs(gens[2] - want).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +307,12 @@ def test_h4_constraint_rank_is_n():
 def test_basis_M_count_and_orthonormality():
     for n in (3, 5):
         basis = basis_M(n)
-        assert len(basis) == dim_M(n)
-        from coposlab.quartic import l2_inner_float
-        for i, bi in enumerate(basis):
-            for j in range(i, len(basis)):
-                val = l2_inner_float(bi.to_numpy(), basis[j].to_numpy())
-                want = 1.0 if i == j else 0.0
-                assert abs(val - want) < 1e-12
-            _, in_m, _ = classify_subspaces(bi, tol=1e-10)
-            assert in_m
+        assert basis.shape == (dim_M(n), n, n)
+        _, gam = _l2_gram_float(n)
+        t = np.array([coeff_vector(b, n) for b in basis])
+        assert np.abs(t @ gam @ t.T - np.eye(dim_M(n))).max() < 1e-12
+        # zero sphere average: each b pairs to zero with r^2
+        assert np.abs(t @ gam @ coeff_vector(np.ones((n, n)), n)).max() < 1e-12
 
 
 def _gram_schmidt_with_l2_inner(n: int) -> list:
@@ -451,136 +345,6 @@ def test_basis_M_exact_equals_gram_schmidt_with_l2_inner(n):
 
 
 # ---------------------------------------------------------------------------
-# fourth powers of linear forms
-# ---------------------------------------------------------------------------
-
-def test_v4_project_axis():
-    f = v4_project([Fraction(1), Fraction(0)])
-    assert f.monomial_coeffs() == {(4, 0): Fraction(1)}
-
-
-def test_v4_project_diagonal_direction():
-    v = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    f = v4_project(list(v))
-    want = np.array([[0.25, 0.75], [0.75, 0.25]])  # (x^4 + 6x^2y^2 + y^4)/4
-    assert np.abs(f.to_numpy() - want).max() < 1e-14
-
-
-def test_v4_project_agrees_with_expansion():
-    rng = random.Random(51)
-    for _ in range(10):
-        n = rng.choice([2, 3, 4])
-        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        assert v4_project(v) == project_pr_Q(linear_form_power4(v))
-
-
-# ---------------------------------------------------------------------------
-# orthogonal substitution action
-# ---------------------------------------------------------------------------
-
-def test_group_action_fixes_r2():
-    rng = np.random.RandomState(61)
-    n = 5
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    f = EvenQuartic(np.ones((n, n)))
-    out = group_action(q, f)
-    assert np.abs(out.to_numpy() - np.ones((n, n))).max() < 1e-12
-
-
-def test_group_action_permutation_exact():
-    rng = random.Random(67)
-    n = 4
-    f = rand_even_quartic(rng, n)
-    perm = [2, 0, 3, 1]
-    o = [[Fraction(1) if perm[j] == i else Fraction(0) for j in range(n)] for i in range(n)]
-    out = group_action(o, f)
-    # (L_O f) coefficient matrix is the permuted coefficient matrix
-    for i in range(n):
-        for j in range(n):
-            assert out.a[i][j] == f.a[perm[i]][perm[j]]
-
-
-def test_group_action_rejects_non_orthogonal():
-    with pytest.raises(ValueError):
-        group_action(np.array([[1.0, 0.1], [0.0, 1.0]]), EvenQuartic(np.eye(2)))
-
-
-def test_substituted_fourth_power_projects_to_v4_of_rotated_vector():
-    # pr_Q((v . Ox)^4) = v4(O^T v): substitution before projection
-    rng = random.Random(71)
-    n = 3
-    o = [[Fraction(3, 5), Fraction(-4, 5), Fraction(0)],
-         [Fraction(4, 5), Fraction(3, 5), Fraction(0)],
-         [Fraction(0), Fraction(0), Fraction(1)]]
-    for _ in range(5):
-        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-        otv = [sum(o[i][k] * v[i] for i in range(n)) for k in range(n)]
-        lhs = project_pr_Q(linear_form_power4(otv))
-        assert lhs == v4_project(otv)
-        # and the substituted expansion agrees: (v . Ox)^4 has linear form O^T v
-        w = [sum(v[i] * o[i][k] for i in range(n)) for k in range(n)]
-        assert project_pr_Q(linear_form_power4(w)) == lhs
-
-
-def test_group_action_on_v4_commutes_for_signed_permutations():
-    # after projection, only parity-preserving maps commute with pr_Q;
-    # signed permutations do, and the compressed action then matches the
-    # vector-level action exactly
-    rng = np.random.RandomState(71)
-    n = 4
-    for _ in range(10):
-        perm = rng.permutation(n)
-        signs = rng.choice([-1.0, 1.0], size=n)
-        o = np.zeros((n, n))
-        for j in range(n):
-            o[perm[j], j] = signs[j]
-        v = rng.standard_normal(n)
-        lhs = group_action(o, v4_project(list(v)))
-        rhs = v4_project(list(o.T @ v))
-        assert np.abs(lhs.to_numpy() - rhs.to_numpy()).max() < 1e-12 * (1 + np.abs(v).max() ** 4)
-
-
-def test_group_action_after_projection_mixes_parity_for_generic_rotations():
-    # exact witness that pr(U_O(pr(v^4))) differs from pr(U_O(v^4)) in general
-    o = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
-    v = [Fraction(1), Fraction(2)]
-    otv = [o[0][0] * v[0] + o[1][0] * v[1], o[0][1] * v[0] + o[1][1] * v[1]]
-    assert group_action(o, v4_project(v)) != v4_project(otv)
-
-
-def test_group_action_exact_rotation_oracle():
-    # rational rotation by the (3/5, 4/5) Pythagorean block: compare against a
-    # direct expansion of f(Ox) followed by projection
-    from coposlab.quartic import poly_mul
-    n = 3
-    o = [[Fraction(3, 5), Fraction(-4, 5), Fraction(0)],
-         [Fraction(4, 5), Fraction(3, 5), Fraction(0)],
-         [Fraction(0), Fraction(0), Fraction(1)]]
-    rng = random.Random(73)
-    f = rand_even_quartic(rng, n)
-    # oracle: substitute y_i = sum_k O_ik x_k, expand monomials, project
-    lin = []
-    for i in range(n):
-        d = {}
-        for k in range(n):
-            if o[i][k] != 0:
-                key = tuple(1 if t == k else 0 for t in range(n))
-                d[key] = o[i][k]
-        lin.append(d)
-    total = {}
-    for i in range(n):
-        for j in range(n):
-            c = f.a[i][j]
-            if c == 0:
-                continue
-            prod = poly_mul(poly_mul(lin[i], lin[i]), poly_mul(lin[j], lin[j]))
-            for k, v in prod.items():
-                total[k] = total.get(k, Fraction(0)) + c * v
-    oracle = project_pr_Q(GeneralQuartic(n, total))
-    assert group_action(o, f) == oracle
-
-
-# ---------------------------------------------------------------------------
 # the two exact dilation identities
 # ---------------------------------------------------------------------------
 
@@ -596,8 +360,11 @@ def _identity_parts(n, i, j):
         rr[k][k] = coef
         return EvenQuartic(tuple(map(tuple, rr)))
 
-    v = [Fraction(1) if t in (i, j) else Fraction(0) for t in range(n)]
-    p1 = v4_project(v).scale(c / 12) - r2
+    # pr_Q((x_i + x_j)^4) = x_i^4 + 6 x_i^2 x_j^2 + x_j^4
+    rr = [[Fraction(0)] * n for _ in range(n)]
+    rr[i][i] = rr[j][j] = Fraction(1)
+    rr[i][j] = rr[j][i] = Fraction(3)
+    p1 = EvenQuartic(rr).scale(c / 12) - r2
     p2 = axis4(i, c / 3) - r2
     p3 = axis4(j, c / 3) - r2
     rr = [[Fraction(0)] * n for _ in range(n)]

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -126,3 +127,24 @@ def test_vrad_mc_spans_several_blocks():
     radii = section_radii(spec, dirs)
     want = float(np.mean(radii ** spec.dim) ** (1.0 / spec.dim))
     assert vrad_mc(spec, samples, seed=9).point_estimate == want
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_vrad_nn_exact_matches_the_float_simplex_volume(n):
+    # independent of the Gamma table: the simplex volume |det(v_k - v_0)| / d!
+    # in the orthonormal coordinates of SectionSpec.coords_of
+    spec = SectionSpec(cone="nn", n=n)
+    c = n * (n + 2)
+    verts = []
+    for i in range(n):
+        for j in range(i, n):
+            a = np.zeros((n, n))
+            a[i, j] = a[j, i] = c / 3.0 if i == j else c / 2.0
+            verts.append(spec.coords_of(a))
+    diffs = np.array(verts[1:]) - verts[0]
+    d = spec.dim
+    _, logdet = np.linalg.slogdet(diffs)
+    log_vol = logdet - math.lgamma(d + 1)
+    log_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1)
+    want = math.exp((log_vol - log_ball) / d)
+    assert abs(volume.vrad_nn_exact(n) - want) <= 1e-9 * want
