@@ -38,10 +38,17 @@ decides for itself.  Its convergence, certificate and unboundedness tests,
 its KKT factorization and regularization retries, its refinement and
 centering fallback and its breakdowns are masks over the stack or loops over
 the problems concerned, and a problem leaves the stack when it ends.
-Nothing reduces across the stack: stacked matmul and the np.linalg gufuncs
-(cholesky, svd, eigvalsh) act slice by slice, each KKT matrix has its own
-LAPACK getrf/getrs, and scalar powers use libm.  So a problem's iterates,
-and its solution, are the same bits whatever else is in the stack.
+Within a problem, the PSD blocks of one size share a second stack axis, so
+the cone work of a Newton step (NT scalings, the H blocks, the scaled
+directions, the step-length eigenvalues) is one call per block size on
+(problems, blocks, d, d) arrays: the five 5x5 parity blocks of a level-1
+certificate at n = 5 take one call, not five.  Nothing reduces across
+either axis: stacked matmul and the np.linalg gufuncs (cholesky, svd,
+eigvalsh) act slice by slice however many leading axes there are, the H
+blocks are elementwise products written to their own entries, each KKT
+matrix has its own LAPACK getrf/getrs, and scalar powers use libm.  So a
+problem's iterates, and its solution, are the same bits whatever else is in
+the stack, and the same as with one call per block.
 
 scipy.linalg is imported by sdp_solve_many, once per solve, not with the
 module: the commands that never solve an SDP never load scipy.
@@ -246,11 +253,13 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def _nt_operator(w: np.ndarray) -> np.ndarray:
-    """Dense svec-space matrix of X -> W X W for one symmetric W."""
-    ii, jj, sc = _svec_indices(w.shape[0])
+    """Dense svec-space matrix of X -> W X W for each symmetric W of a stack
+    (..., d, d); elementwise, so each matrix's bits do not depend on the
+    stack."""
+    ii, jj, sc = _svec_indices(w.shape[-1])
     ic, jc = ii[:, None], jj[:, None]
-    t1 = w[ic, ii] * w[jc, jj]
-    t2 = w[ic, jj] * w[jc, ii]
+    t1 = w[..., ic, ii] * w[..., jc, jj]
+    t2 = w[..., ic, jj] * w[..., jc, ii]
     return (sc[:, None] * sc[None, :]) * (t1 + t2) * 0.5
 
 
@@ -288,8 +297,9 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _max_step_scaled(m: np.ndarray) -> np.ndarray:
-    """sup alpha with I + alpha m_i PSD, for each symmetric m_i of a stack."""
-    lmin = np.linalg.eigvalsh(m)[:, 0]
+    """sup alpha with I + alpha m PSD, for each symmetric m of a stack
+    (..., d, d); the result has the stack's shape."""
+    lmin = np.linalg.eigvalsh(m)[..., 0]
     return np.divide(-1.0, lmin, out=np.full(lmin.shape, np.inf), where=lmin < 0)
 
 
@@ -306,71 +316,57 @@ def _max_step_vec(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
 class _Standard:
     """Dense standard form min c.x, Ax = b, x in (psd blocks x orthant) x R^f.
 
-    Columns: svec'd PSD blocks, then the orthant, then free scalars.  Free
-    scalars are kept native (their dual slack is identically zero) and are
-    handled through an augmented KKT system rather than a u - v split, which
-    would destroy strict dual feasibility.
+    Columns: svec'd PSD blocks, then the orthant (`lin`), then free scalars.
+    Free scalars are kept native (their dual slack is identically zero) and
+    are handled through an augmented KKT system rather than a u - v split,
+    which would destroy strict dual feasibility.  `psd` maps the index of
+    each nonempty PSD block to (d, its columns); `groups` maps each block
+    size d to the columns of its blocks, an int array (blocks, d(d+1)/2), so
+    the blocks of one size are one more stack axis for the solver.
     """
 
     def __init__(self, p: SdpProblem):
-        self.psd_dims = [d for d in p.psd_block_dims if d > 0]
-        self._psd_map = {}
-        k = 0
+        self.psd: Dict[int, Tuple[int, slice]] = {}
+        groups: Dict[int, list] = {}
+        pos = 0
         for b, d in enumerate(p.psd_block_dims):
             if d > 0:
-                self._psd_map[b] = k
-                k += 1
-        self.nonneg_dim = p.nonneg_dim
+                sz = d * (d + 1) // 2
+                self.psd[b] = (d, slice(pos, pos + sz))
+                groups.setdefault(d, []).append(np.arange(pos, pos + sz))
+                pos += sz
+        self.groups = {d: np.array(cols) for d, cols in groups.items()}
         self.free_dim = p.free_dim
-        self.slices = []
-        pos = 0
-        for d in self.psd_dims:
-            sz = d * (d + 1) // 2
-            self.slices.append(("s", d, slice(pos, pos + sz)))
-            pos += sz
-        if self.nonneg_dim:
-            self.slices.append(("l", self.nonneg_dim, slice(pos, pos + self.nonneg_dim)))
-        self.lin_start = pos
-        self.cone_N = pos + self.nonneg_dim
+        self.cone_N = pos + p.nonneg_dim
+        self.lin = slice(pos, self.cone_N)
         self.N = self.cone_N + self.free_dim
-        self.nu = sum(self.psd_dims) + self.nonneg_dim
+        self.nu = sum(d for d, _ in self.psd.values()) + p.nonneg_dim
 
     def row_of(self, expr: LinExpr) -> np.ndarray:
         row = np.zeros(self.N)
         for key, coef in expr.terms.items():
             if key[0] == "p":
                 _, b, i, j = key
-                if b not in self._psd_map:
+                if b not in self.psd:
                     continue
-                bi = self._psd_map[b]
-                d = self.psd_dims[bi]
-                base = self.slices[bi][2].start
+                d, sl = self.psd[b]
                 # position of (i,j), i<=j, in row-major upper triangle
                 posn = i * d - i * (i - 1) // 2 + (j - i)
-                row[base + posn] += coef if i == j else coef / _SQRT2
+                row[sl.start + posn] += coef if i == j else coef / _SQRT2
             elif key[0] == "n":
-                row[self.lin_start + key[1]] += coef
+                row[self.lin.start + key[1]] += coef
             else:
                 row[self.cone_N + key[1]] += coef
         return row
 
     def identity(self) -> np.ndarray:
-        e = np.zeros(self.cone_N)
-        for kind, d, sl in self.slices:
-            if kind == "s":
-                e[sl] = svec(np.eye(d))
-            else:
-                e[sl] = 1.0
+        e = np.ones(self.cone_N)
+        for d, cols in self.groups.items():
+            e[cols] = svec(np.eye(d))
         return e
 
-    def blocks(self, x: np.ndarray):
-        out = []
-        for kind, d, sl in self.slices:
-            if kind == "s":
-                out.append(("s", smat(x[sl], d)))
-            else:
-                out.append(("l", x[sl].copy()))
-        return out
+    def psd_blocks(self, x: np.ndarray) -> List[np.ndarray]:
+        return [smat(x[sl], d) for d, sl in self.psd.values()]
 
 
 def _presolve(A: np.ndarray, b: np.ndarray, qr):
@@ -516,15 +512,8 @@ class _Prepared:
 
 def _make_ray(std: _Standard, A_orig: np.ndarray, y: np.ndarray) -> DualRay:
     z = -(A_orig.T @ y)
-    psd_ops = []
-    nonneg_part = np.zeros(0)
-    for kind, d, sl in std.slices:
-        if kind == "s":
-            psd_ops.append(smat(z[sl], d))
-        else:
-            nonneg_part = z[sl].copy()
-    free_part = z[std.cone_N:].copy()
-    return DualRay(y=y, psd_operators=psd_ops, nonneg_part=nonneg_part, free_part=free_part)
+    return DualRay(y=y, psd_operators=std.psd_blocks(z), nonneg_part=z[std.lin].copy(),
+                   free_part=z[std.cone_N:].copy())
 
 
 class _Stack:
@@ -571,12 +560,10 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int,
             tau = st.tau[i]
             t = tau if (good and tau > 0) else max(tau, 1.0)
             xk = st.xk[i] / t
-            blocks = std.blocks(xk)
             free = st.xf[i] / t
             obj = None if p.pure_feas else float(p.c[:cn] @ xk + p.c[cn:] @ free)
             out[st.pos[i]] = SdpSolution(
-                status=status, psd_blocks=[bm for kind, bm in blocks if kind == "s"],
-                nonneg=next((bv for kind, bv in blocks if kind == "l"), np.zeros(0)),
+                status=status, psd_blocks=std.psd_blocks(xk), nonneg=xk[std.lin].copy(),
                 free=free, y=p.unscale_y(st.y[i] / t),
                 residuals=tuple(float(v) for v in st.last[i]), objective_value=obj,
                 iterations=it, dual_ray=ray, message=msg)
@@ -716,40 +703,39 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
         if np.count_nonzero(finite) < k:
             fail(act & ~finite, reason)
 
-    # NT scalings on the cone part: R per PSD block, x/s on the orthant
+    # NT scalings on the cone part: R per PSD block, stacked (k, blocks, d, d)
+    # for each block size d, and x/s on the orthant
+    ln = std.lin
     H = np.zeros((k, cn, cn))
+    diag = np.arange(ln.start, ln.stop)
+    H[:, diag, diag] = xk[:, ln] / s[:, ln]
     scal = []
-    for kind, d, sl in std.slices:
-        if kind == "s":
-            xm, sm = smat(xk[:, sl], d), smat(s[:, sl], d)
-            try:
-                sc = _nt_scaling(xm, sm)
-            except np.linalg.LinAlgError:
-                bad = np.zeros(k, dtype=bool)
-                for i in range(k):
-                    try:
-                        _nt_scaling(xm[i], sm[i])
-                    except np.linalg.LinAlgError:
-                        bad[i] = True
-                fail(bad, "scaling breakdown")
-                xm[bad] = sm[bad] = np.eye(d)
-                sc = _nt_scaling(xm, sm)
-            H[:, sl, sl] = [_nt_operator(w) for w in sc[0] @ _t(sc[0])]
-            scal.append(sc)
-        else:
-            diag = np.arange(sl.start, sl.stop)
-            H[:, diag, diag] = xk[:, sl] / s[:, sl]
-            scal.append(None)
+    for d, cols in std.groups.items():
+        xm, sm = smat(xk[:, cols], d), smat(s[:, cols], d)
+        try:
+            sc = _nt_scaling(xm, sm)
+        except np.linalg.LinAlgError:
+            bad = np.zeros(k, dtype=bool)
+            for i in range(k):
+                try:
+                    _nt_scaling(xm[i], sm[i])
+                except np.linalg.LinAlgError:
+                    bad[i] = True
+            fail(bad, "scaling breakdown")
+            xm[bad] = sm[bad] = np.eye(d)
+            sc = _nt_scaling(xm, sm)
+        H[:, cols[:, :, None], cols[:, None, :]] = _nt_operator(sc[0] @ _t(sc[0]))
+        scal.append(sc)
     finite = np.isfinite(H).all(axis=(1, 2))
-    for r, rinv, lam in filter(None, scal):
-        finite &= np.isfinite(r).all(axis=(1, 2)) & np.isfinite(rinv).all(axis=(1, 2))
-        finite &= np.isfinite(lam).all(axis=1)
+    for r, rinv, lam in scal:
+        finite &= np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(rinv).all(axis=(1, 2, 3))
+        finite &= np.isfinite(lam).all(axis=(1, 2))
     require(finite, ok, "non-finite NT scaling")
     if not np.count_nonzero(ok):
         return tuple(np.zeros_like(v) for v in (xk, xf, y, s, tau, kappa)), np.zeros(k), why
     if np.count_nonzero(ok) < k:
         H[~ok] = np.eye(cn)
-        for r, rinv, lam in filter(None, scal):
+        for r, rinv, lam in scal:
             r[~ok] = rinv[~ok] = np.eye(r.shape[-1])
             lam[~ok] = 1.0
         e = std.identity()
@@ -846,16 +832,10 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
         return e, np.abs(flat).max(axis=1)
 
     def scaled(d):
-        """Per PSD block, the direction in the NT-scaled space:
-        (R^{-1} dX R^{-T}, R^T dS R)."""
-        out = []
-        for (kind, n, sl), sc in zip(std.slices, scal):
-            if kind == "s":
-                r, rinv, _ = sc
-                out.append((rinv @ smat(d[0][:, sl], n) @ _t(rinv), _t(r) @ smat(d[3][:, sl], n) @ r))
-            else:
-                out.append(None)
-        return out
+        """Per block size, the direction in the NT-scaled space,
+        (R^{-1} dX R^{-T}, R^T dS R), stacked (k, blocks, d, d)."""
+        return [(rinv @ smat(d[0][:, cols], n) @ _t(rinv), _t(r) @ smat(d[3][:, cols], n) @ r)
+                for (n, cols), (r, rinv, _) in zip(std.groups.items(), scal)]
 
     def direction(sigma, act, aff=None):
         # Newton step killing the linear residuals, with the complementarity
@@ -872,23 +852,19 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
         t4 = np.empty((k, cn))
         t5 = smu - tau * kappa
         aff_sc = scaled(aff) if aff is not None else None
-        for i, ((kind, n, sl), sc) in enumerate(zip(std.slices, scal)):
-            if kind == "s":
-                r, _, lam = sc
-                q = np.zeros((k, n, n))
-                q.reshape(k, n * n)[:, ::n + 1] = smu[:, None] - lam * lam
-                if aff_sc is not None:
-                    pq = aff_sc[i][0] @ aff_sc[i][1]
-                    q = q - 0.5 * (pq + _t(pq))
-                q = q / (0.5 * (lam[:, :, None] + lam[:, None, :]))
-                t4[:, sl] = svec(r @ q @ _t(r))
-            else:
-                num = smu[:, None] - xk[:, sl] * s[:, sl]
-                if aff is not None:
-                    num = num - aff[0][:, sl] * aff[3][:, sl]
-                t4[:, sl] = num / s[:, sl]
+        for i, ((n, cols), (r, _, lam)) in enumerate(zip(std.groups.items(), scal)):
+            q = np.zeros(lam.shape + (n,))
+            q.reshape(lam.shape[:-1] + (n * n,))[..., ::n + 1] = smu[:, None, None] - lam * lam
+            if aff_sc is not None:
+                pq = aff_sc[i][0] @ aff_sc[i][1]
+                q = q - 0.5 * (pq + _t(pq))
+            q = q / (0.5 * (lam[..., :, None] + lam[..., None, :]))
+            t4[:, cols] = svec(r @ q @ _t(r))
+        num = smu[:, None] - xk[:, ln] * s[:, ln]
         if aff is not None:
+            num = num - aff[0][:, ln] * aff[3][:, ln]
             t5 = t5 - aff[4] * aff[5]
+        t4[:, ln] = num / s[:, ln]
         t = (-rp, -rdK, -rdF, -rg, t4, t5)
         d = solve_newton(t, act)
         e, err = residual(t, d)
@@ -916,20 +892,16 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
         return d if np.count_nonzero(ok) == k else tuple(_pick(ok, a, 0.0) for a in d)
 
     # the orthant, tau and kappa: one ratio test on their concatenation
-    lin = [sl for kind, _, sl in std.slices if kind == "l"]
-    lin_x = np.concatenate([tau[:, None], kappa[:, None]]
-                           + [v[:, sl] for sl in lin for v in (xk, s)], axis=1)
+    lin_x = np.concatenate([tau[:, None], kappa[:, None], xk[:, ln], s[:, ln]], axis=1)
 
     def max_step(d):
         # X + alpha dX is PSD iff I + alpha lam^{-1/2} dX~ lam^{-1/2} is
-        dlin = np.concatenate([d[4][:, None], d[5][:, None]]
-                              + [v[:, sl] for sl in lin for v in (d[0], d[3])], axis=1)
+        dlin = np.concatenate([d[4][:, None], d[5][:, None], d[0][:, ln], d[3][:, ln]], axis=1)
         alpha = _max_step_vec(lin_x, dlin)
-        for (kind, n, sl), sc, dsc in zip(std.slices, scal, scaled(d)):
-            if kind == "s":
-                rl = 1.0 / np.sqrt(sc[2])
-                both = np.concatenate([rl[:, :, None] * p * rl[:, None, :] for p in dsc])
-                alpha = np.minimum(alpha, _max_step_scaled(both).reshape(2, k).min(axis=0))
+        for (_, _, lam), dsc in zip(scal, scaled(d)):
+            rl = 1.0 / np.sqrt(lam)
+            both = np.stack([rl[..., :, None] * p * rl[..., None, :] for p in dsc])
+            alpha = np.minimum(alpha, _max_step_scaled(both).min(axis=(0, 2)))
         return alpha
 
     aff = direction(0.0, ok)
@@ -956,13 +928,10 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
 
 def _cone_violation(std: _Standard, z: np.ndarray) -> np.ndarray:
     """How far each row of a stack z (k, cone_N) lies outside the cone."""
-    viol = np.zeros(len(z))
-    for kind, d, sl in std.slices:
-        if kind == "s":
-            lam = np.linalg.eigvalsh(smat(z[:, sl], d))[:, 0]
-        else:
-            lam = z[:, sl].min(axis=1)
-        viol = np.maximum(viol, -lam)
+    viol = np.maximum(0.0, -z[:, std.lin].min(axis=1, initial=np.inf))
+    for d, cols in std.groups.items():
+        lam = np.linalg.eigvalsh(smat(z[:, cols], d))[..., 0]
+        viol = np.maximum(viol, -lam.min(axis=1))
     return viol
 
 

@@ -163,6 +163,8 @@ class SectionSpec:
             raise ValueError(f"unknown cone {self.cone!r}")
         if self.n < 3 and self.cone != "ball":
             raise ValueError("n must be >= 3")
+        if not self.ball_radius > 0:
+            raise ValueError("ball_radius must be positive")
         if self.cone in ("nn", "psd", "dnn", "spn", "ball"):
             if self.mode not in (None, "exact"):
                 raise ValueError(f"cone {self.cone} is decided exactly; mode must be None")

@@ -180,6 +180,15 @@ def test_vrad_ball_exits_0_and_check_bounds_accepts_its_report(tmp_path, capsys)
     assert json.loads(capsys.readouterr().out)["all_passed"] is True
 
 
+@pytest.mark.parametrize("radius", ["-1", "0"])
+def test_vrad_nonpositive_ball_radius_exits_64(radius, capsys):
+    assert cli.main(["vrad", "--cone", "ball", "-n", "3", "--samples", "100",
+                     "--ball-radius", radius]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "ball_radius must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_vrad_radial_error_exits_2_with_the_error(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise volume.RadialError("direction never exits the section")

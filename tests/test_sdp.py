@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -72,8 +73,8 @@ def test_weak_duality_on_random_optimizations():
 def test_non_finite_scaling_is_indeterminate(monkeypatch):
     # an NT scaling that overflows must end the solve, not raise from LAPACK
     def inf_operator(w):
-        k = w.shape[0] * (w.shape[0] + 1) // 2
-        return np.full((k, k), np.inf)
+        k = w.shape[-1] * (w.shape[-1] + 1) // 2
+        return np.full(w.shape[:-2] + (k, k), np.inf)
 
     monkeypatch.setattr(sdp, "_nt_operator", inf_operator)
     p = SdpProblem(psd_block_dims=[3])
@@ -134,6 +135,105 @@ def test_stack_returns_each_solo_result():
     order = [7, 0, 11, 3, 5]
     for i, s in zip(order, sdp_solve_many([probs[i] for i in order])):
         assert_same_solution(s, stacked[i])
+
+
+def mixed_block_problems(count, seed):
+    """One layout mixing block sizes: PSD blocks 3, 2, 3 and an empty one, an
+    orthant scalar and a free scalar, so the two 3x3 blocks share a size but
+    not adjacent columns.  A trace row of -1 on the 2x2 block makes every
+    third problem infeasible, and every fourth has no objective."""
+    dims = [3, 2, 3, 0]
+    rng = np.random.RandomState(seed)
+    out = []
+    for t in range(count):
+        p = SdpProblem(psd_block_dims=dims, nonneg_dim=1, free_dim=1)
+        x0 = []
+        for d in dims[:3]:
+            g = rng.randn(d, d)
+            x0.append(g @ g.T + 0.2 * np.eye(d))
+        v0, f0 = 0.5, float(rng.randn())
+        for _ in range(5):
+            e, rhs = LinExpr(), 0.0
+            for blk, x in enumerate(x0):
+                m = rng.randn(len(x), len(x))
+                m = 0.5 * (m + m.T)
+                e.add_matrix_pairing(blk, m)
+                rhs += float((m * x).sum())
+            w, u = rng.randn(2)
+            p.constraints.append((e.add_nonneg(0, w).add_free(0, u), rhs + w * v0 + u * f0))
+        total = LinExpr().add_nonneg(0, 1.0)
+        for blk, d in enumerate(dims[:3]):
+            for i in range(d):
+                total.add_psd_entry(blk, i, i, 1.0)
+        p.constraints.append((total, sum(float(np.trace(x)) for x in x0) + v0))
+        two = LinExpr().add_psd_entry(1, 0, 0, 1.0).add_psd_entry(1, 1, 1, 1.0)
+        p.constraints.append((two, -1.0 if t % 3 == 0 else float(np.trace(x0[1]))))
+        if t % 4:
+            for blk, d in enumerate(dims[:3]):
+                c = rng.randn(d, d)
+                p.objective.add_matrix_pairing(blk, 0.5 * (c + c.T) + 2 * np.eye(d))
+            p.objective.add_nonneg(0, 1.0)
+        out.append(p)
+    return out
+
+
+def solution_digest(sols):
+    """sha256 over every field and array of a list of solutions."""
+    h = hashlib.sha256()
+    for s in sols:
+        h.update(repr((s.status.value, s.message, s.iterations, s.residuals,
+                       s.objective_value)).encode())
+        arrays = s.psd_blocks + [s.nonneg, s.free, s.y]
+        if s.dual_ray is not None:
+            ray = s.dual_ray
+            arrays += [ray.y, ray.nonneg_part, ray.free_part] + ray.psd_operators
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_mixed_block_sizes_pin_the_bits():
+    probs = mixed_block_problems(8, seed=3)
+    stacked = sdp_solve_many(probs)
+    assert {s.status for s in stacked} >= {SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE,
+                                          SdpStatus.FEASIBLE_POINT}
+    for p, s in zip(probs, stacked):
+        assert_same_solution(s, sdp_solve(p))
+    # captured when the solver made one call per PSD block: stacking the
+    # blocks of one size must not move a bit
+    assert solution_digest(stacked) == (
+        "2220bf5a3e50588818ce1cadb4524f08a8b6014521a903bb6072f41e6f106571")
+
+
+def test_scaling_breakdown_ends_only_its_problem(monkeypatch):
+    # at the third step of a stack of four, the second 3x3 block of problem 1
+    # fails its Cholesky factorization; only problem 1 ends
+    probs = mixed_block_problems(4, seed=3)
+    solo = [sdp_solve(p) for p in probs]
+    steps, target = [], []
+    newton_step, nt_scaling = sdp._newton_step, sdp._nt_scaling
+
+    def counting_step(std, AK, AF, b, cK, cF, xk, *rest):
+        if len(xk) == len(probs):
+            steps.append(None)
+            if len(steps) == 3:  # svec columns 9:15 hold the second 3x3 block
+                target.append(sdp.smat(xk[1, 9:15], 3))
+        return newton_step(std, AK, AF, b, cK, cF, xk, *rest)
+
+    def flaky_scaling(x, s):
+        if target and x.shape[-1] == 3 and any(
+                np.array_equal(m, target[0]) for m in x.reshape(-1, 3, 3)):
+            raise np.linalg.LinAlgError("forced")
+        return nt_scaling(x, s)
+
+    monkeypatch.setattr(sdp, "_newton_step", counting_step)
+    monkeypatch.setattr(sdp, "_nt_scaling", flaky_scaling)
+    stacked = sdp_solve_many(probs)
+    assert target
+    assert (stacked[1].status, stacked[1].message, stacked[1].iterations) == (
+        SdpStatus.INDETERMINATE, "scaling breakdown", 3)
+    for i in (0, 2, 3):
+        assert_same_solution(stacked[i], solo[i])
 
 
 def test_stack_rejects_mixed_layouts():
