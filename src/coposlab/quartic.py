@@ -4,17 +4,17 @@ An even quartic is identified with its symmetric coefficient matrix, so the
 matrix cones under study become cones of forms.  This module holds what the
 library computes with them: monomial lists and products for the SOS
 assembly, exact sphere moments, the exact L2 Gram table of the aggregated
-coordinates (`_l2_gram_exact`), and the orthonormal basis of the
-zero-average hyperplane M built from that table.
+coordinates (`_l2_gram_exact`), and a float orthonormal basis of the
+zero-average hyperplane M built from its float copy.
 
-`EvenQuartic`, `l2_inner` and `r_squared` are the exact-rational objects
-the basis is stated in; `l2_inner` pairs them monomial by monomial, an
-independent route to the Gram table.
+`EvenQuartic`, `l2_inner` and `r_squared` are an exact-rational reference:
+`l2_inner` pairs two forms monomial by monomial, an independent route to
+the Gram table, and Gram-Schmidt with it gives the exact basis that
+`basis_M` equals up to roundoff.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -182,54 +182,32 @@ def dim_M(n: int) -> int:
     return n * (n + 1) // 2 - 1
 
 
-@lru_cache(maxsize=None)
-def _basis_M_exact(n: int) -> tuple:
-    """Gram-Schmidt in exact arithmetic; unnormalized vectors plus norms squared.
-
-    Runs on the aggregated coordinates t (see `_l2_gram_exact`), where the
-    L2 pairing is t_f^T Gamma t_g; the result equals the same process run
-    with `l2_inner` on `EvenQuartic` objects.
-    """
-    keys, gam = _l2_gram_exact(n)
-    m = len(keys)
-    # the sphere average of f is <f, r^2> and r^2 has t = 1 (diagonal), 2 (off)
-    r2 = [Fraction(1) if i == j else Fraction(2) for (i, j) in keys]
-    avg = [sum(gam[p][q] * r2[q] for q in range(m)) for p in range(m)]  # Gamma t_{r^2}
-    basis: List[List[Fraction]] = []
-    gam_basis: List[List[Fraction]] = []  # Gamma t_b, for the pairings with b
-    norms2: List[Fraction] = []
-    # pivot monomials x_1^4 .. x_n^4, then x_i^2 x_j^2 (i < j) lexicographic
-    pivots = sorted(range(m), key=lambda p: (keys[p][0] != keys[p][1], keys[p]))
-    for p in pivots:
-        v = [-avg[p] * x for x in r2]  # ||r^2||_2 = 1
-        v[p] += 1
-        for b, gb, n2 in zip(basis, gam_basis, norms2):
-            coef = sum(x * y for x, y in zip(v, gb)) / n2
-            v = [x - coef * y for x, y in zip(v, b)]
-        if not any(v):
-            continue
-        gv = [sum(gam[q][s] * v[s] for s in range(m)) for q in range(m)]
-        basis.append(v)
-        gam_basis.append(gv)
-        norms2.append(sum(x * y for x, y in zip(v, gv)))
-    assert len(basis) == dim_M(n)
-    out = []
-    for v, n2 in zip(basis, norms2):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), x in zip(keys, v):
-            rows[i][j] = rows[j][i] = x if i == j else x / 2
-        out.append((EvenQuartic(tuple(map(tuple, rows))), n2))
-    return tuple(out)
-
-
 def basis_M(n: int) -> np.ndarray:
-    """Orthonormal (within float roundoff) basis of M as the coefficient
-    matrices of its d = dim_M(n) even quartics, an array of shape (d, n, n)."""
+    """Orthonormal basis of M as the coefficient matrices of its d = dim_M(n)
+    even quartics, an array of shape (d, n, n).
+
+    Gram-Schmidt in floats on the aggregated coordinates t (see
+    `_l2_gram_exact`), where the L2 pairing is t_f^T Gamma t_g.  The pivots
+    are x_1^4 .. x_n^4, then x_i^2 x_j^2 (i < j) lexicographic, each less
+    its r^2 component; the last one depends on the others and is dropped.
+    Two passes of Cholesky QR, t <- t L^{-T} with L L^T = t^T Gamma t, keep
+    the basis orthonormal to roundoff.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    exact = _basis_M_exact(n)
-    scales = np.array([1.0 / math.sqrt(float(n2)) for _, n2 in exact])
-    return np.array([v.to_numpy() for v, _ in exact]) * scales[:, None, None]
+    keys, gam = _l2_gram_float(n)
+    # the sphere average of f is <f, r^2>, r^2 has t = 1 (diagonal), 2 (off)
+    # and ||r^2||_2 = 1
+    r2 = np.array([1.0 if i == j else 2.0 for (i, j) in keys])
+    pivots = sorted(range(len(keys)), key=lambda p: (keys[p][0] != keys[p][1], keys[p]))[:dim_M(n)]
+    t = np.eye(len(keys))[:, pivots] - np.outer(r2, gam[pivots] @ r2)
+    for _ in range(2):
+        chol = np.linalg.cholesky(t.T @ gam @ t)
+        t = np.linalg.solve(chol, t.T).T
+    rows, cols = np.array(keys).T
+    out = np.zeros((len(pivots), n, n))
+    out[:, rows, cols] = out[:, cols, rows] = t.T * np.where(rows == cols, 1.0, 0.5)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,8 @@ the center is the average of the sampled fourth-power generators.
 Exactness policy: NN sections are simplices and also get an exact volume:
 the rational Gram determinant of the vertex differences, D^T Gamma D with
 Gamma the exact L2 Gram table `quartic._l2_gram_exact` (`vrad_nn_exact`).
-The orthonormal basis of M is built from the same table exactly and then
-rounded, and the coordinate maps pair through its float copy.  The radial
+The orthonormal basis of M (`quartic.basis_M`) is built in floats from the
+float copy of that table, and the coordinate maps pair through it.  The radial
 problem is linear in t, so no section bisects unless asked to
 (`radial(method="bisect")`) or unless its membership is itself a search.
 `_radii` is the one place that picks the radius method of a section, for a
@@ -90,7 +90,11 @@ def lf_generators(n: int, count: int, seed: int) -> np.ndarray:
     """Coefficient matrices of fourth-power generators, closed under
     coordinate permutations so the signed-permutation action preserves the
     sampled inner hull.  Returns an array of shape (N, n, n) with N >= count.
+    An orbit has up to n! vectors, so n must be at most 8.
     """
+    if n > 8:
+        raise ValueError(f"lf generators at n = {n} need orbits of n! = {math.factorial(n)} "
+                         "permuted vectors; n must be <= 8")
     rng = np.random.RandomState(seed)
     vecs: List[Tuple[float, ...]] = []
     for i in range(n):
@@ -151,8 +155,6 @@ class SectionSpec:
     seed: int = 0
     generator_count: int = 512
     ball_radius: float = 1.0
-    refute_attempts: int = 64
-    check_center: bool = True
     # derived fields
     dim: int = field(init=False)
     star_center: np.ndarray = field(init=False)
@@ -212,7 +214,7 @@ class SectionSpec:
             self._chol_inv = np.linalg.inv(np.linalg.cholesky(self._center_mat))
         self.closed_form = (self.cone == "ball" or faces is not None
                             or self._chol_inv is not None)
-        if self.check_center and not self.membership(self.star_center):
+        if not self.membership(self.star_center):
             raise ValueError("star center failed the membership oracle")
 
     def _face_rows(self) -> Optional[np.ndarray]:
@@ -279,8 +281,7 @@ class SectionSpec:
         if self.cone == "cop":
             if self.mode == "inner":
                 return cop_inner(SymMatrix(a), tol) is not None
-            return cop_refute(SymMatrix(a), attempts=self.refute_attempts,
-                              seed=self.seed, tol=max(tol, 1e-9)) is None
+            return cop_refute(SymMatrix(a), seed=self.seed, tol=max(tol, 1e-9)) is None
         if self.cone == "cp":  # outer
             if float(a.min()) < -tol * scale or np.linalg.eigvalsh(a)[0] < -tol * scale:
                 return False
@@ -445,8 +446,9 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 def vrad_mc(spec: SectionSpec, samples: int, seed: int,
-            bisect_tol: float = 1e-6, bootstrap: int = 200) -> VradEstimate:
-    """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with bootstrap CI.
+            bisect_tol: float = 1e-6) -> VradEstimate:
+    """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with a bootstrap CI
+    from 200 resamples.
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
     translation invariant).  The directions go to `_radii` in blocks of
@@ -467,7 +469,7 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     est = float(powers.mean() ** (1.0 / d))
     brng = np.random.RandomState(seed + 101)
     stats = []
-    for _ in range(bootstrap):
+    for _ in range(200):
         idx = brng.randint(0, samples, size=samples)
         stats.append(float(powers[idx].mean() ** (1.0 / d)))
     lo, hi = np.percentile(stats, [2.5, 97.5])

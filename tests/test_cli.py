@@ -189,6 +189,14 @@ def test_vrad_nonpositive_ball_radius_exits_64(radius, capsys):
     assert captured.out == ""
 
 
+def test_vrad_lf_above_n8_exits_64_naming_the_orbit_size(capsys):
+    assert cli.main(["vrad", "--cone", "lf", "--mode", "outer", "-n", "9",
+                     "--samples", "100"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "n! = 362880" in captured.err
+    assert captured.out == ""
+
+
 def test_vrad_radial_error_exits_2_with_the_error(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise volume.RadialError("direction never exits the section")

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -198,11 +199,34 @@ def _r2_times_square(n: int, i: int) -> EvenQuartic:
     return EvenQuartic(tuple(map(tuple, rows)))
 
 
+@lru_cache(maxsize=None)
+def _gram_schmidt_with_l2_inner(n: int) -> tuple:
+    """Reference: Gram-Schmidt on EvenQuartic objects, pairings by `l2_inner`."""
+    pivots = []
+    for i in range(n):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows[i][i] = Fraction(1)
+        pivots.append(EvenQuartic(tuple(map(tuple, rows))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows[i][j] = rows[j][i] = Fraction(1, 2)  # the monomial x_i^2 x_j^2
+            pivots.append(EvenQuartic(tuple(map(tuple, rows))))
+    r2 = r_squared(n)
+    out = []
+    for mono in pivots:
+        v = mono - r2.scale(mono.sphere_average())
+        for b, n2 in out:
+            v = v - b.scale(l2_inner(v, b) / n2)
+        if not v.is_zero():
+            out.append((v, l2_inner(v, v)))
+    return tuple(out)
+
+
 def _in_span_of_M(f: EvenQuartic) -> bool:
     """f equals its L2 projection onto the exact basis of M."""
-    from coposlab.quartic import _basis_M_exact
     proj = f.scale(0)
-    for b, n2 in _basis_M_exact(f.n):
+    for b, n2 in _gram_schmidt_with_l2_inner(f.n):
         proj = proj - b.scale(-l2_inner(f, b) / n2)
     return proj == f
 
@@ -249,8 +273,7 @@ def test_classify_r2():
     n = 5
     r2 = r_squared(n)
     assert r2.sphere_average() == 1
-    from coposlab.quartic import _basis_M_exact
-    assert all(l2_inner(r2, b) == 0 for b, _ in _basis_M_exact(n))
+    assert all(l2_inner(r2, b) == 0 for b, _ in _gram_schmidt_with_l2_inner(n))
     assert not _in_span_of_M(r2)
 
 
@@ -305,43 +328,23 @@ def test_v4_project_diagonal_direction():
 # ---------------------------------------------------------------------------
 
 def test_basis_M_count_and_orthonormality():
-    for n in (3, 5):
+    # one pass of Cholesky QR misses the 3e-14 bound from n = 7 on
+    for n in range(3, 13):
         basis = basis_M(n)
         assert basis.shape == (dim_M(n), n, n)
         _, gam = _l2_gram_float(n)
         t = np.array([coeff_vector(b, n) for b in basis])
-        assert np.abs(t @ gam @ t.T - np.eye(dim_M(n))).max() < 1e-12
+        assert np.abs(t @ gam @ t.T - np.eye(dim_M(n))).max() < 3e-14
         # zero sphere average: each b pairs to zero with r^2
-        assert np.abs(t @ gam @ coeff_vector(np.ones((n, n)), n)).max() < 1e-12
+        assert np.abs(t @ gam @ coeff_vector(np.ones((n, n)), n)).max() < 3e-14
 
 
-def _gram_schmidt_with_l2_inner(n: int) -> list:
-    """Reference: Gram-Schmidt on EvenQuartic objects, pairings by `l2_inner`."""
-    pivots = []
-    for i in range(n):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        rows[i][i] = Fraction(1)
-        pivots.append(EvenQuartic(tuple(map(tuple, rows))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = rows[j][i] = Fraction(1, 2)  # the monomial x_i^2 x_j^2
-            pivots.append(EvenQuartic(tuple(map(tuple, rows))))
-    r2 = r_squared(n)
-    out = []
-    for mono in pivots:
-        v = mono - r2.scale(mono.sphere_average())
-        for b, n2 in out:
-            v = v - b.scale(l2_inner(v, b) / n2)
-        if not v.is_zero():
-            out.append((v, l2_inner(v, v)))
-    return out
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_basis_M_exact_equals_gram_schmidt_with_l2_inner(n):
-    from coposlab.quartic import _basis_M_exact
-    assert list(_basis_M_exact(n)) == _gram_schmidt_with_l2_inner(n)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_basis_M_matches_gram_schmidt_with_l2_inner(n):
+    # the float Cholesky QR keeps the pivot order, so it is the exact basis
+    # up to roundoff
+    want = np.array([b.to_numpy() / math.sqrt(n2) for b, n2 in _gram_schmidt_with_l2_inner(n)])
+    assert np.abs(basis_M(n) - want).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

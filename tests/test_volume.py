@@ -100,8 +100,8 @@ def test_boundary_bisection_emits_no_runtime_warning(cone, n, mode):
     # the tight bisection queries boundary points where a refinement step of
     # the solver overflows; the step is rejected, and the radii are those
     # the solver gave before the overflow was silenced
-    want = [float.fromhex(h) for h in ("0x1.d464087600000p-2", "0x1.c4feb30a00000p-2",
-                                       "0x1.8eed4e8200000p-2", "0x1.e924034c00000p-2",
+    want = [float.fromhex(h) for h in ("0x1.d464087600000p-2", "0x1.c4feb30200000p-2",
+                                       "0x1.8eed4e7600000p-2", "0x1.e924034c00000p-2",
                                        "0x1.b463920a00000p-2")]
     spec = SectionSpec(cone=cone, n=n, mode=mode)
     with warnings.catch_warnings():
@@ -109,6 +109,16 @@ def test_boundary_bisection_emits_no_runtime_warning(cone, n, mode):
         got = [radial(spec, g, method="bisect", bisect_tol=1e-9)
                for g in unit_directions(spec.dim, 5, seed=12)]
     assert got == want
+
+
+def test_lf_section_above_n8_is_refused_before_building_generators(monkeypatch):
+    # one permutation orbit at n = 9 would hold 9! = 362880 generators; with
+    # no permutations at hand a missing check fails at once, not at 1 GB
+    monkeypatch.setattr(volume, "permutations", None)
+    with pytest.raises(ValueError, match="362880"):
+        SectionSpec(cone="lf", n=9, mode="inner")
+    with pytest.raises(ValueError, match="n must be <= 8"):
+        volume.lf_generators(10, 16, seed=0)
 
 
 def test_lf_inner_radius_is_one_lp():
