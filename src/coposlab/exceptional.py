@@ -202,8 +202,8 @@ def build_ednn_sdp(epsilon, m: int, mprime: int) -> SdpProblem:
     this constraint set).  Degree m = 12 with mprime = 6 reaches pairings
     down to about -0.227.
     """
-    if mprime > m:
-        raise ValueError("mprime must not exceed m")
+    if not 0 <= mprime <= m:
+        raise ValueError(f"the degrees must satisfy 0 <= mprime <= m, got m={m}, mprime={mprime}")
     eps = Fraction(epsilon)
     if eps < 0:
         raise ValueError("epsilon must be >= 0")

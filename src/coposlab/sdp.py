@@ -22,8 +22,11 @@ X and S are the same diagonal matrix; there the complementarity is
 linearized and the step to the boundary is read off.  Each step is a
 Mehrotra predictor-corrector: an affine direction fixes the centering
 parameter and its second-order term corrects the combined direction.
-Iterative refinement on the full Newton system keeps a correction only if it
-lowers the system's residual, so it never accepts a worse direction.  A
+Each KKT solve is one LU solve in double precision.  The one iterative
+refinement is on the full Newton system (Vandenberghe 2010, section 4): it
+keeps a correction only if it lowers the system's residual, so it never
+accepts a worse direction.  When the combined direction's step collapses, a
+nearly pure centering direction is tried before the solve gives up.  A
 scaling, KKT matrix or direction that is not finite ends the solve as
 INDETERMINATE with the reason.
 
@@ -370,79 +373,60 @@ class _Standard:
 
 
 def _presolve(A: np.ndarray, b: np.ndarray, qr):
-    """Row scaling, duplicate removal and rank filtering; qr is
-    scipy.linalg.qr.
+    """Row scaling and rank filtering; qr is scipy.linalg.qr.
 
-    Returns (A2, b2, keep, scales, bad) where bad is None or a tuple
-    (y_certificate) exposing inconsistent dependent rows.
+    A row that repeats another after scaling is a dependent row, so the
+    pivoted QR of A^T drops it with the others.  Returns
+    (A2, b2, keep, scales, bad) where bad is None or a tuple (y_certificate)
+    exposing inconsistent dependent rows.
     """
     m = A.shape[0]
     scales = np.maximum(np.abs(A).max(axis=1), np.abs(b))
     scales = np.where(scales > 0, scales, 1.0)
     A1 = A / scales[:, None]
     b1 = b / scales
-
-    seen = {}
-    keep = []
-    for i in range(m):
-        key = (A1[i].tobytes(), float(b1[i]))
-        if key in seen:
-            continue
-        seen[key] = i
-        keep.append(i)
-    dropped = m - len(keep)
-    A1k = A1[keep]
-    b1k = b1[keep]
-
-    # rank filter via pivoted QR of A^T
-    if A1k.shape[0] > 1:
-        q, r, piv = qr(A1k.T, mode="economic", pivoting=True)
+    keep = list(range(m))
+    if m > 1:
+        _, r, piv = qr(A1.T, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
-        tol = max(A1k.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+        tol = max(A1.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
         rank = int((diag > max(tol, 1e-13)).sum())
-        if rank < A1k.shape[0]:
-            ind = sorted(piv[:rank])
-            dep = [i for i in range(A1k.shape[0]) if i not in set(ind)]
-            Ai = A1k[ind]
-            for i in dep:
-                lam, res, _, _ = np.linalg.lstsq(Ai.T, A1k[i], rcond=None)
-                gap = float(lam @ b1k[ind] - b1k[i])
+        if rank < m:
+            keep = sorted(piv[:rank])
+            for i in sorted(piv[rank:]):
+                lam = np.linalg.lstsq(A1[keep].T, A1[i], rcond=None)[0]
+                gap = float(lam @ b1[keep] - b1[i])
                 if abs(gap) > 1e-8:
                     # inconsistent dependent row: explicit infeasibility certificate
                     y = np.zeros(m)
                     sgn = -1.0 if gap < 0 else 1.0
-                    for pos, j in enumerate(ind):
-                        y[keep[j]] = sgn * lam[pos] / scales[keep[j]]
-                    y[keep[i]] = -sgn / scales[keep[i]]
+                    y[keep] = sgn * lam / scales[keep]
+                    y[i] = -sgn / scales[i]
                     return None, None, None, None, y
-            dropped += len(dep)
-            keep = [keep[i] for i in ind]
-            A1k = A1[keep]
-            b1k = b1[keep]
-    if dropped:
-        # a duplicate after row scaling is a dependent row too
-        warnings.warn(f"dropping {dropped} linearly dependent constraint rows")
-    return A1k, b1k, keep, scales, None
+            warnings.warn(f"dropping {m - rank} linearly dependent constraint rows")
+    return A1[keep], b1[keep], keep, scales, None
 
 
 # ---------------------------------------------------------------------------
 # the HSDE interior-point solver
 # ---------------------------------------------------------------------------
 
-def sdp_solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 200) -> SdpSolution:
+_MAX_ITER = 200  # interior-point iterations before a solve ends INDETERMINATE
+
+
+def sdp_solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
     """Solve the block SDP; deterministic for identical inputs.
 
     Status semantics: OPTIMAL / FEASIBLE_POINT carry a primal point whose
     blocks satisfy the cone and constraint residuals at tol; INFEASIBLE
     carries a DualRay; INDETERMINATE signals numerical failure or the
-    iteration cap, never a silent success.  This is sdp_solve_many on a
-    stack of one problem.
+    iteration cap (_MAX_ITER), never a silent success.  This is
+    sdp_solve_many on a stack of one problem.
     """
-    return sdp_solve_many([problem], tol, max_iter)[0]
+    return sdp_solve_many([problem], tol)[0]
 
 
-def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9,
-                   max_iter: int = 200) -> List[SdpSolution]:
+def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9) -> List[SdpSolution]:
     """Solve problems of one layout in one interior-point loop, in order.
 
     The problems must share psd_block_dims, nonneg_dim and free_dim, and
@@ -484,7 +468,7 @@ def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9,
     if len({len(p.b) for p in prepared}) > 1:
         raise ValueError("problems must keep the same number of rows after presolve")
     if prepared:
-        for k, sol in zip(where, _ipm(std, prepared, tol, max_iter, dgetrf, dgetrs)):
+        for k, sol in zip(where, _ipm(std, prepared, tol, dgetrf, dgetrs)):
             out[k] = sol
     return out
 
@@ -532,7 +516,7 @@ def _pick(mask: np.ndarray, a, b):
     return np.where(mask.reshape((-1,) + (1,) * (np.ndim(a) - 1)), a, b)
 
 
-def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int,
+def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
          getrf, getrs) -> List[SdpSolution]:
     """The HSDE loop over a stack of prepared problems; their solutions, in
     order.  getrf and getrs are LAPACK's dgetrf and dgetrs."""
@@ -571,7 +555,7 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int,
         gone[list(ends)] = True
         st.keep(~gone)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         st.mu = (_dot(st.xk, st.s) + st.tau * st.kappa) / (std.nu + 1)
         broke = ~np.isfinite(st.mu) | (st.tau <= 0) | (st.kappa < 0)
         if np.count_nonzero(broke):
@@ -650,7 +634,7 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float, max_iter: int,
         st.kappa = st.kappa + alpha * d[5]
 
     end({i: (SdpStatus.INDETERMINATE, None, "iteration cap reached")
-         for i in range(len(st.pos))}, max_iter)
+         for i in range(len(st.pos))}, _MAX_ITER)
     return out
 
 
@@ -750,41 +734,14 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
     require(np.isfinite(Mext).all(axis=(1, 2)), ok, "non-finite KKT matrix")
     lus = [_kkt_factor(Mext[i], m, getrf) if ok[i] else None for i in range(k)]
     fail(np.array([lu is None for lu in lus]), "KKT factorization failed")
-    if np.count_nonzero(ok) < k:
-        Mext[~ok] = np.eye(dim)
-    Mext_ld = Mext.astype(np.longdouble)
 
     def kkt_solve(r1, r2, act):
-        # rows outside act are left at zero
+        # one getrs per active problem; rows outside act are left at zero
         rhs = np.concatenate([r1, r2], axis=1)
         require(np.isfinite(rhs).all(axis=1), act, "non-finite Newton direction")
-        act = act & ok
-        if np.count_nonzero(act) < k:
-            rhs = _pick(act, rhs, 0.0)
         sol = np.zeros_like(rhs)
-        rows = act.nonzero()[0]
-        for i in rows:
+        for i in (act & ok).nonzero()[0]:
             sol[i] = getrs(*lus[i], rhs[i])[0]
-        # iterative refinement with extended-precision residuals
-        rhs_ld = rhs.astype(np.longdouble)
-        corr = np.zeros_like(sol)
-        for _ in range(2):
-            resid = np.asarray(rhs_ld - _mv(Mext_ld, sol.astype(np.longdouble)), dtype=float)
-            finite = np.isfinite(resid).all(axis=1)
-            if np.count_nonzero(finite) < k:
-                fail(act & ~finite, "non-finite Newton direction")
-                act &= ok
-                rows = act.nonzero()[0]
-            for i in rows:
-                corr[i] = getrs(*lus[i], resid[i])[0]
-            if len(rows) == k:
-                sol += corr
-            else:
-                sol[rows] += corr[rows]
-            act &= ~(np.abs(corr).max(axis=1) <= 1e-16 * (1.0 + np.abs(sol).max(axis=1)))
-            rows = act.nonzero()[0]
-            if not len(rows):
-                break
         return sol[:, :m], sol[:, m:]
 
     rp = _mv(AK, xk) + _mv(AF, xf) - b * tau[:, None]

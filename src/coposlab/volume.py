@@ -16,8 +16,9 @@ the rational Gram determinant of the vertex differences, D^T Gamma D with
 Gamma the exact L2 Gram table `quartic._l2_gram_exact` (`vrad_nn_exact`).
 The orthonormal basis of M (`quartic.basis_M`) is built in floats from the
 float copy of that table, and the coordinate maps pair through it.  The radial
-problem is linear in t, so no section bisects unless asked to
-(`radial(method="bisect")`) or unless its membership is itself a search.
+problem is linear in t, so no section bisects unless its membership is
+itself a search; `_bisect` on the membership oracle stays as the generic
+reference that the tests hold every other method to.
 `_radii` is the one place that picks the radius method of a section, for a
 stack of directions:
 
@@ -367,7 +368,7 @@ def _radial_spn(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     """
     probs = [pn_problem(spec._center_mat, d_mat) for d_mat in d_mats]
     radii = np.empty(len(probs))
-    for k, sol in enumerate(sdp_solve_many(probs, tol=1e-8, max_iter=200)):
+    for k, sol in enumerate(sdp_solve_many(probs, tol=1e-8)):
         if sol.status != SdpStatus.OPTIMAL:
             raise RadialError(f"parametric SPN radial failed: {sol.message}")
         radii[k] = sol.free[0]
@@ -424,20 +425,14 @@ def _radii(spec: SectionSpec, dirs: np.ndarray, bisect_tol: float) -> np.ndarray
     return np.array([_bisect(spec, g, bisect_tol) for g in dirs])
 
 
-def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9,
-           method: str = "auto") -> float:
+def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9) -> float:
     """Largest t with center + t * direction inside the section.
 
-    method="auto" is `_radii` on a stack of one, so the radius equals the
-    one `vrad_mc` computes in its blocks.  method="bisect" forces bisection
-    on the membership oracle, the generic reference path, for every section.
+    This is `_radii` on a stack of one, so the radius equals the one
+    `vrad_mc` computes in its blocks.
     """
     g = np.asarray(direction, dtype=float)
     _check_unit(g)
-    if method not in ("auto", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "bisect":
-        return _bisect(spec, g, bisect_tol)
     return float(_radii(spec, g[None, :], bisect_tol)[0])
 
 

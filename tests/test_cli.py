@@ -281,6 +281,14 @@ def test_construct_ednn_cli_and_library_share_their_degrees():
     assert (args.m, args.mprime) == exceptional.construct_ednn.__defaults__[:2] == (12, 6)
 
 
+@pytest.mark.parametrize("argv", [["--mprime", "-1"], ["--m", "-3", "--mprime", "-4"]])
+def test_construct_ednn_bad_degrees_exit_64(argv, capsys):
+    assert cli.main(["construct-ednn", *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0 <= mprime <= m" in json.loads(captured.err)["error"]
+
+
 def test_construct_ednn_default_exits_0(capsys):
     assert cli.main(["construct-ednn"]) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)

@@ -140,3 +140,9 @@ def test_build_ednn_sdp_is_pinned():
     d = build_ednn_sdp(Fraction(1, 20), 12, 6).to_json_dict()
     digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
     assert digest == "9ebf4763fe0e93c0e9a0c40964f141a485908c35af4d45d11ae9081e6b7e6ec5"
+
+
+@pytest.mark.parametrize("m,mprime", [(12, -1), (-3, -4), (4, 5)])
+def test_build_ednn_sdp_refuses_degrees_outside_zero_to_m(m, mprime):
+    with pytest.raises(ValueError, match="0 <= mprime <= m"):
+        build_ednn_sdp(Fraction(1, 20), m, mprime)
