@@ -21,10 +21,9 @@ JSON line: per family the inputs, stalls and their reasons, dual
 infeasible and failed re-checks, and the total stall count.  Takes about
 half a minute on one core.  Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/solver_census.py [--family NAME ...]
+    PYTHONPATH=src python3 scripts/solver_census.py
 """
 
-import argparse
 import json
 import sys
 from collections import Counter
@@ -107,10 +106,10 @@ FAMILIES = {"rank1_pn": rank1_pn, "rank1_sos0": rank1_sos0, "random": random_sdp
 NOT_STALLS = ("solved", "dual infeasible", "check failed")
 
 
-def census(names):
+def census():
     out = {}
-    for name in names:
-        outcomes = Counter(FAMILIES[name]())
+    for name, family in FAMILIES.items():
+        outcomes = Counter(family())
         reasons = {k: v for k, v in sorted(outcomes.items()) if k not in NOT_STALLS}
         out[name] = {"inputs": sum(outcomes.values()), "stalls": sum(reasons.values()),
                      "reasons": reasons, "dual_infeasible": outcomes["dual infeasible"],
@@ -118,12 +117,8 @@ def census(names):
     return {"families": out, "stalls": sum(f["stalls"] for f in out.values())}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--family", action="append", choices=sorted(FAMILIES),
-                    help="census only this family (repeatable); default all three")
-    args = ap.parse_args(argv)
-    print(json.dumps(census(args.family or list(FAMILIES))))
+def main() -> int:
+    print(json.dumps(census()))
     return 0
 
 

@@ -165,14 +165,6 @@ def test_cop_inner_sum_of_nontrivial_summands_solves_an_sdp(sdp_calls):
     assert cert.check(quartic_target(SymMatrix(a), r), 1e-7)
 
 
-def test_spn_sdp_rank_one_boundary_input():
-    # the certify bench's rank1/n16 input at seed 1
-    a = _rank_one_mixed(np.random.default_rng([1, zlib.crc32(b"certify-rank1-16")]), 16)
-    res = cones._spn_sdp(a, 1e-9)
-    assert isinstance(res, SpnPair)
-    assert res.check(a, 1e-9)
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("n", range(3, 21))
 def test_spn_sdp_solves_every_rank_one_bench_input(seed, n):

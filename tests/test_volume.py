@@ -95,9 +95,8 @@ def test_parametric_radii_match_bisection(cone, n, mode):
 
 @pytest.mark.parametrize("cone,n,mode", [("spn", 4, None), ("cop", 4, "exact")])
 def test_boundary_bisection_emits_no_runtime_warning(cone, n, mode):
-    # the tight bisection queries boundary points, where a refinement step of
-    # the solver can overflow; such a step is rejected without a warning,
-    # and the radii are pinned bit for bit
+    # the tight bisection's radii are pinned bit for bit, with warnings
+    # raised as errors
     want = [float.fromhex(h) for h in ("0x1.d464087600000p-2", "0x1.c4feb38200000p-2",
                                        "0x1.8eed4e7e00000p-2", "0x1.e924034c00000p-2",
                                        "0x1.b463920a00000p-2")]
