@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -239,6 +240,10 @@ def cmd_check_bounds(args) -> int:
                                       ci_low=float(d["ci"][0]), ci_high=float(d["ci"][1]),
                                       samples=int(d["samples"]), seed=int(d["seed"]),
                                       dim=int(d["dim"]))
+            lo, x, hi = est.ci_low, est.point_estimate, est.ci_high
+            if not (0 <= lo <= x <= hi < math.inf and x > 0):
+                raise ValueError(f"need finite 0 <= ci_low <= estimate <= ci_high and "
+                                 f"estimate > 0, got estimate {x} and ci [{lo}, {hi}]")
         except KeyError as exc:
             raise CliUsage(f"malformed vrad report {path}: missing key {exc}")
         except (IndexError, TypeError, ValueError) as exc:

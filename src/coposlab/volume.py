@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -442,14 +443,14 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9) -> float:
 
 def vrad_mc(spec: SectionSpec, samples: int, seed: int,
             bisect_tol: float = 1e-6) -> VradEstimate:
-    """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with a bootstrap CI
-    from 200 resamples.
+    """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with a 95% CI.
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
     translation invariant).  The directions go to `_radii` in blocks of
     `_BLOCK`, in one process and thread; `bisect_tol` matters only to the
-    bisecting sections (cop inner/outer, cp outer).  The result is
-    deterministic given (seed, samples).
+    bisecting sections (cop inner/outer, cp outer).  The CI is the
+    delta-method interval of log E[r^d], mapped through the 1/d power.  The
+    result is deterministic given (seed, samples).
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -462,16 +463,10 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
 
     powers = radii ** d
     est = float(powers.mean() ** (1.0 / d))
-    brng = np.random.RandomState(seed + 101)
-    stats = []
-    for _ in range(200):
-        idx = brng.randint(0, samples, size=samples)
-        stats.append(float(powers[idx].mean() ** (1.0 / d)))
-    lo, hi = np.percentile(stats, [2.5, 97.5])
-    lo = min(lo, est)
-    hi = max(hi, est)
-    return VradEstimate(cone=spec.cone, n=spec.n, mode=spec.mode,
-                        point_estimate=est, ci_low=float(lo), ci_high=float(hi),
+    z = NormalDist().inv_cdf(0.975)
+    rel = z * float(powers.std(ddof=1)) / (float(powers.mean()) * math.sqrt(samples))
+    return VradEstimate(cone=spec.cone, n=spec.n, mode=spec.mode, point_estimate=est,
+                        ci_low=est * math.exp(-rel / d), ci_high=est * math.exp(rel / d),
                         samples=samples, seed=seed, dim=d)
 
 

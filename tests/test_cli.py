@@ -219,7 +219,11 @@ def test_check_bounds_on_a_file_exits_64(tmp_path, capsys):
     (json.dumps({"cone": "nn", "estimate": 0.2, "n": 3, "ci": None, "samples": 100,
                  "seed": 1, "dim": 5}), "not subscriptable"),
     ("{not json", "Expecting property name"),
-], ids=["no-ci", "null-ci", "not-json"])
+    (json.dumps({"cone": "nn", "estimate": 0.2, "n": 3, "ci": [0.5, 0.1], "samples": 100,
+                 "seed": 1, "dim": 5}), "need finite 0 <= ci_low <= estimate <= ci_high"),
+    ('{"cone": "nn", "estimate": NaN, "n": 3, "ci": [-Infinity, Infinity], "samples": 100,'
+     ' "seed": 1, "dim": 5}', "need finite 0 <= ci_low <= estimate <= ci_high"),
+], ids=["no-ci", "null-ci", "not-json", "reversed-ci", "nan-estimate-infinite-ci"])
 def test_check_bounds_malformed_report_exits_64_naming_the_file(text, reason, tmp_path, capsys):
     path = tmp_path / "nn.json"
     path.write_text(text, encoding="utf-8")

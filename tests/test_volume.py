@@ -1,5 +1,6 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ def test_ball_estimate_is_the_radius():
     est = vrad_mc(spec, 500, seed=3)
     assert abs(est.point_estimate - 1.7) <= 1e-12
     assert est.ci_low <= est.point_estimate <= est.ci_high
+    assert est.ci_high - est.ci_low <= 1e-12 * 1.7
 
 
 def test_sections_without_closed_form_are_refused():
@@ -134,6 +136,30 @@ def test_vrad_mc_spans_several_blocks():
     radii = section_radii(spec, dirs)
     want = float(np.mean(radii ** spec.dim) ** (1.0 / spec.dim))
     assert vrad_mc(spec, samples, seed=9).point_estimate == want
+
+
+def test_vrad_mc_ci_is_the_delta_method_interval():
+    # the 95% interval of log E[r^d], mapped through the 1/d power
+    spec = SectionSpec(cone="psd", n=4)
+    samples, d = 500, spec.dim
+    dirs = np.random.RandomState(5).standard_normal((samples, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    p = section_radii(spec, dirs) ** d
+    est = float(p.mean() ** (1.0 / d))
+    rel = NormalDist().inv_cdf(0.975) * float(p.std(ddof=1)) / (float(p.mean()) * math.sqrt(samples))
+    got = vrad_mc(spec, samples, seed=5)
+    assert (got.point_estimate, got.ci_low, got.ci_high) == \
+        (est, est * math.exp(-rel / d), est * math.exp(rel / d))
+
+
+def test_vrad_mc_ci_covers_the_exact_nn_radius():
+    # 40 fixed seeds at n=3, where the estimator is sound: a 95% interval
+    # should hold the exact value about 38 times; 36 leaves room for chance
+    spec = SectionSpec(cone="nn", n=3)
+    exact = volume.vrad_nn_exact(3)
+    hits = sum(e.ci_low <= exact <= e.ci_high
+               for e in (vrad_mc(spec, 2000, seed=s) for s in range(40)))
+    assert hits >= 36
 
 
 @pytest.mark.parametrize("n", range(3, 11))
