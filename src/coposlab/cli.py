@@ -4,7 +4,10 @@ the bundled-reference verification suite.
 All commands emit a machine-readable JSON report on stdout (or --out FILE);
 --pretty switches to indented rendering.  Exit codes: 0 all checks passed or
 feasible, 1 certified negative (refuted or infeasible), 2 indeterminate,
-64 usage or input-format error.
+64 usage or input error: a bad option, a malformed matrix file (invalid JSON,
+wrong shape, a non-numeric, non-finite or out-of-range entry, an asymmetric
+matrix), or a construct-ecop --in matrix that is not certified doubly
+nonnegative.
 
 scipy is imported on first use, by an SDP or LP solve, so certify of nn, psd
 and dnn, certify of spn and cop on a PSD or NN input, vrad of a closed-form

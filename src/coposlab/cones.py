@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .numerics import (CholeskyFactor, NegVector, QSqrt2, SymMatrix,
-                       psd_certificate, sym_eigen)
+                       psd_certificate, sym_eigen, sym_from_upper)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
 from .sdp import (BasisDeficiencyError, DualRay, LinExpr, SdpProblem,
                   SdpStatus, SdpSolution, even_sos_assemble, gram_form_coeffs,
@@ -155,16 +155,6 @@ def membership_basic(a: SymMatrix, cone: str, tol: float = 1e-9):
 def _upper_pairs(n: int) -> List[Tuple[int, int]]:
     """The upper entries (i, j), i <= j, of an n x n matrix, row by row."""
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def sym_from_upper(n: int, values) -> np.ndarray:
-    """The symmetric n x n matrix whose upper entries, in _upper_pairs
-    order, are values."""
-    m = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    m[iu] = values
-    m.T[iu] = values
-    return m
 
 
 def _summand_split(arr: np.ndarray, tol: float) -> Optional[SpnPair]:

@@ -39,10 +39,9 @@ from typing import List, Tuple
 import numpy as np
 
 from .cones import (InfeasibilityCert, SosGram, cp_refute, frobenius,
-                    horn_matrix, kr_problem, membership_basic, sym_from_upper,
-                    _indeterminate)
-from .numerics import (PivotList, QSqrt2, SymMatrix, exact_ldl_psd,
-                       matrix_loads)
+                    horn_matrix, kr_problem, membership_basic, _indeterminate)
+from .numerics import (NegVector, PivotList, QSqrt2, SymMatrix,
+                       exact_ldl_psd, matrix_loads, sym_from_upper)
 from .sdp import LinExpr, SdpProblem, SdpStatus, sdp_solve
 
 _SQRT2 = math.sqrt(2.0)
@@ -281,8 +280,10 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
                    dump_sdp=None):
     """Find copositive-but-not-SPN C: <A, C> = -eps' and (sum x^2)^k q_C SOS.
 
-    A must be (certified) doubly nonnegative; the pairing <A, C> < 0 then
-    separates C from PSD + NN, while the Gram certificate keeps C copositive.
+    A must be doubly nonnegative; the pairing <A, C> < 0 then separates C
+    from PSD + NN, while the Gram certificate keeps C copositive.  An A that
+    membership_basic(A, "dnn", tol) does not certify raises ValueError
+    naming the failed part (nn or psd).
     The SOS condition is even, so the SDP is solved block-diagonally by
     exponent parity (even_sos_assemble); the Gram certificate is still over
     the full monomial basis of degree k + 2, and an infeasibility ray is
@@ -294,6 +295,15 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
     epsp = Fraction(epsilon_prime)
     if epsp <= 0:
         raise ValueError("epsilon_prime must be > 0")
+    is_dnn, cert = membership_basic(a, "dnn", tol)
+    if not is_dnn:
+        nn, psd = cert["nn"], cert["psd"]
+        failed = []
+        if "position" in nn:
+            failed.append(f"nn fails at entry {nn['position']} = {nn['min_entry']:.6g}")
+        if isinstance(psd, NegVector):
+            failed.append(f"psd fails with v^T A v = {psd.value:.6g}")
+        raise ValueError("A is not doubly nonnegative: " + "; ".join(failed))
     arr = a.to_numpy()
     prob, layout = kr_problem(arr, k, -float(epsp))
     if dump_sdp:

@@ -10,6 +10,7 @@ r + s*sqrt(2) is decidable by comparing r^2 against 2 s^2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -284,7 +285,8 @@ def _parse_exact_entry(e, where: str) -> QSqrt2:
         try:
             r = Fraction(int(e["r"][0]), int(e["r"][1]))
             s = Fraction(int(e.get("s", [0, 1])[0]), int(e.get("s", [0, 1])[1]))
-        except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
             raise MatrixFormatError(f"bad exact entry at {where}: {e!r}") from exc
         return QSqrt2(r, s)
     if isinstance(e, int):
@@ -292,39 +294,94 @@ def _parse_exact_entry(e, where: str) -> QSqrt2:
     raise MatrixFormatError(f"bad exact entry at {where}: {e!r}")
 
 
+def sym_from_upper(n: int, values) -> np.ndarray:
+    """The symmetric n x n matrix whose upper entries (i, j), i <= j, row by
+    row, are values."""
+    m = np.zeros((n, n))
+    iu = np.triu_indices(n)
+    m[iu] = values
+    m.T[iu] = values
+    return m
+
+
+def _bad_float_entry(entries: list, upper: bool) -> MatrixFormatError:
+    """The error naming the first entry that is neither a float nor an
+    integer numpy stores in 64 bits (-2**63 <= e < 2**64)."""
+    for i, row in enumerate(entries):
+        for k, e in enumerate(row):
+            if not (isinstance(e, float) or (isinstance(e, int) and -2**63 <= e < 2**64)):
+                j = i + k if upper else k
+                return MatrixFormatError(f"bad float entry at row {i}, column {j}: {e!r}")
+    return MatrixFormatError("float entries do not form a matrix")
+
+
+def _float_matrix(entries: list, n: int, upper: bool) -> SymMatrix:
+    """The float flavor from one numpy conversion of all the entries; the
+    per-entry scan runs only to name a bad entry."""
+    try:
+        vals = np.array(list(itertools.chain.from_iterable(entries)) if upper else entries)
+    except ValueError:  # a nested list among the entries
+        vals = None
+    shape = (n * (n + 1) // 2,) if upper else (n, n)
+    if vals is None or vals.dtype.kind not in "biuf" or vals.shape != shape:
+        raise _bad_float_entry(entries, upper)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = int(bad[0])
+        i, j = (int(ix[k]) for ix in np.triu_indices(n)) if upper else divmod(k, n)
+        raise MatrixFormatError(f"non-finite entry at row {i}, column {j}")
+    try:
+        return SymMatrix(sym_from_upper(n, vals) if upper else vals)
+    except ValueError as exc:  # the shape is checked, so only symmetry can fail
+        raise MatrixFormatError("matrix is not symmetric") from exc
+
+
 def matrix_from_json_dict(d: dict) -> SymMatrix:
+    """The SymMatrix a matrix JSON object describes.
+
+    The object has the keys "n" (the size, >= 1), "flavor" ("float" or
+    "exact") and "entries": either n full rows of n entries, or, for n > 1,
+    the upper-triangular rows, row i holding the n - i entries from the
+    diagonal on.  A float entry is a finite JSON number, and an integer
+    entry must lie in -2**63 <= e < 2**64.  An exact entry is an int or an
+    object {"r": [p, q], "s": [p', q']} standing for p/q + (p'/q')*sqrt(2),
+    "s" defaulting to 0.  Full float rows must be symmetric to within
+    1e-12 * (1 + max |a_ij|); exact rows, exactly.  Any other input raises
+    MatrixFormatError naming the first bad row or entry.
+    """
     try:
         n = int(d["n"])
         flavor = d["flavor"]
         entries = d["entries"]
     except (KeyError, TypeError) as exc:
         raise MatrixFormatError(f"missing field: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise MatrixFormatError(f"bad n: {exc}") from exc
     if flavor not in ("exact", "float"):
         raise MatrixFormatError(f"unknown flavor {flavor!r}")
+    if n < 1:
+        raise MatrixFormatError("n must be >= 1")
+    if not isinstance(entries, list):
+        raise MatrixFormatError(f"entries must be a list of rows, got {entries!r}")
     if len(entries) != n:
         raise MatrixFormatError(f"expected {n} rows, got {len(entries)}")
-    ragged = all(len(entries[i]) == n - i for i in range(n)) and n > 1
+    upper = n > 1 and all(isinstance(row, list) and len(row) == n - i
+                          for i, row in enumerate(entries))
+    if not upper:
+        for i, row in enumerate(entries):
+            if not isinstance(row, list):
+                raise MatrixFormatError(f"row {i} is not a list: {row!r}")
+            if len(row) != n:
+                raise MatrixFormatError(f"row {i} has {len(row)} entries, expected {n}")
+    if flavor == "float":
+        return _float_matrix(entries, n, upper)
     full = [[None] * n for _ in range(n)]
     for i, row in enumerate(entries):
-        if not ragged and len(row) != n:
-            raise MatrixFormatError(f"row {i} has {len(row)} entries, expected {n}")
         for k, e in enumerate(row):
-            j = i + k if ragged else k
-            where = f"row {i}, column {j}"
-            if flavor == "float":
-                if not isinstance(e, (int, float)):
-                    raise MatrixFormatError(f"bad float entry at {where}: {e!r}")
-                v = float(e)
-            else:
-                v = _parse_exact_entry(e, where)
-            full[i][j] = v
-            if ragged:
-                full[j][i] = v
-    if flavor == "float":
-        arr = np.array(full, dtype=float)
-        if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(arr).max())):
-            raise MatrixFormatError("matrix is not symmetric")
-        return SymMatrix(arr)
+            j = i + k if upper else k
+            full[i][j] = _parse_exact_entry(e, f"row {i}, column {j}")
+            if upper:
+                full[j][i] = full[i][j]
     for i in range(n):
         for j in range(i):
             if full[i][j] != full[j][i]:

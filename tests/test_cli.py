@@ -123,6 +123,35 @@ def test_certify_bad_input_file_exits_64(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("n,entries,reason", [
+    (2, "5", "entries must be a list of rows, got 5"),
+    (2, "[1.0, 2.0]", "row 0 is not a list: 1.0"),
+    (2, "[[1.0, 1%s], [2.0, 1.0]]" % ("0" * 400), "bad float entry at row 0, column 1: 1000"),
+    (0, "[]", "n must be >= 1"),
+], ids=["entries-5", "flat-rows", "int-above-float-range", "n-0"])
+def test_certify_malformed_float_file_exits_64_with_the_reason(n, entries, reason,
+                                                               tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(f'{{"n": {n}, "flavor": "float", "entries": {entries}}}', encoding="utf-8")
+    assert cli.main(["certify", "--cone", "nn", "--in", str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith(f"malformed matrix file {path}: {reason}")
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_certify_non_finite_entry_exits_64_naming_it(token, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(f'{{"n": 2, "flavor": "float", "entries": [[1.0, 1.0], [{token}, 1.0]]}}',
+                    encoding="utf-8")
+    assert cli.main(["certify", "--cone", "nn", "--in", str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        f"malformed matrix file {path}: non-finite entry at row 1, column 0")
+
+
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     path = _write(tmp_path, np.eye(3))
@@ -278,6 +307,15 @@ def test_construct_ecop_bundled_a5_exits_0(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "feasible"
     assert report["pairing"] < 0.0
+
+
+def test_construct_ecop_refuses_an_input_that_is_not_dnn(tmp_path, capsys):
+    a = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # PSD, not NN
+    assert cli.main(["construct-ecop", "--in", _write(tmp_path, a)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("A is not doubly nonnegative: nn fails") and "psd" not in error
 
 
 def test_construct_ednn_cli_and_library_share_their_degrees():

@@ -31,6 +31,12 @@ def test_construct_ecop_pairs_and_certifies(k):
     assert gram.check(target, 1e-6)
 
 
+def test_construct_ecop_refuses_a_nonnegative_input_that_is_not_psd():
+    a = SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
+    with pytest.raises(ValueError, match=r"not doubly nonnegative: psd fails with v\^T A v = -1$"):
+        construct_ecop(a, Fraction(1, 10), 1)
+
+
 def test_construct_ecop_infeasible_ray_on_dense_rows_plus_pairing():
     # <I, C> = trace C >= 0 for every copositive C, so -1/10 is out of reach
     res = construct_ecop(SymMatrix(np.eye(5)), Fraction(1, 10), 1)

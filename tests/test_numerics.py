@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coposlab.numerics import (CholeskyFactor, NegVector, PivotList, QSqrt2,
                                Refutation, SymMatrix, exact_ldl_psd,
                                matrix_dumps, matrix_loads, psd_certificate,
-                               sym_eigen, MatrixFormatError)
+                               sym_eigen, sym_from_upper, MatrixFormatError)
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -406,3 +406,99 @@ def test_matrix_json_rejects_asymmetry_with_position():
 def test_matrix_json_reports_parse_position():
     with pytest.raises(MatrixFormatError, match="line"):
         matrix_loads("{not json")
+
+
+def _reference_float_load(text: str) -> SymMatrix:
+    """Reference float loader: one isinstance, float() and store per entry,
+    then its own symmetry check.  matrix_loads must match it bit for bit."""
+    d = json.loads(text)
+    n, entries = int(d["n"]), d["entries"]
+    ragged = all(len(entries[i]) == n - i for i in range(n)) and n > 1
+    full = [[None] * n for _ in range(n)]
+    for i, row in enumerate(entries):
+        for k, e in enumerate(row):
+            j = i + k if ragged else k
+            if not isinstance(e, (int, float)):
+                raise MatrixFormatError(f"bad float entry at row {i}, column {j}: {e!r}")
+            full[i][j] = float(e)
+            if ragged:
+                full[j][i] = full[i][j]
+    arr = np.array(full, dtype=float)
+    if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(arr).max())):
+        raise MatrixFormatError("matrix is not symmetric")
+    return SymMatrix(arr)
+
+
+_FLOATS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+_INTS = st.integers(-2**63, 2**64 - 1)
+
+
+@st.composite
+def _float_matrix_texts(draw):
+    """A float matrix file: full or upper-triangular rows of floats, ints or
+    both, the full rows symmetric, within tolerance of it, or not at all."""
+    n = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from([_FLOATS, _INTS, _FLOATS | _INTS]))
+    upper = draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    full = [[None] * n for _ in range(n)]
+    for (i, j), v in zip(zip(*np.triu_indices(n)), upper):
+        full[i][j] = full[j][i] = v
+    layout = draw(st.sampled_from(["full", "upper", "nudged", "asymmetric"]))
+    if layout == "upper":
+        rows = [full[i][i:] for i in range(n)]
+    else:
+        rows = full
+        if layout != "full":
+            step = 1.0 if layout == "asymmetric" else 1e-15
+            rows = [[v if j >= i else float(v) * (1.0 + step) for j, v in enumerate(row)]
+                    for i, row in enumerate(full)]
+    return json.dumps({"n": n, "flavor": "float", "entries": rows})
+
+
+def _loaded_bytes(load, text):
+    try:
+        return load(text).to_numpy().tobytes()
+    except MatrixFormatError:
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_matrix_texts())
+def test_matrix_loads_matches_the_per_entry_reference_bit_for_bit(text):
+    assert _loaded_bytes(matrix_loads, text) == _loaded_bytes(_reference_float_load, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_FLOATS, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))))
+def test_matrix_float_json_roundtrip(n_upper):
+    m = SymMatrix(sym_from_upper(*n_upper))
+    assert matrix_loads(matrix_dumps(m)) == m
+
+
+@pytest.mark.parametrize("text,error", [
+    ('{"n": 0, "flavor": "float", "entries": []}', "n must be >= 1"),
+    ('{"n": 1e400, "flavor": "float", "entries": []}', "bad n: cannot convert float infinity"),
+    ('{"n": 2, "flavor": "float", "entries": 5}', "entries must be a list of rows"),
+    ('{"n": 2, "flavor": "float", "entries": [1.0, 2.0]}', "row 0 is not a list"),
+    ('{"n": 2, "flavor": "float", "entries": [[1.0], [2.0, 1.0]]}', "row 0 has 1 entries"),
+    ('{"n": 2, "flavor": "float", "entries": [[1.0, null], [2.0, 1.0]]}',
+     "bad float entry at row 0, column 1: None"),
+    ('{"n": 2, "flavor": "float", "entries": [[1.0, 2.0], ["2", 1.0]]}',
+     "bad float entry at row 1, column 0: '2'"),
+    ('{"n": 2, "flavor": "float", "entries": [[1.0, [2.0]], [2.0, 1.0]]}',
+     r"bad float entry at row 0, column 1: \[2.0\]"),
+    ('{"n": 3, "flavor": "float", "entries": [[1, 2, 3], [4, -9223372036854775809], [6]]}',
+     "bad float entry at row 1, column 2: -9223372036854775809"),
+    ('{"n": 2, "flavor": "float", "entries": [[1.0, 18446744073709551616], [2.0, 1.0]]}',
+     "bad float entry at row 0, column 1"),
+    ('{"n": 3, "flavor": "float", "entries": [[1, 2, 3], [4, 5], [NaN]]}',
+     "non-finite entry at row 2, column 2"),
+    ('{"n": 2, "flavor": "float", "entries": [[1.0, 2.0], [-Infinity, 1.0]]}',
+     "non-finite entry at row 1, column 0"),
+    ('{"n": 1, "flavor": "exact", "entries": [[{"r": [Infinity, 1]}]]}',
+     "bad exact entry at row 0, column 0"),
+])
+def test_matrix_json_refusal_names_its_reason(text, error):
+    with pytest.raises(MatrixFormatError, match=error):
+        matrix_loads(text)
