@@ -10,8 +10,9 @@ matrix), or a construct-ecop --in matrix that is not certified doubly
 nonnegative.
 
 scipy is imported on first use, by an SDP or LP solve, so certify of nn, psd
-and dnn, certify of spn and cop on a PSD or NN input, vrad of a closed-form
-section and check-bounds load none of it.
+and dnn, certify of spn and cop on a PSD or NN input, certify of parrilo at
+--level 1 or above on a PSD or NN input, vrad of a closed-form section and
+check-bounds load none of it.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ separating hierarchy directions (CP).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -293,14 +294,22 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     """Decide whether (sum x_i^2)^r q_A is a sum of squares.
 
     Level 0 coincides with the SPN split; level 1 already contains the Horn
-    matrix.  The target is even, so the SDP is solved block-diagonally, one
-    block per exponent-parity class (even_sos_assemble).  Returns a Gram
-    certificate over the full homogeneous monomial basis of degree r + 2,
-    or the separating moment functional indexed like the rows of the dense
-    sos_gram_assemble problem.
+    matrix.  At r >= 1 a matrix in a summand cone (_summand_split at tol)
+    lies in every K^(r), and its Gram is written down from the split
+    (_summand_gram) without an SDP.  Level 0 keeps its SDP, so that
+    parrilo_member(a, 0) stays the plain SOS model; spn_decompose and
+    cop_inner try the split in front of it.  Otherwise the target is even,
+    so the SDP is solved block-diagonally, one block per exponent-parity
+    class (even_sos_assemble).  Returns a Gram certificate over the full
+    homogeneous monomial basis of degree r + 2, or the separating moment
+    functional indexed like the rows of the dense sos_gram_assemble problem.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    if r > 0:
+        pair = _summand_split(a.to_numpy(), tol)
+        if pair is not None:
+            return _summand_gram(pair, r)
     n = a.n
     target = quartic_target(a, r)
     basis = monomials(n, r + 2)
@@ -319,19 +328,32 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     raise _indeterminate(sol)
 
 
-def _level0_gram(pair: SpnPair) -> SosGram:
-    """The level-0 Gram of q_A = q_P + q_N over the degree-2 monomials: P +
-    diag(N) on the squares x_i^2 and 2 N_ij on the diagonal entry of each
-    x_i x_j, i < j.  PSD because P is and N >= 0."""
+def _summand_gram(pair: SpnPair, r: int) -> SosGram:
+    """The level-r Gram of (sum x_i^2)^r q_A, A = P + N, over the degree-(r + 2)
+    monomials.
+
+    Level 0 puts P + diag(N) on the squares x_i^2 and 2 N_ij on the diagonal
+    entry of each x_i x_j, i < j; it is PSD because P is and N >= 0.  With
+    (sum x_i^2)^r = sum over |alpha| = r of c_alpha x^(2 alpha), c_alpha the
+    multinomial coefficient, level r places c_alpha times the level-0 Gram
+    on the monomials x^alpha m, one PSD term per alpha.
+    """
     n = pair.p.shape[0]
-    basis = monomials(n, 2)
-    pos = {m: k for k, m in enumerate(basis)}
-    squares = [pos[tuple(2 if t == i else 0 for t in range(n))] for i in range(n)]
-    gram = np.zeros((len(basis), len(basis)))
-    gram[np.ix_(squares, squares)] = pair.p + np.diag(np.diag(pair.n))
+    quad = monomials(n, 2)
+    at = {m: k for k, m in enumerate(quad)}
+    squares = [at[tuple(2 if t == i else 0 for t in range(n))] for i in range(n)]
+    level0 = np.zeros((len(quad), len(quad)))
+    level0[np.ix_(squares, squares)] = pair.p + np.diag(np.diag(pair.n))
     for i, j in itertools.combinations(range(n), 2):
-        k = pos[tuple(1 if t in (i, j) else 0 for t in range(n))]
-        gram[k, k] = 2.0 * pair.n[i, j]
+        k = at[tuple(1 if t in (i, j) else 0 for t in range(n))]
+        level0[k, k] = 2.0 * pair.n[i, j]
+    basis = monomials(n, r + 2)
+    pos = {m: k for k, m in enumerate(basis)}
+    gram = np.zeros((len(basis), len(basis)))
+    for alpha in monomials(n, r):
+        c = math.factorial(r) // math.prod(math.factorial(e) for e in alpha)
+        idx = [pos[tuple(a + e for a, e in zip(alpha, m))] for m in quad]
+        gram[np.ix_(idx, idx)] += c * level0
     return SosGram(basis=basis, gram=gram)
 
 
@@ -340,13 +362,14 @@ def cop_inner(a: SymMatrix, tol: float = 1e-9) -> Optional[Tuple[int, SosGram]]:
     squares, with its Gram certificate; None when neither level certifies.
 
     A matrix in a summand cone (_summand_split at tol) gets its level-0 Gram
-    without an SDP.  Otherwise parrilo_member runs at r = 0 and then r = 1,
-    at tol raised to 1e-7 at least, and a level that leaves the solver
-    indeterminate counts as not certified.
+    (_summand_gram at r = 0) without an SDP; parrilo_member keeps its
+    level-0 SDP, so the split is tried here first.  Otherwise parrilo_member
+    runs at r = 0 and then r = 1, at tol raised to 1e-7 at least, and a
+    level that leaves the solver indeterminate counts as not certified.
     """
     pair = _summand_split(a.to_numpy(), tol)
     if pair is not None:
-        return 0, _level0_gram(pair)
+        return 0, _summand_gram(pair, 0)
     for r in (0, 1):
         try:
             res = parrilo_member(a, r, max(tol, 1e-7))

@@ -154,6 +154,13 @@ def _exact_rows(entries: Iterable[Iterable]) -> tuple:
     return tuple(tuple(QSqrt2.of(x) for x in row) for row in entries)
 
 
+def _symmetric_part(arr: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 as a new array, halved before the sum, which would
+    overflow for entries above half the float range.  An exactly symmetric
+    A is copied bit for bit."""
+    return arr.copy() if np.array_equal(arr, arr.T) else 0.5 * arr + 0.5 * arr.T
+
+
 class SymMatrix:
     """Dense real symmetric matrix; flavor 'float' (numpy) or 'exact' (QSqrt2)."""
 
@@ -173,7 +180,7 @@ class SymMatrix:
                 raise ValueError("entries must be a square matrix")
             if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(arr).max())):
                 raise ValueError("entries are not symmetric")
-            arr = 0.5 * (arr + arr.T)
+            arr = _symmetric_part(arr)
             arr.setflags(write=False)
             self.n = arr.shape[0]
             self.flavor = "float"
@@ -421,7 +428,7 @@ def sym_eigen(a):
         raise ValueError("square matrix required")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    return np.linalg.eigh(0.5 * (A + A.T))
+    return np.linalg.eigh(_symmetric_part(A))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +467,7 @@ def psd_certificate(a, tol: float = 1e-9):
     if w[0] < -tol:
         v = V[:, 0]
         A = np.asarray(a, float)
-        return NegVector(v=v, value=float(v @ (0.5 * (A + A.T)) @ v))
+        return NegVector(v=v, value=float(v @ _symmetric_part(A) @ v))
     Wh = V * np.sqrt(np.clip(w, 0.0, None))[None, :]
     # lower-triangular L with L L^T = V clip(w) V^T via LQ of Wh
     q, r = np.linalg.qr(Wh.T)

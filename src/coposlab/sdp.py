@@ -983,14 +983,22 @@ class EvenSosLayout:
         their y and stay last; they act on free scalars only, whose part of
         -A^T y is the same in both problems.
         """
-        sums = [[_product(a, b) for b in self.basis] for a in self.basis]
-        gammas = sorted({g for row in sums for g in row} | set(self.rows), reverse=True)
-        pos = {g: i for i, g in enumerate(gammas)}
-        nrows = len(self.rows)
-        y = np.zeros(len(gammas) + len(ray.y) - nrows)
-        y[[pos[g] for g in self.rows]] = ray.y[:nrows]
-        y[len(gammas):] = ray.y[nrows:]
-        z = -y[np.array([[pos[g] for g in row] for row in sums])]
+        k, nrows = len(self.basis), len(self.rows)
+        exps = np.array(self.basis, dtype=np.int64)
+        rows = np.array(self.rows, dtype=np.int64).reshape(nrows, exps.shape[1])
+        gammas = np.concatenate([(exps[:, None, :] + exps[None, :, :]).reshape(k * k, -1), rows])
+        # the dense row of each exponent vector: its rank in decreasing
+        # lexicographic order (np.lexsort takes its primary key last)
+        order = np.lexsort(-gammas.T[::-1])
+        ranked = gammas[order]
+        rank = np.cumsum(np.r_[False, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        pos = np.empty(len(gammas), dtype=np.intp)
+        pos[order] = rank
+        ndense = int(rank[-1]) + 1
+        y = np.zeros(ndense + len(ray.y) - nrows)
+        y[pos[k * k:]] = ray.y[:nrows]
+        y[ndense:] = ray.y[nrows:]
+        z = -y[pos[:k * k].reshape(k, k)]
         return DualRay(y=y, psd_operators=[z], nonneg_part=np.zeros(0),
                        free_part=ray.free_part.copy())
 

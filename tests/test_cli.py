@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -150,6 +151,22 @@ def test_certify_non_finite_entry_exits_64_naming_it(token, tmp_path, capsys):
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == (
         f"malformed matrix file {path}: non-finite entry at row 1, column 0")
+
+
+@pytest.mark.parametrize("cone", ["nn", "psd"])
+def test_certify_entry_above_half_the_float_range_answers_without_a_warning(cone, tmp_path,
+                                                                          capsys):
+    # the file is exactly symmetric, so it is kept as read: the sum A + A^T
+    # of a symmetrization would overflow to inf
+    path = tmp_path / "a.json"
+    path.write_text('{"n": 2, "flavor": "float", "entries": [[1e308, 1.0], [1.0, 1.0]]}',
+                    encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["certify", "--cone", cone, "--in", str(path)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["member"] is True
 
 
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
@@ -354,9 +371,10 @@ def scipy_modules():
 
 gram, horn = sys.argv[1:]
 steps = {"import": scipy_modules()}
-for cone in ("nn", "psd", "dnn", "cop"):
+for cone in ("nn", "psd", "dnn", "parrilo", "cop"):
+    level = ["--level", "1"] if cone == "parrilo" else []
     with contextlib.redirect_stdout(io.StringIO()):
-        code = coposlab.cli.main(["certify", "--cone", cone,
+        code = coposlab.cli.main(["certify", "--cone", cone, *level,
                                   "--in", horn if cone == "cop" else gram])
     steps[cone] = [code, scipy_modules()]
 print(json.dumps(steps))
@@ -375,7 +393,8 @@ def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     steps = json.loads(run.stdout)
     assert steps["import"] == []
-    for cone in ("nn", "psd", "dnn"):
+    # level 1 of the hierarchy on a DNN input lifts its summand split
+    for cone in ("nn", "psd", "dnn", "parrilo"):
         assert steps[cone] == [cli.EXIT_OK, []], cone
     # positive control: the copositivity of Horn takes an SDP, and with it scipy
     code, loaded = steps["cop"]

@@ -151,15 +151,18 @@ def test_cop_inner_psd_or_nn_input_needs_no_sdp(no_sdp):
             assert cert.check(quartic_target(SymMatrix(a), 0), 1e-9)
 
 
-def test_cop_inner_sum_of_nontrivial_summands_solves_an_sdp(sdp_calls):
+def _psd_plus_nn_in_neither_summand(n=5):
     rng = np.random.RandomState(22)
-    n = 5
     while True:
         g = rng.randn(n, n)
         nn = np.abs(rng.randn(n, n))
         a = g @ g.T + 0.5 * (nn + nn.T)
         if a.min() < 0.0 and np.linalg.eigvalsh(a)[0] < 0.0:
-            break
+            return a
+
+
+def test_cop_inner_sum_of_nontrivial_summands_solves_an_sdp(sdp_calls):
+    a = _psd_plus_nn_in_neither_summand()
     r, cert = cones.cop_inner(SymMatrix(a))
     assert len(sdp_calls) >= 1
     assert cert.check(quartic_target(SymMatrix(a), r), 1e-7)
@@ -284,6 +287,35 @@ def test_parrilo_monotone_in_level():
         assert isinstance(r0, SosGram)
         r1 = parrilo_member(a, 1, tol=1e-7)
         assert isinstance(r1, SosGram)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_parrilo_psd_or_nn_input_lifts_its_split_without_an_sdp(n, r, no_sdp):
+    rng = np.random.default_rng([n, r])
+    g = rng.normal(size=(n, n))
+    gram = g @ g.T / n
+    nearly_nn = np.abs(gram)
+    nearly_nn[0, 1] = nearly_nn[1, 0] = -0.5e-9  # within tol of NN
+    for a in (gram, np.abs(gram), _rank_one_mixed(rng, n), nearly_nn):
+        m = SymMatrix(a)
+        res = parrilo_member(m, r)
+        assert isinstance(res, SosGram)
+        assert res.basis == monomials(n, r + 2)
+        assert res.check(quartic_target(m, r), 1e-9)
+
+
+def test_parrilo_sum_of_nontrivial_summands_solves_an_sdp_at_level1(sdp_calls):
+    a = _psd_plus_nn_in_neither_summand()
+    res = parrilo_member(SymMatrix(a), 1, tol=1e-7)
+    assert len(sdp_calls) == 1
+    assert isinstance(res, SosGram)
+    assert res.check(quartic_target(SymMatrix(a), 1), 1e-6)
+
+
+def test_parrilo_level0_keeps_its_sdp_on_a_psd_input(sdp_calls):
+    assert isinstance(parrilo_member(SymMatrix(np.eye(4)), 0), SosGram)
+    assert len(sdp_calls) == 1
 
 
 def test_hierarchy_chain_on_inner_generators():

@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -382,6 +383,21 @@ def test_matrix_json_roundtrip_exact_bit_exact():
     m = SymMatrix(rows, "exact")
     again = matrix_loads(matrix_dumps(m))
     assert again == m
+
+
+def test_symmatrix_symmetrizes_bit_for_bit_and_without_overflow():
+    a = np.array([[1e308, 1.0], [1.0, 1.0]])
+    m = SymMatrix(a)
+    assert m.to_numpy().tobytes() == a.tobytes()
+    a[0, 0] = 2.0  # the caller's array stays its own and writable
+    assert m[0, 0] == 1e308
+    b = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+    assert SymMatrix(b)[0, 1] == SymMatrix(b)[1, 0] == 0.5 * (0.5 + (0.5 + 1e-15))
+    c = np.array([[1.0, 1.7e308], [np.nextafter(1.7e308, np.inf), 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = SymMatrix(c)
+    assert m[0, 1] == m[1, 0] and np.isfinite(m.to_numpy()).all()
 
 
 def test_matrix_json_roundtrip_float():

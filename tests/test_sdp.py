@@ -378,6 +378,42 @@ def test_even_sos_splits_by_parity_class():
     assert max(abs(got.get(k, 0.0) - target.get(k, 0.0)) for k in set(got) | set(target)) < 1e-7
 
 
+def _lift_ray_reference(layout, ray):
+    # the monomial-by-monomial statement of EvenSosLayout.lift_ray
+    sums = [[tuple(a + b for a, b in zip(m, w)) for w in layout.basis] for m in layout.basis]
+    gammas = sorted({g for row in sums for g in row} | set(layout.rows), reverse=True)
+    pos = {g: i for i, g in enumerate(gammas)}
+    nrows = len(layout.rows)
+    y = np.zeros(len(gammas) + len(ray.y) - nrows)
+    y[[pos[g] for g in layout.rows]] = ray.y[:nrows]
+    y[len(gammas):] = ray.y[nrows:]
+    return y, -y[np.array([[pos[g] for g in row] for row in sums])]
+
+
+def test_lift_ray_equals_the_monomial_loop():
+    rng = np.random.RandomState(5)
+    n = 4
+    basis = monomials(n, 3)
+    # the K^(1) matrix model: free scalars on the rows and an appended row
+    even = [tuple(2 * e for e in m) for m in basis]
+    free_coef = {}
+    for k in range(3):
+        for i in rng.permutation(len(even))[:5]:
+            free_coef.setdefault(even[i], {})[k] = 1.0
+    target = {tuple(6 if t == i else 0 for t in range(n)): 1.0 for i in range(n)}
+    for coef, dim in (({}, 0), (free_coef, 3)):
+        prob, layout = even_sos_assemble(basis, target, coef, dim)
+        if dim:
+            prob.constraints.append((LinExpr().add_free(0, 1.0), 1.0))
+        ray = sdp.DualRay(y=rng.randn(len(prob.constraints)), psd_operators=[],
+                          nonneg_part=np.zeros(0), free_part=rng.randn(dim))
+        got = layout.lift_ray(ray)
+        y, z = _lift_ray_reference(layout, ray)
+        assert got.y.tobytes() == y.tobytes()
+        assert got.psd_operators[0].tobytes() == z.tobytes()
+        assert got.free_part.tobytes() == ray.free_part.tobytes()
+
+
 def test_sdp_problem_json_dump(tmp_path):
     p = SdpProblem(psd_block_dims=[2], nonneg_dim=1)
     p.constraints.append((LinExpr().add_psd_entry(0, 0, 1, 2.0).add_nonneg(0, -1.0), 0.5))
