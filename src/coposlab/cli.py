@@ -11,8 +11,9 @@ nonnegative.
 
 scipy is imported on first use, by an SDP or LP solve, so certify of nn, psd
 and dnn, certify of spn and cop on a PSD or NN input, certify of parrilo at
---level 1 or above on a PSD or NN input, vrad of a closed-form section and
-check-bounds load none of it.
+--level 1 or above on a PSD or NN input or one with a negative vertex (a 0/1
+vector x with at most three ones and x^T A x < 0), vrad of a closed-form
+section and check-bounds load none of it.
 """
 
 from __future__ import annotations

@@ -296,21 +296,27 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     Level 0 coincides with the SPN split; level 1 already contains the Horn
     matrix.  At r >= 1 a matrix in a summand cone (_summand_split at tol)
     lies in every K^(r), and its Gram is written down from the split
-    (_summand_gram) without an SDP.  Level 0 keeps its SDP, so that
-    parrilo_member(a, 0) stays the plain SOS model; spn_decompose and
-    cop_inner try the split in front of it.  Otherwise the target is even,
-    so the SDP is solved block-diagonally, one block per exponent-parity
-    class (even_sos_assemble).  Returns a Gram certificate over the full
+    (_summand_gram) without an SDP.  Likewise a matrix with a negative
+    vertex (_negative_vertex) is not copositive, so it lies in no K^(r), and
+    its separating functional is written down from the vertex (_vertex_ray).
+    Level 0 keeps its SDP, so that parrilo_member(a, 0) stays the plain SOS
+    model; spn_decompose and cop_inner try the split in front of it.
+    Otherwise the target is even, so the SDP is solved block-diagonally, one
+    block per exponent-parity class (even_sos_assemble).  Returns a Gram certificate over the full
     homogeneous monomial basis of degree r + 2, or the separating moment
     functional indexed like the rows of the dense sos_gram_assemble problem.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    n = a.n
     if r > 0:
-        pair = _summand_split(a.to_numpy(), tol)
+        arr = a.to_numpy()
+        pair = _summand_split(arr, tol)
         if pair is not None:
             return _summand_gram(pair, r)
-    n = a.n
+        vertex = _negative_vertex(arr, tol)
+        if vertex is not None:
+            return _vertex_ray(n, r, *vertex)
     target = quartic_target(a, r)
     basis = monomials(n, r + 2)
     try:
@@ -355,6 +361,54 @@ def _summand_gram(pair: SpnPair, r: int) -> SosGram:
         idx = [pos[tuple(a + e for a, e in zip(alpha, m))] for m in quad]
         gram[np.ix_(idx, idx)] += c * level0
     return SosGram(basis=basis, gram=gram)
+
+
+def _negative_vertex(arr: np.ndarray, tol: float) -> Optional[Tuple[Tuple[int, ...], float]]:
+    """A support S, |S| <= 3, whose indicator x has x^T A x = sum of A over
+    S x S negative beyond tol times the sum of |A| there, and that value;
+    None when there is none.
+
+    These are the vertices, edge midpoints and triangle centroids of the
+    simplex: a negative diagonal, a_ii + a_jj + 2 a_ij < 0, or a triangle as
+    in the +-1 matrices with three -1 entries.  Of several, the one most
+    negative at the simplex point x / |S| is returned.
+    """
+    n = arr.shape[0]
+    sups = [s for k in (1, 2, 3) for s in itertools.combinations(range(n), k)]
+    x = np.zeros((len(sups), n))
+    for row, s in enumerate(sups):
+        x[row, list(s)] = 1.0
+    vals = np.einsum("ki,ij,kj->k", x, arr, x)
+    mags = np.einsum("ki,ij,kj->k", x, np.abs(arr), x)
+    scaled = np.where(vals < -tol * mags, vals / x.sum(axis=1) ** 2, np.inf)
+    k = int(np.argmin(scaled))
+    return None if scaled[k] == np.inf else (sups[k], float(vals[k]))
+
+
+def _vertex_ray(n: int, r: int, support: Tuple[int, ...], value: float) -> InfeasibilityCert:
+    """The separating functional of parrilo_member for x = 1_S with
+    x^T A x = value < 0, over the rows of the dense sos_gram_assemble problem.
+
+    L averages the evaluations at the sign flips of x: L(x^gamma) = 1 for an
+    even gamma supported in S and 0 otherwise.  It is nonnegative on every
+    square, being an average of evaluations, and on the target it is
+    |S|^r value < 0; y = -L / (|S|^r |value|) makes b^T y = 1.  -A^T y on
+    the full Gram is then L(m_i m_j) / (|S|^r |value|): one all-ones block
+    per exponent-parity class of the monomials supported in S, so PSD.
+    """
+    scale = len(support) ** r * -value
+    outside = [t for t in range(n) if t not in support]
+    rows = np.array(monomials(n, 2 * (r + 2)), dtype=np.int64)  # decreasing, like the dense rows
+    moments = (rows % 2 == 0).all(axis=1) & (rows[:, outside] == 0).all(axis=1)
+    basis = np.array(monomials(n, r + 2), dtype=np.int64)
+    inside = (basis[:, outside] == 0).all(axis=1)
+    parity = basis % 2
+    same = (parity[:, None, :] == parity[None, :, :]).all(axis=2)
+    z = np.where(same & inside[:, None] & inside[None, :], 1.0 / scale, 0.0)
+    ray = DualRay(y=np.where(moments, -1.0 / scale, 0.0), psd_operators=[z],
+                  nonneg_part=np.zeros(0), free_part=np.zeros(0))
+    return InfeasibilityCert(ray=ray, note=f"moment functional of the sign flips of x = 1 on "
+                                           f"{list(support)}, where x^T A x = {value:.6g} < 0")
 
 
 def cop_inner(a: SymMatrix, tol: float = 1e-9) -> Optional[Tuple[int, SosGram]]:

@@ -369,14 +369,15 @@ import coposlab, coposlab.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-gram, horn = sys.argv[1:]
+gram, shifted, horn = sys.argv[1:]
 steps = {"import": scipy_modules()}
-for cone in ("nn", "psd", "dnn", "parrilo", "cop"):
+for step, path in (("nn", gram), ("psd", gram), ("dnn", gram), ("parrilo", gram),
+                   ("parrilo-vertex", shifted), ("cop", horn)):
+    cone = step.split("-")[0]
     level = ["--level", "1"] if cone == "parrilo" else []
     with contextlib.redirect_stdout(io.StringIO()):
-        code = coposlab.cli.main(["certify", "--cone", cone, *level,
-                                  "--in", horn if cone == "cop" else gram])
-    steps[cone] = [code, scipy_modules()]
+        code = coposlab.cli.main(["certify", "--cone", cone, *level, "--in", path])
+    steps[step] = [code, scipy_modules()]
 print(json.dumps(steps))
 """
 
@@ -384,18 +385,23 @@ print(json.dumps(steps))
 def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
     b = np.abs(np.random.RandomState(7).randn(8, 5))
     gram = _write(tmp_path, b @ b.T)  # doubly nonnegative
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(matrix_dumps(SymMatrix(horn_matrix().to_numpy() - 0.2 * np.eye(5))),
+                       encoding="utf-8")
     horn = tmp_path / "horn.json"
     horn.write_text(matrix_dumps(horn_matrix()), encoding="utf-8")
     src = str(Path(coposlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, gram, str(horn)],
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, gram, str(shifted), str(horn)],
                          env=env, capture_output=True, text=True, check=True)
     steps = json.loads(run.stdout)
     assert steps["import"] == []
     # level 1 of the hierarchy on a DNN input lifts its summand split
     for cone in ("nn", "psd", "dnn", "parrilo"):
         assert steps[cone] == [cli.EXIT_OK, []], cone
+    # and on Horn - 0.2 I it refutes the negative vertex e_0 + e_1
+    assert steps["parrilo-vertex"] == [cli.EXIT_NEGATIVE, []]
     # positive control: the copositivity of Horn takes an SDP, and with it scipy
     code, loaded = steps["cop"]
     assert code == cli.EXIT_OK

@@ -249,12 +249,10 @@ def test_parrilo_blocked_status_matches_dense_reference():
     assert decided >= 30
 
 
-def test_parrilo_ray_is_stated_on_the_dense_rows():
-    a = SymMatrix(horn_matrix().to_numpy() - 0.2 * np.eye(5))
-    res = parrilo_member(a, 1)
+def _assert_ray_on_dense_rows(a, r, res):
     assert isinstance(res, InfeasibilityCert)
-    basis = monomials(5, 3)
-    dense = sos_gram_assemble(quartic_target(a, 1), basis)
+    basis = monomials(a.n, r + 2)
+    dense = sos_gram_assemble(quartic_target(a, r), basis)
     y = res.ray.y
     assert y.shape == (len(dense.constraints),)
     b = np.array([rhs for _, rhs in dense.constraints])
@@ -272,6 +270,63 @@ def test_parrilo_ray_is_stated_on_the_dense_rows():
             if i != j:
                 z[j, i] -= v
     assert np.allclose(res.ray.psd_operators[0], z, rtol=0.0, atol=1e-12)
+
+
+def test_parrilo_ray_is_stated_on_the_dense_rows():
+    a = SymMatrix(horn_matrix().to_numpy() - 0.2 * np.eye(5))
+    _assert_ray_on_dense_rows(a, 1, parrilo_member(a, 1))
+
+
+def _no_negative_vertex_noncopositive(n):
+    # x = (2, 1, 0, ...) gives 4 - 8.4 + 4 < 0, but every 0/1 vector with
+    # at most three ones gives a positive value
+    a = np.eye(n)
+    a[:2, :2] = [[1.0, -2.1], [-2.1, 4.0]]
+    return a
+
+
+def test_parrilo_ray_from_the_sdp_is_stated_on_the_dense_rows(sdp_calls):
+    a = SymMatrix(_no_negative_vertex_noncopositive(4))
+    assert cones._negative_vertex(a.to_numpy(), 1e-9) is None
+    res = parrilo_member(a, 1)
+    assert len(sdp_calls) == 1
+    _assert_ray_on_dense_rows(a, 1, res)
+
+
+def _pm1_with_negative_triangle(n):
+    a = np.ones((n, n))
+    a[:3, :3] = 2.0 * np.eye(3) - 1.0  # a triangle of -1 entries
+    a[0, n - 1] = a[n - 1, 0] = -1.0
+    return a
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_parrilo_negative_vertex_is_refuted_without_an_sdp(n, r, no_sdp):
+    rng = np.random.default_rng([n, r, 1])
+    shifted = np.abs(rng.normal(size=(n, n)))
+    shifted = shifted + shifted.T
+    shifted[n - 1, n - 1] = -0.5                       # |S| = 1
+    pair = np.eye(n) + 0.1
+    pair[0, n - 1] = pair[n - 1, 0] = -1.2             # |S| = 2
+    for arr, size in ((shifted, 1), (pair, 2), (_pm1_with_negative_triangle(n), 3)):
+        a = SymMatrix(arr)
+        res = parrilo_member(a, r)
+        _assert_ray_on_dense_rows(a, r, res)
+        assert res.ray.max_violation() <= 1e-12
+        b = np.array([rhs for _, rhs in sos_gram_assemble(quartic_target(a, r),
+                                                          monomials(n, r + 2)).constraints])
+        assert float(b @ res.ray.y) == pytest.approx(1.0, rel=1e-12)
+        support, value = cones._negative_vertex(arr, 1e-9)
+        assert len(support) == size and value < 0.0
+
+
+def test_negative_vertex_ignores_values_within_tol():
+    a = np.eye(3)
+    a[0, 1] = a[1, 0] = -1.0 - 0.25e-9   # x = e_0 + e_1 gives -0.5e-9, within tol
+    assert cones._negative_vertex(a, 1e-9) is None
+    a[0, 1] = a[1, 0] = -1.0 - 1e-6
+    assert cones._negative_vertex(a, 1e-9)[0] == (0, 1)
 
 
 def test_parrilo_monotone_in_level():
