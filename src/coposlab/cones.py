@@ -305,6 +305,9 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     block per exponent-parity class (even_sos_assemble).  Returns a Gram certificate over the full
     homogeneous monomial basis of degree r + 2, or the separating moment
     functional indexed like the rows of the dense sos_gram_assemble problem.
+    A solver ray counts only if its violation times |b|_1, b the dense
+    target, is below half of b^T y; otherwise, as when the solver ends
+    indeterminate, RuntimeError is raised.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -329,8 +332,17 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
         return SosGram(basis=basis, gram=layout.gram(sol))
     if sol.status == SdpStatus.INFEASIBLE:
-        return InfeasibilityCert(ray=layout.lift_ray(sol.dual_ray),
-                                 note="moment functional separating the target from SOS")
+        ray = layout.lift_ray(sol.dual_ray)
+        # b^T y > 0 refutes only if a Gram the size of the target, paired
+        # with the ray's violation, cannot make up b^T y; on badly scaled
+        # inputs the solver's ray fails this and the answer is unknown
+        b = np.array([float(target.get(g, 0)) for g in monomials(n, 2 * (r + 2))])
+        viol, size, by = ray.max_violation(), float(np.abs(b).sum()), float(b @ ray.y)
+        if viol * size < 0.5 * by:
+            return InfeasibilityCert(ray=ray,
+                                     note="moment functional separating the target from SOS")
+        raise RuntimeError(f"solver ray does not refute at the input's scale: violation "
+                           f"{viol:.3g}, |b|_1 {size:.3g}, b^T y {by:.3g}")
     raise _indeterminate(sol)
 
 
@@ -420,11 +432,14 @@ def cop_inner(a: SymMatrix, tol: float = 1e-9) -> Optional[Tuple[int, SosGram]]:
     level-0 SDP, so the split is tried here first.  Otherwise parrilo_member
     runs at r = 0 and then r = 1, at tol raised to 1e-7 at least, and a
     level that leaves the solver indeterminate counts as not certified.
+    Level 1 runs only for n >= 5: for n <= 4 every copositive matrix is
+    PSD + NN (Diananda 1962), so every level of the hierarchy equals K^(0)
+    and no level certifies a matrix that level 0 does not.
     """
     pair = _summand_split(a.to_numpy(), tol)
     if pair is not None:
         return 0, _summand_gram(pair, 0)
-    for r in (0, 1):
+    for r in ((0, 1) if a.n >= 5 else (0,)):
         try:
             res = parrilo_member(a, r, max(tol, 1e-7))
         except RuntimeError:
@@ -538,10 +553,12 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
     convex hull of its PSD and NN slices, so its minimum is the smaller of
     the NN vertex value and the PSD minimum; with I + J = L L^T the latter
     is lambda_min(L^-1 A L^-T), attained at the rank-one M = L^-T v v^T L^-1
-    for the bottom eigenvector v, which comes with SpnPair(M, 0).  At r = 1
-    the SDP runs, with the SOS condition on M solved block-diagonally by
-    exponent parity (even_sos_assemble), and the certificate is a Gram
-    matrix over the full degree-3 basis.
+    for the bottom eigenvector v, which comes with SpnPair(M, 0).  For
+    n <= 4 every copositive matrix is PSD + NN (Diananda 1962), so
+    K^(1) = K^(0) and r = 1 takes the level-0 closed form too.  At r = 1
+    and n >= 5 the SDP runs, with the SOS condition on M solved
+    block-diagonally by exponent parity (even_sos_assemble), and the
+    certificate is a Gram matrix over the full degree-3 basis.
     Returns None when the optimum is not negative beyond solver resolution.
     """
     if r not in (0, 1):
@@ -555,7 +572,7 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
         m[i, j] = m[j, i] = 0.5
         return CpRefutation(m=m, pairing=float((arr * m).sum()), level=0,
                             certificate=SpnPair(p=np.zeros_like(arr), n=m))
-    if r == 0:
+    if r == 0 or n <= 4:
         # the NN vertices did not refute, so only the PSD slice can: with
         # M = L^-T X L^-1 it is trace(X) = 1, X PSD, minimized at X = v v^T
         lower = np.linalg.cholesky(np.eye(n) + 1.0)
@@ -569,7 +586,7 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
         return CpRefutation(m=m, pairing=pairing, level=0,
                             certificate=SpnPair(p=m, n=np.zeros_like(arr)))
 
-    # r = 1: the K^(1) matrix model with the row <I + J, M> = 1
+    # r = 1, n >= 5: the K^(1) matrix model with the row <I + J, M> = 1
     prob, layout = kr_problem(np.eye(n) + 1.0, 1, 1.0)
     prob.objective = _pairing_expr(arr)
     sol = sdp_solve(prob, tol=tol)

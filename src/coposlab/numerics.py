@@ -178,7 +178,11 @@ class SymMatrix:
             arr = np.asarray(entries, dtype=float)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError("entries must be a square matrix")
-            if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(arr).max())):
+            # allclose takes about 50 us, three times the rest of the
+            # constructor; an exactly symmetric input needs no tolerance, and
+            # NaN never compares equal, so it still meets allclose and fails
+            if not np.array_equal(arr, arr.T) and not np.allclose(
+                    arr, arr.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(arr).max())):
                 raise ValueError("entries are not symmetric")
             arr = _symmetric_part(arr)
             arr.setflags(write=False)

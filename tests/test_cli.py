@@ -92,6 +92,14 @@ def test_certify_solver_error_exits_2_with_the_error(tmp_path, capsys, monkeypat
     assert report["error"] == "solver indeterminate: stalled"
 
 
+def test_certify_parrilo0_badly_scaled_input_is_undecided(tmp_path, capsys):
+    # PSD and NN, so never a "no"; the solver's ray does not hold at this scale
+    path = _write(tmp_path, np.array([[1e308, 1.0], [1.0, 1.0]]))
+    code = cli.main(["certify", "--cone", "parrilo", "--level", "0", "--in", path])
+    assert code == cli.EXIT_INDETERMINATE
+    assert json.loads(capsys.readouterr().out)["member"] is None
+
+
 def test_certify_psd_gram_matrix_exits_0_with_a_factor(tmp_path, capsys):
     b = np.random.RandomState(4).randn(6, 4)
     a = b @ b.T  # rank four
@@ -369,10 +377,10 @@ import coposlab, coposlab.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-gram, shifted, horn = sys.argv[1:]
+gram, shifted, nn3, horn = sys.argv[1:]
 steps = {"import": scipy_modules()}
 for step, path in (("nn", gram), ("psd", gram), ("dnn", gram), ("parrilo", gram),
-                   ("parrilo-vertex", shifted), ("cop", horn)):
+                   ("parrilo-vertex", shifted), ("cp", nn3), ("cop", horn)):
     cone = step.split("-")[0]
     level = ["--level", "1"] if cone == "parrilo" else []
     with contextlib.redirect_stdout(io.StringIO()):
@@ -388,13 +396,16 @@ def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
     shifted = tmp_path / "shifted.json"
     shifted.write_text(matrix_dumps(SymMatrix(horn_matrix().to_numpy() - 0.2 * np.eye(5))),
                        encoding="utf-8")
+    nn3 = tmp_path / "nn3.json"
+    nn3.write_text(matrix_dumps(SymMatrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                                     [0.0, 0.0, 1.0]]))), encoding="utf-8")
     horn = tmp_path / "horn.json"
     horn.write_text(matrix_dumps(horn_matrix()), encoding="utf-8")
     src = str(Path(coposlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, gram, str(shifted), str(horn)],
-                         env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, gram, str(shifted), str(nn3),
+                          str(horn)], env=env, capture_output=True, text=True, check=True)
     steps = json.loads(run.stdout)
     assert steps["import"] == []
     # level 1 of the hierarchy on a DNN input lifts its summand split
@@ -402,6 +413,9 @@ def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
         assert steps[cone] == [cli.EXIT_OK, []], cone
     # and on Horn - 0.2 I it refutes the negative vertex e_0 + e_1
     assert steps["parrilo-vertex"] == [cli.EXIT_NEGATIVE, []]
+    # cp at n <= 4 takes the level-0 closed form: the PSD slice refutes a
+    # nonnegative matrix that is not PSD
+    assert steps["cp"] == [cli.EXIT_NEGATIVE, []]
     # positive control: the copositivity of Horn takes an SDP, and with it scipy
     code, loaded = steps["cop"]
     assert code == cli.EXIT_OK

@@ -321,6 +321,26 @@ def test_parrilo_negative_vertex_is_refuted_without_an_sdp(n, r, no_sdp):
         assert len(support) == size and value < 0.0
 
 
+@pytest.mark.parametrize("s", [1e9, 1e12, 1e20, 1e308])
+def test_parrilo_level0_badly_scaled_psd_nn_input_is_never_refuted(s):
+    # [[s, 1], [1, 1]] is PSD and NN; the solver's ray has b^T y = 1 but a
+    # violation that a Gram of size s makes up, so it refutes nothing
+    try:
+        res = parrilo_member(SymMatrix(np.array([[s, 1.0], [1.0, 1.0]])), 0)
+    except RuntimeError:
+        return
+    assert isinstance(res, SosGram)
+
+
+def test_parrilo_level0_genuine_ray_still_refutes():
+    a = SymMatrix(horn_matrix().to_numpy() - 0.2 * np.eye(5))
+    res = parrilo_member(a, 0)
+    assert isinstance(res, InfeasibilityCert)
+    b = np.array([rhs for _, rhs in sos_gram_assemble(quartic_target(a, 0),
+                                                      monomials(5, 2)).constraints])
+    assert res.ray.max_violation() * np.abs(b).sum() < 0.5 * float(b @ res.ray.y)
+
+
 def test_negative_vertex_ignores_values_within_tol():
     a = np.eye(3)
     a[0, 1] = a[1, 0] = -1.0 - 0.25e-9   # x = e_0 + e_1 gives -0.5e-9, within tol
@@ -531,6 +551,69 @@ def test_cp_refute_level0_matches_the_psd_plus_nn_sdp(n):
             assert sol.objective_value >= -1e-6
         else:
             assert abs(res.pairing - sol.objective_value) <= 1e-6
+
+
+def _small_cp_inputs(n):
+    # doubly nonnegative, nonnegative but not PSD, and mixed-sign
+    b = np.abs(np.random.RandomState(n).randn(n + 2, n))
+    nn_not_psd = np.eye(n)
+    nn_not_psd[:3, :3] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    mixed = np.eye(n) + 0.1
+    mixed[0, 1] = mixed[1, 0] = -0.3
+    return {"dnn": b.T @ b, "nn-not-psd": nn_not_psd, "mixed": mixed}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cp_refute_level1_at_small_n_needs_no_sdp(n, no_sdp):
+    # for n <= 4, K^(1) = K^(0) = COP (Diananda), so level 1 is the closed form
+    for kind, a in _small_cp_inputs(n).items():
+        res = cp_refute(SymMatrix(a), r=1)
+        if kind == "dnn":
+            assert res is None
+            continue
+        assert isinstance(res, CpRefutation) and res.level == 0, kind
+        assert isinstance(res.certificate, SpnPair) and res.certificate.check(res.m, 1e-9)
+        assert res.pairing == float((a * res.m).sum()) < 0.0
+        assert res.pairing == cp_refute(SymMatrix(a), r=0).pairing
+
+
+def _level1_sdp_minimum(a):
+    # the reference: min <A, M> over M in K^(1) with <M, I + J> = 1
+    n = a.shape[0]
+    prob, _ = cones.kr_problem(np.eye(n) + 1.0, 1, 1.0)
+    prob.objective = cones._pairing_expr(a)
+    sol = sdp_solve(prob, tol=1e-9)
+    assert sol.status == SdpStatus.OPTIMAL
+    return sol.objective_value
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cp_refute_level1_at_small_n_matches_the_level1_sdp(n):
+    rng = np.random.RandomState(60 + n)
+    refuted = 0
+    for _ in range(10):
+        b = rng.rand(n, n)
+        a = b + b.T + rng.uniform(0.0, 1.5) * np.eye(n)  # no NN vertex refutes it
+        res = cp_refute(SymMatrix(a), r=1)
+        value = _level1_sdp_minimum(a)
+        if res is None:
+            assert value >= -cones._cp_threshold(a, 1e-8)
+        else:
+            assert abs(res.pairing - value) <= 1e-6
+            refuted += 1
+    assert 0 < refuted < 10
+
+
+def test_cop_inner_at_n4_stops_after_level0(sdp_calls):
+    # not copositive (x = (2, 1, 0, 0) gives -0.8) and no negative vertex, so
+    # level 0 solves its SDP and fails; at n = 4 level 1 cannot do better
+    a = np.array([[1.0, -2.2, 0.5, 0.5], [-2.2, 4.0, 0.5, 0.5],
+                  [0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.5, 1.0]])
+    assert cones._negative_vertex(a, 1e-9) is None
+    x = np.array([2.0, 1.0, 0.0, 0.0])
+    assert x @ a @ x < -0.79
+    assert cones.cop_inner(SymMatrix(a)) is None
+    assert len(sdp_calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,56 @@ def test_symmatrix_symmetrizes_bit_for_bit_and_without_overflow():
     assert m[0, 1] == m[1, 0] and np.isfinite(m.to_numpy()).all()
 
 
+def _symmatrix_float_reference(entries):
+    # the two-step constructor: the tolerance test on every input, then the
+    # symmetric part
+    arr = np.asarray(entries, dtype=float)
+    if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(arr).max())):
+        raise ValueError("entries are not symmetric")
+    return 0.5 * arr + 0.5 * arr.T if not np.array_equal(arr, arr.T) else arr.copy()
+
+
+def _symmatrix_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 12):
+        g = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        sym = g + g.T
+        yield sym
+        near = sym.copy()
+        near[0, -1] = np.nextafter(near[0, -1], np.inf)  # within the tolerance
+        yield near
+        if n > 1:
+            yield g  # asymmetric
+            off = sym.copy()
+            off[0, -1] += 1e-9 * (1.0 + np.abs(sym).max())  # beyond it
+            yield off
+        for bad in (np.nan, np.inf, -np.inf):
+            diag = sym.copy()
+            diag[0, 0] = bad
+            yield diag
+            if n > 1:
+                pair = sym.copy()
+                pair[0, -1] = pair[-1, 0] = bad
+                yield pair
+                lone = sym.copy()
+                lone[0, -1] = bad
+                yield lone
+
+
+def test_symmatrix_float_matches_the_two_step_reference():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in allclose
+        for a in _symmatrix_cases():
+            try:
+                want = _symmatrix_float_reference(a)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    SymMatrix(a)
+                continue
+            got = SymMatrix(a).to_numpy()
+            assert got.tobytes() == want.tobytes()
+
+
 def test_matrix_json_roundtrip_float():
     a = np.array([[1.25, -0.3], [-0.3, 7.125]])
     m = SymMatrix(a)
