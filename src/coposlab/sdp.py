@@ -387,7 +387,7 @@ def _presolve(A: np.ndarray, b: np.ndarray, qr):
     b1 = b / scales
     keep = list(range(m))
     if m > 1:
-        _, r, piv = qr(A1.T, mode="economic", pivoting=True)
+        r, piv = qr(A1.T, mode="r", pivoting=True)
         diag = np.abs(np.diag(r))
         tol = max(A1.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
         rank = int((diag > max(tol, 1e-13)).sum())

@@ -26,12 +26,16 @@ stack of directions:
   {a : G vec(a) >= 0}, i.e. nn (the entries), cp inner (the entries plus
   diagonal dominance) and lf outer (the apolar pairings with sampled
   nonnegative forms); a generalized eigenvalue for psd; the minimum of the
-  two for dnn and for cp at n <= 4 (mode "exact", CP = DNN); the ball
-  radius itself for ball.  The membership oracle of these sections tests
-  the same face rows and eigenvalue;
+  two for dnn and for cp at n <= 4 (mode "exact", CP = DNN); for cop at
+  n <= 4 (mode "exact") the generalized eigenvalues of the 2^n - 1
+  principal submatrices that have a strictly one-signed eigenvector,
+  which is Kaplan's criterion (Kaplan 2000, LAA 313) and exact there; the
+  ball radius itself for ball.  The membership oracle of these sections
+  tests the same face rows and eigenvalues;
 - one parametric SDP per ray on the P + N rows of `cones.pn_problem`, the
-  rays solved as one stack (`sdp.sdp_solve_many`): spn, and cop at n <= 4
-  (mode "exact", COP = SPN);
+  rays solved as one stack (`sdp.sdp_solve_many`): spn.  At n <= 4,
+  where COP = SPN (Diananda 1962), it is the reference that the tests hold
+  the cop closed form to;
 - one LP per ray: lf inner (max t with the point in the generators' hull);
 - bisection on the membership oracle: cop inner/outer and cp outer.
 
@@ -44,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
@@ -144,10 +148,13 @@ class SectionSpec:
     where the hierarchy collapses), "inner" or "outer"; lf requires "inner"
     (conic hull of sampled generators) or "outer" (apolar pairing against
     sampled nonnegative forms).  "ball" is a calibration cone {|g| <= R}.
+    `oracle_tol` must be finite and nonnegative.
 
     `closed_form` tells whether `section_radii` applies.  Polyhedral
     sections keep their face rows G (on vec(a)) with the offsets G vec(c) at
-    the star center c; spectral ones keep L^{-1}, where c = L L^T.
+    the star center c; spectral ones keep L^{-1}, where c = L L^T; cop at
+    n <= 4 (mode "exact") keeps, per support size, the supports S and
+    L_S^{-1}, where c_S = L_S L_S^T.
     """
 
     cone: str
@@ -169,6 +176,8 @@ class SectionSpec:
             raise ValueError("n must be >= 3")
         if not self.ball_radius > 0:
             raise ValueError("ball_radius must be positive")
+        if not (math.isfinite(self.oracle_tol) and self.oracle_tol >= 0):
+            raise ValueError(f"oracle_tol must be finite and >= 0, got {self.oracle_tol}")
         if self.cone in ("nn", "psd", "dnn", "spn", "ball"):
             if self.mode not in (None, "exact"):
                 raise ValueError(f"cone {self.cone} is decided exactly; mode must be None")
@@ -214,8 +223,16 @@ class SectionSpec:
         self._chol_inv = None
         if self.cone in ("psd", "dnn") or (self.cone == "cp" and self.mode == "exact"):
             self._chol_inv = np.linalg.inv(np.linalg.cholesky(self._center_mat))
+        self._supports = self._support_inv = None
+        if self.cone == "cop" and self.mode == "exact":
+            # the supports S of each size, with L_S^{-1} where C_S = L_S L_S^T
+            self._supports = [np.array(list(combinations(range(self.n), size)))
+                              for size in range(1, self.n + 1)]
+            self._support_inv = [
+                np.linalg.inv(np.linalg.cholesky(self._center_mat[idx[:, :, None], idx[:, None, :]]))
+                for idx in self._supports]
         self.closed_form = (self.cone == "ball" or faces is not None
-                            or self._chol_inv is not None)
+                            or self._chol_inv is not None or self._supports is not None)
         if not self.membership(self.star_center):
             raise ValueError("star center failed the membership oracle")
 
@@ -256,8 +273,11 @@ class SectionSpec:
 
         A closed-form section tests what `section_radii` uses, under one
         tolerance rule: with s = 1 + max |a_ij|, every face row f needs
-        f . vec(a) >= -oracle_tol * |f|_1 * s, and a spectral section needs
-        lambda_min(a) >= -oracle_tol * s; the ball needs |g| <= R + oracle_tol.
+        f . vec(a) >= -oracle_tol * |f|_1 * s, a spectral section needs
+        lambda_min(a) >= -oracle_tol * s, and cop at n <= 4 needs every
+        eigenvalue of a principal submatrix a_S with a strictly one-signed
+        eigenvector to be >= -oracle_tol * s (Kaplan's criterion); the ball
+        needs |g| <= R + oracle_tol.
         The other sections ask their cone's certificate or refutation search.
         """
         g = np.asarray(g, dtype=float)
@@ -271,8 +291,12 @@ class SectionSpec:
                 bound = tol * scale * np.abs(self._faces).sum(axis=1)
                 if not np.all(self._faces @ a.ravel() >= -bound):
                     return False
+            if self._supports is not None:
+                # Kaplan: no support has a negative eigenvalue with a
+                # strictly one-signed eigenvector
+                return float(_kaplan_min(a[None], self._supports)[0]) >= -tol * scale
             return self._chol_inv is None or float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
-        if _is_spn_section(self):
+        if self.cone == "spn":
             # a boundary query can leave the solver indeterminate; counting
             # that as non-membership keeps bisection within solver resolution
             try:
@@ -317,13 +341,20 @@ def _check_unit(dirs: np.ndarray) -> None:
         raise ValueError("direction must be normalized")
 
 
+def _check_bisect_tol(bisect_tol: float) -> None:
+    # NaN would end `_bisect` at once, and 0 or less would never end it
+    if not (math.isfinite(bisect_tol) and 0 < bisect_tol < 1):
+        raise ValueError(f"bisect_tol must be finite and in (0, 1), got {bisect_tol}")
+
+
 def section_radii(spec: SectionSpec, directions) -> np.ndarray:
     """Radii of a stack of unit directions, shape (k, dim), in closed form.
 
     Face rows give min over rows with g.d < 0 of -(g.c)/(g.d); a spectral
     section gives -1/lambda_min(L^{-1} D L^{-T}); a section with both takes
-    the smaller; the ball gives its radius.  Raises ValueError for a section
-    without a closed form (`spec.closed_form` is False).
+    the smaller; cop at n <= 4 gives `_radial_cop`; the ball gives its
+    radius.  Raises ValueError for a section without a closed form
+    (`spec.closed_form` is False).
     """
     if not spec.closed_form:
         raise ValueError(f"the {spec.cone} section ({spec.mode}) has no closed-form radius")
@@ -343,14 +374,50 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
         lam = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
         radii = np.minimum(radii, np.divide(-1.0, lam, out=np.full(lam.shape, np.inf),
                                             where=lam < 0))
+    if spec._supports is not None:
+        radii = _radial_cop(spec, _direction_matrices(spec, dirs))
     if not np.isfinite(radii).all():
         raise RadialError("direction never exits the section")
     return radii
 
 
-def _is_spn_section(spec: SectionSpec) -> bool:
-    """spn, or cop at n <= 4 (mode "exact"), where COP = SPN."""
-    return spec.cone == "spn" or (spec.cone == "cop" and spec.mode == "exact")
+def _kaplan_min(mats: np.ndarray, supports, support_inv=None) -> np.ndarray:
+    """Per matrix of a stack, shape (k, n, n), the smallest eigenvalue mu of
+    a principal submatrix W_S = L_S^{-1} A_S L_S^{-T} whose eigenvector w
+    maps to a strictly one-signed x = L_S^{-T} w; +inf when there is none.
+
+    `supports` holds, per support size, the supports as rows of indices;
+    `support_inv` the stacks of their L_S^{-1}, or None for L_S = I.  One
+    `eigh` a size.
+    """
+    low = np.full(len(mats), np.inf)
+    for idx, linv in zip(supports, support_inv or [None] * len(supports)):
+        w = mats[:, idx[:, :, None], idx[:, None, :]]
+        if linv is not None:
+            w = linv @ w @ np.swapaxes(linv, 1, 2)
+            w = 0.5 * (w + np.swapaxes(w, 2, 3))
+        mu, vec = np.linalg.eigh(w)
+        x = vec if linv is None else np.swapaxes(linv, 1, 2) @ vec
+        signed = np.all(x > 0, axis=2) | np.all(x < 0, axis=2)
+        low = np.minimum(low, np.where(signed, mu, np.inf).reshape(len(mats), -1).min(axis=1))
+    return low
+
+
+def _radial_cop(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
+    """Radii of the cop section at n <= 4 (mode "exact") along a stack of
+    direction matrices D, shape (k, n, n); +inf where D never exits.
+
+    C + tD is singular on a support S with a one-signed null vector x
+    exactly when W_S = L_S^{-1} D_S L_S^{-T} has the eigenvalue mu = -1/t
+    with eigenvector L_S^T x.  The radius is -1/mu for the smallest such
+    mu < 0 (`_kaplan_min`), and it is exact: at the radius t* some x >= 0
+    has x^T (C + t* D) x = 0, so (C + t* D)_S x_S = 0 on its support S; for
+    t < t*, C + tD is strictly copositive and no submatrix has a one-signed
+    null vector; and on a minimal such S the null space has dimension one,
+    so a repeated eigenvalue cannot hide the witness.
+    """
+    low = _kaplan_min(d_mats, spec._supports, spec._support_inv)
+    return np.divide(-1.0, low, out=np.full(low.shape, np.inf), where=low < 0)
 
 
 def _direction_matrices(spec: SectionSpec, dirs: np.ndarray) -> np.ndarray:
@@ -360,8 +427,8 @@ def _direction_matrices(spec: SectionSpec, dirs: np.ndarray) -> np.ndarray:
 
 
 def _radial_spn(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
-    """Radii of an spn (or cop exact) section along a stack of direction
-    matrices D, shape (k, n, n).
+    """Radii of an spn section along a stack of direction matrices D, shape
+    (k, n, n).
 
     Each ray is the SDP max t s.t. X + N - t D = C, X PSD, N >= 0 entrywise,
     with C the star center (`cones.pn_problem`); the rays are solved as one
@@ -419,7 +486,7 @@ def _radii(spec: SectionSpec, dirs: np.ndarray, bisect_tol: float) -> np.ndarray
     method: closed form, stacked P + N SDP, one LP a ray or bisection."""
     if spec.closed_form:
         return section_radii(spec, dirs)
-    if _is_spn_section(spec):
+    if spec.cone == "spn":
         return _radial_spn(spec, _direction_matrices(spec, dirs))
     if spec.cone == "lf":
         return np.array([_radial_lf_inner(spec, g) for g in dirs])
@@ -432,6 +499,7 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9) -> float:
     This is `_radii` on a stack of one, so the radius equals the one
     `vrad_mc` computes in its blocks.
     """
+    _check_bisect_tol(bisect_tol)
     g = np.asarray(direction, dtype=float)
     _check_unit(g)
     return float(_radii(spec, g[None, :], bisect_tol)[0])
@@ -447,13 +515,15 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
     translation invariant).  The directions go to `_radii` in blocks of
-    `_BLOCK`, in one process and thread; `bisect_tol` matters only to the
-    bisecting sections (cop inner/outer, cp outer).  The CI is the
-    delta-method interval of log E[r^d], mapped through the 1/d power.  The
-    result is deterministic given (seed, samples).
+    `_BLOCK`, in one process and thread; `bisect_tol`, finite and in
+    (0, 1), matters only to the bisecting sections (cop inner/outer, cp
+    outer).  The CI is the delta-method interval of log E[r^d], mapped
+    through the 1/d power.  The result is deterministic given (seed,
+    samples).
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
+    _check_bisect_tol(bisect_tol)
     d = spec.dim
     rng = np.random.RandomState(seed)
     dirs = rng.standard_normal((samples, d))

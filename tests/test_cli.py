@@ -243,6 +243,15 @@ def test_vrad_nonpositive_ball_radius_exits_64(radius, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("option,name", [("--bisect-tol", "bisect_tol"), ("--tol", "oracle_tol")])
+def test_vrad_nan_tolerance_exits_64_naming_it(option, name, capsys):
+    assert cli.main(["vrad", "--cone", "nn", "-n", "3", "--samples", "100",
+                     option, "nan"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{name} must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_vrad_lf_above_n8_exits_64_naming_the_orbit_size(capsys):
     assert cli.main(["vrad", "--cone", "lf", "--mode", "outer", "-n", "9",
                      "--samples", "100"]) == cli.EXIT_USAGE
@@ -379,6 +388,9 @@ def scipy_modules():
 
 gram, shifted, nn3, horn = sys.argv[1:]
 steps = {"import": scipy_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = coposlab.cli.main(["vrad", "--cone", "cop", "-n", "4", "--samples", "200"])
+steps["vrad"] = [code, scipy_modules()]
 for step, path in (("nn", gram), ("psd", gram), ("dnn", gram), ("parrilo", gram),
                    ("parrilo-vertex", shifted), ("cp", nn3), ("cop", horn)):
     cone = step.split("-")[0]
@@ -416,6 +428,8 @@ def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
     # cp at n <= 4 takes the level-0 closed form: the PSD slice refutes a
     # nonnegative matrix that is not PSD
     assert steps["cp"] == [cli.EXIT_NEGATIVE, []]
+    # the cop section at n <= 4 has Kaplan's closed-form radius
+    assert steps["vrad"] == [cli.EXIT_OK, []]
     # positive control: the copositivity of Horn takes an SDP, and with it scipy
     code, loaded = steps["cop"]
     assert code == cli.EXIT_OK

@@ -289,6 +289,31 @@ def test_presolve_detects_inconsistent_dependent_rows():
     assert sol.dual_ray.max_violation() <= 1e-8
 
 
+def test_presolve_r_only_qr_matches_the_economic_reference():
+    # the economic QR also forms Q, which presolve never reads; its R and
+    # pivots are the reference for every output of presolve
+    from scipy.linalg import qr
+
+    def economic(a, mode, pivoting):
+        _, r, piv = qr(a, mode="economic", pivoting=pivoting)
+        return r, piv
+
+    rng = np.random.RandomState(3)
+    full, b = rng.standard_normal((6, 15)), rng.standard_normal(6)
+    dependent = np.vstack([full, 2.0 * full[1], full[0] - full[4]])
+    cases = [(full, b),                                                     # full rank
+             (dependent, np.concatenate([b, [2.0 * b[1], b[0] - b[4]]])),        # dependent
+             (dependent, np.concatenate([b, [2.0 * b[1], b[0] - b[4] + 1.0]])),  # inconsistent
+             (rng.standard_normal((9, 4)), rng.standard_normal(9))]         # more rows than columns
+    for A, b in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = sdp._presolve(A, b, qr)
+            want = sdp._presolve(A, b, economic)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or np.array_equal(g, w)
+
+
 def test_tolerance_validation():
     p = SdpProblem(psd_block_dims=[2])
     p.constraints.append(trace_constraint(2, 1.0))

@@ -9,7 +9,8 @@ from coposlab import volume
 from coposlab.volume import SectionSpec, radial, section_radii, vrad_mc
 
 CLOSED_FORM = [("nn", 5, None), ("psd", 5, None), ("dnn", 5, None), ("cp", 4, "exact"),
-               ("cp", 5, "inner"), ("lf", 4, "outer"), ("ball", 5, None)]
+               ("cp", 5, "inner"), ("lf", 4, "outer"), ("ball", 5, None),
+               ("cop", 3, "exact"), ("cop", 4, "exact")]
 
 
 def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
@@ -79,35 +80,75 @@ def test_vrad_mc_is_deterministic(cone, n, mode, kwargs):
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("cone,n,mode", [("spn", 4, None), ("cop", 4, "exact")])
-def test_stacked_parametric_radii_equal_one_by_one(cone, n, mode):
-    spec = SectionSpec(cone=cone, n=n, mode=mode)
+def test_stacked_parametric_radii_equal_one_by_one():
+    spec = SectionSpec(cone="spn", n=4)
     dirs = unit_directions(spec.dim, 23, seed=6)
     stacked = volume._radial_spn(spec, volume._direction_matrices(spec, dirs))
     assert np.array_equal(stacked, np.array([radial(spec, g) for g in dirs]))
 
 
-@pytest.mark.parametrize("cone,n,mode", [("spn", 4, None), ("cop", 4, "exact")])
-def test_parametric_radii_match_bisection(cone, n, mode):
-    spec = SectionSpec(cone=cone, n=n, mode=mode)
+def test_parametric_radii_match_bisection():
+    spec = SectionSpec(cone="spn", n=4)
     for g in unit_directions(spec.dim, 5, seed=12):
         ref = volume._bisect(spec, g, 1e-7)
         assert abs(radial(spec, g) - ref) <= 1e-6 * ref
 
 
-@pytest.mark.parametrize("cone,n,mode", [("spn", 4, None), ("cop", 4, "exact")])
-def test_boundary_bisection_emits_no_runtime_warning(cone, n, mode):
+def test_boundary_bisection_emits_no_runtime_warning():
     # the tight bisection's radii are pinned bit for bit, with warnings
     # raised as errors
     want = [float.fromhex(h) for h in ("0x1.d464087600000p-2", "0x1.c4feb38200000p-2",
                                        "0x1.8eed4e7e00000p-2", "0x1.e924034c00000p-2",
                                        "0x1.b463920a00000p-2")]
-    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    spec = SectionSpec(cone="spn", n=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [volume._bisect(spec, g, 1e-9)
                for g in unit_directions(spec.dim, 5, seed=12)]
     assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cop_closed_form_brackets_the_pn_sdp(n):
+    # the SDP's primal point is feasible, so it can only under-report
+    spec = SectionSpec(cone="cop", n=n)
+    dirs = unit_directions(spec.dim, 200, seed=21)
+    fast = section_radii(spec, dirs)
+    sdp = volume._radial_spn(spec, volume._direction_matrices(spec, dirs))
+    assert np.all(sdp <= fast * (1 + 1e-9))
+    assert np.all(fast <= sdp * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cop_closed_form_analytic_radii(n):
+    # C = s (I + J/n); C - t (E_12 + E_21) leaves the cone when its (1, 2)
+    # entry reaches -s (1 + 1/n), and C - t I when a diagonal entry reaches
+    # 0: every support of size >= 2 has its repeated eigenvalue s on
+    # eigenvectors that sum to zero, so the singletons decide
+    spec = SectionSpec(cone="cop", n=n)
+    s = n * (n + 2) / (4.0 * n + 2.0)
+    e12 = np.zeros((n, n))
+    e12[0, 1] = e12[1, 0] = 1.0
+    got = volume._radial_cop(spec, np.array([-e12, -np.eye(n)]))
+    assert np.allclose(got, [s * (1 + 2.0 / n), s * (1 + 1.0 / n)], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1.0])
+def test_bisect_tol_outside_0_1_is_refused_before_any_loop(bad, monkeypatch):
+    # 0 or less would never end `_bisect`, and NaN would end it at once
+    monkeypatch.setattr(volume, "_radii", None)
+    spec = SectionSpec(cone="nn", n=3)
+    g = unit_directions(spec.dim, 1, seed=0)[0]
+    with pytest.raises(ValueError, match="bisect_tol"):
+        vrad_mc(spec, 100, seed=0, bisect_tol=bad)
+    with pytest.raises(ValueError, match="bisect_tol"):
+        radial(spec, g, bisect_tol=bad)
+
+
+@pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
+def test_bad_oracle_tol_is_refused_by_name(bad):
+    with pytest.raises(ValueError, match="oracle_tol"):
+        SectionSpec(cone="psd", n=3, oracle_tol=bad)
 
 
 def test_lf_section_above_n8_is_refused_before_building_generators(monkeypatch):
