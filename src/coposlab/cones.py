@@ -429,19 +429,26 @@ def cop_inner(a: SymMatrix, tol: float = 1e-9) -> Optional[Tuple[int, SosGram]]:
 
     A matrix in a summand cone (_summand_split at tol) gets its level-0 Gram
     (_summand_gram at r = 0) without an SDP; parrilo_member keeps its
-    level-0 SDP, so the split is tried here first.  Otherwise parrilo_member
-    runs at r = 0 and then r = 1, at tol raised to 1e-7 at least, and a
-    level that leaves the solver indeterminate counts as not certified.
+    level-0 SDP, so the split is tried here first.  A matrix with a negative
+    vertex (_negative_vertex at the levels' tolerance) is not copositive and
+    lies in no K^(r), so it gets None without an SDP.  Otherwise
+    parrilo_member runs at r = 0 and then r = 1, at tol raised to 1e-7 at
+    least, and a level that leaves the solver indeterminate counts as not
+    certified.
     Level 1 runs only for n >= 5: for n <= 4 every copositive matrix is
     PSD + NN (Diananda 1962), so every level of the hierarchy equals K^(0)
     and no level certifies a matrix that level 0 does not.
     """
-    pair = _summand_split(a.to_numpy(), tol)
+    arr = a.to_numpy()
+    pair = _summand_split(arr, tol)
     if pair is not None:
         return 0, _summand_gram(pair, 0)
+    level_tol = max(tol, 1e-7)
+    if _negative_vertex(arr, level_tol) is not None:
+        return None
     for r in ((0, 1) if a.n >= 5 else (0,)):
         try:
-            res = parrilo_member(a, r, max(tol, 1e-7))
+            res = parrilo_member(a, r, level_tol)
         except RuntimeError:
             continue
         if isinstance(res, SosGram):
@@ -471,7 +478,9 @@ def cop_refute(a: SymMatrix, attempts: int = 64, seed: int = 0,
     Combines an exhaustive scan of 0/1-support vertices (supports up to size
     min(n, 6)) with seeded multi-start projected-gradient descent on the
     simplex, all starts stepped together as the rows of one array.  A
-    returned witness is re-verified in exact rational arithmetic.
+    returned witness is re-verified in exact rational arithmetic.  When the
+    scan already finds a point below -tol that re-verifies, it is returned
+    and the descent does not run.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
@@ -486,6 +495,10 @@ def cop_refute(a: SymMatrix, attempts: int = 64, seed: int = 0,
             v = float(x @ arr @ x)
             if v < best_v:
                 best_x, best_v = x, v
+    if best_x is not None:
+        cert = _exact_witness(a, best_x)
+        if cert is not None:
+            return cert
 
     rng = np.random.RandomState(seed)
     lip = float(np.abs(arr).sum(axis=1).max())  # row-sum bound on ||A||_2
@@ -499,11 +512,13 @@ def cop_refute(a: SymMatrix, attempts: int = 64, seed: int = 0,
     if vals[k] < best_v:
         best_x, best_v = x[k], float(vals[k])
 
-    if best_x is None:
-        return None
-    # rationalize and certify exactly
+    return None if best_x is None else _exact_witness(a, best_x)
+
+
+def _exact_witness(a: SymMatrix, x: np.ndarray) -> Optional[CopRefutation]:
+    """x rationalized, with its exact x^T A x, when that is negative."""
     for den in (10 ** 6, 10 ** 12):
-        xr = tuple(Fraction(float(t)).limit_denominator(den) for t in best_x)
+        xr = tuple(Fraction(float(t)).limit_denominator(den) for t in x)
         cert = CopRefutation(x=xr, value=_exact_quadratic(a, xr))
         if _is_negative(cert.value):
             return cert

@@ -26,16 +26,21 @@ stack of directions:
   {a : G vec(a) >= 0}, i.e. nn (the entries), cp inner (the entries plus
   diagonal dominance) and lf outer (the apolar pairings with sampled
   nonnegative forms); a generalized eigenvalue for psd; the minimum of the
-  two for dnn and for cp at n <= 4 (mode "exact", CP = DNN); for cop at
-  n <= 4 (mode "exact") the generalized eigenvalues of the 2^n - 1
-  principal submatrices that have a strictly one-signed eigenvector,
-  which is Kaplan's criterion (Kaplan 2000, LAA 313) and exact there; the
-  ball radius itself for ball.  The membership oracle of these sections
-  tests the same face rows and eigenvalues;
+  two for dnn and for cp at n <= 4 (mode "exact", CP = DNN), with the
+  eigenvalue computed only on the rays where the PSD side can bind at the
+  face radius; for cop at n <= 4 (mode "exact") the generalized
+  eigenvalues of the 2^n - 1 principal submatrices that have a strictly
+  one-signed eigenvector, which is Kaplan's criterion (Kaplan 2000, LAA
+  313) and exact there; the ball radius itself for ball.  The membership
+  oracle of these sections tests the same face rows and eigenvalues;
+- spn at n <= 5 (`_radial_spn`): Kaplan's COP radius t*, an upper bound as
+  SPN lies in COP, kept where C + t* D is certified PSD + NN: always at
+  n <= 4, where COP = SPN (Diananda 1962), and at n = 5 by a rank-one peel
+  that leaves a 4 x 4 copositive rest (`_peel_certifies`);
 - one parametric SDP per ray on the P + N rows of `cones.pn_problem`, the
-  rays solved as one stack (`sdp.sdp_solve_many`): spn.  At n <= 4,
-  where COP = SPN (Diananda 1962), it is the reference that the tests hold
-  the cop closed form to;
+  rays solved as one stack (`sdp.sdp_solve_many`): spn at n >= 6, and the
+  n = 5 rays the peel cannot certify.  It is also the reference that the
+  tests hold the cop closed form and the spn radii to;
 - one LP per ray: lf inner (max t with the point in the generators' hull);
 - bisection on the membership oracle: cop inner/outer and cp outer.
 
@@ -154,7 +159,10 @@ class SectionSpec:
     sections keep their face rows G (on vec(a)) with the offsets G vec(c) at
     the star center c; spectral ones keep L^{-1}, where c = L L^T; cop at
     n <= 4 (mode "exact") keeps, per support size, the supports S and
-    L_S^{-1}, where c_S = L_S L_S^T.
+    L_S^{-1}, where c_S = L_S L_S^T.  spn at n <= 5 keeps them too, for the
+    COP radius it starts from, and stays off `closed_form`: its radius
+    falls back to the P + N SDP on the rays the peel cannot certify, and
+    its membership oracle stays the P + N split (`cones.spn_decompose`).
     """
 
     cone: str
@@ -224,15 +232,18 @@ class SectionSpec:
         if self.cone in ("psd", "dnn") or (self.cone == "cp" and self.mode == "exact"):
             self._chol_inv = np.linalg.inv(np.linalg.cholesky(self._center_mat))
         self._supports = self._support_inv = None
-        if self.cone == "cop" and self.mode == "exact":
+        cop_exact = self.cone == "cop" and self.mode == "exact"
+        # spn starts from the COP radius up to n = 5, where a rank-one peel
+        # leaves a 4 x 4 copositivity test (`_radial_spn`)
+        if cop_exact or (self.cone == "spn" and self.n <= 5):
             # the supports S of each size, with L_S^{-1} where C_S = L_S L_S^T
-            self._supports = [np.array(list(combinations(range(self.n), size)))
-                              for size in range(1, self.n + 1)]
+            self._supports = _supports(self.n)
             self._support_inv = [
                 np.linalg.inv(np.linalg.cholesky(self._center_mat[idx[:, :, None], idx[:, None, :]]))
                 for idx in self._supports]
+        # spn keeps its SDP membership oracle, so it is no closed-form section
         self.closed_form = (self.cone == "ball" or faces is not None
-                            or self._chol_inv is not None or self._supports is not None)
+                            or self._chol_inv is not None or cop_exact)
         if not self.membership(self.star_center):
             raise ValueError("star center failed the membership oracle")
 
@@ -352,7 +363,8 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
 
     Face rows give min over rows with g.d < 0 of -(g.c)/(g.d); a spectral
     section gives -1/lambda_min(L^{-1} D L^{-T}); a section with both takes
-    the smaller; cop at n <= 4 gives `_radial_cop`; the ball gives its
+    the smaller, computing lambda_min only on the rays whose face radius it
+    can undercut; cop at n <= 4 gives `_radial_cop`; the ball gives its
     radius.  Raises ValueError for a section without a closed form
     (`spec.closed_form` is False).
     """
@@ -371,14 +383,40 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
     if spec._chol_inv is not None:
         d_mats = _direction_matrices(spec, dirs)
         w = spec._chol_inv @ d_mats @ spec._chol_inv.T
-        lam = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
-        radii = np.minimum(radii, np.divide(-1.0, lam, out=np.full(lam.shape, np.inf),
-                                            where=lam < 0))
+        w = 0.5 * (w + np.swapaxes(w, 1, 2))
+        # the PSD side binds only where I + r W is not positive definite at
+        # the face radius r; the margin 1e-9 is far above rounding, so every
+        # ray skipped here has -1/lambda_min > r and keeps r bit for bit
+        face = np.isfinite(radii)
+        grown = np.where(face, radii, 0.0) * (1.0 + 1e-9)
+        bind = ~face | ~_positive_definite(np.eye(spec.n) + grown[:, None, None] * w)
+        lam = np.linalg.eigvalsh(w[bind])[:, 0]
+        radii[bind] = np.minimum(radii[bind], np.divide(-1.0, lam, out=np.full(lam.shape, np.inf),
+                                                        where=lam < 0))
     if spec._supports is not None:
         radii = _radial_cop(spec, _direction_matrices(spec, dirs))
     if not np.isfinite(radii).all():
         raise RadialError("direction never exits the section")
     return radii
+
+
+def _positive_definite(mats: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, shape (k, n, n), whether every pivot of its
+    LDL^T factorization is positive, that is whether it is positive
+    definite.  numpy's batched `cholesky` raises for the whole stack when
+    one matrix fails, so the elimination runs here, one column at a time."""
+    m = mats.copy()
+    ok = np.ones(len(m), dtype=bool)
+    for j in range(m.shape[1]):
+        ok &= m[:, j, j] > 0
+        col = m[:, j + 1:, j] / np.where(ok, m[:, j, j], 1.0)[:, None]
+        m[:, j + 1:, j + 1:] -= col[:, :, None] * m[:, None, j, j + 1:]
+    return ok
+
+
+def _supports(n: int) -> List[np.ndarray]:
+    """The supports S of {0, ..., n - 1}, per size 1..n, as rows of indices."""
+    return [np.array(list(combinations(range(n), size))) for size in range(1, n + 1)]
 
 
 def _kaplan_min(mats: np.ndarray, supports, support_inv=None) -> np.ndarray:
@@ -404,8 +442,10 @@ def _kaplan_min(mats: np.ndarray, supports, support_inv=None) -> np.ndarray:
 
 
 def _radial_cop(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
-    """Radii of the cop section at n <= 4 (mode "exact") along a stack of
-    direction matrices D, shape (k, n, n); +inf where D never exits.
+    """Radii of the COP section about the star center C along a stack of
+    direction matrices D, shape (k, n, n), from the supports the spec keeps
+    (cop at n <= 4, spn at n <= 5); +inf where D never exits.  Nothing in
+    the argument below depends on n; only the 2^n - 1 supports grow.
 
     C + tD is singular on a support S with a one-signed null vector x
     exactly when W_S = L_S^{-1} D_S L_S^{-T} has the eigenvalue mu = -1/t
@@ -430,9 +470,63 @@ def _radial_spn(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     """Radii of an spn section along a stack of direction matrices D, shape
     (k, n, n).
 
-    Each ray is the SDP max t s.t. X + N - t D = C, X PSD, N >= 0 entrywise,
+    At n <= 5 each ray starts from the COP radius t* of `_radial_cop`; as
+    SPN lies in COP, the spn radius is at most t*, and it is t* exactly
+    when A* = C + t* D is PSD + NN.  At n <= 4 that always holds (COP = SPN,
+    Diananda 1962); at n = 5 `_peel_certifies` must show it.  The rays it
+    cannot certify, and every ray at n >= 6, take the stacked P + N SDP
+    (`_radial_spn_sdp`).
+    """
+    if spec._supports is None:
+        return _radial_spn_sdp(spec, d_mats)
+    radii = _radial_cop(spec, d_mats)
+    done = np.isfinite(radii)
+    if spec.n == 5:
+        a_star = spec._center_mat + radii[done, None, None] * d_mats[done]
+        done[done] = _peel_certifies(a_star, spec.oracle_tol)
+    if not done.all():
+        radii[~done] = _radial_spn_sdp(spec, d_mats[~done])
+    return radii
+
+
+def _peel_certifies(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Per 5 x 5 matrix A of a stack, whether a rank-one peel shows it PSD + NN.
+
+    Take a row i with a = A_ii > 0, its off-diagonal part b and beta = min(b, 0)
+    or beta = b; with v = (sqrt(a), beta / sqrt(a)), in the order that puts
+    i first,
+
+        A = v v^T + [[0, (b - beta)^T], [b - beta, R]],  R = A_-i,-i - beta beta^T / a.
+
+    b - beta >= 0, so if R is copositive, hence PSD + NN as 4 x 4 (Diananda
+    1962), A is PSD + NN.  R is judged by Kaplan's criterion under the rule
+    of `SectionSpec.membership`: no eigenvalue below -tol (1 + max |R_ij|)
+    with a strictly one-signed eigenvector.  The peels are tried in turn,
+    beta = min(b, 0) on every row first, each only on the matrices no
+    earlier peel certified.  A False is no refutation.
+    """
+    n = mats.shape[1]
+    supports = _supports(n - 1)
+    ok = np.zeros(len(mats), dtype=bool)
+    for whole_row in (False, True):
+        for i in range(n):
+            todo = np.flatnonzero(~ok & (mats[:, i, i] > 0))
+            if not len(todo):
+                continue
+            rest = [j for j in range(n) if j != i]
+            m = mats[todo]
+            beta = m[:, i, rest] if whole_row else np.minimum(m[:, i, rest], 0.0)
+            r = m[:, rest][:, :, rest] - beta[:, :, None] * beta[:, None, :] / m[:, i, i, None, None]
+            scale = 1.0 + np.abs(r).max(axis=(1, 2))
+            ok[todo] = _kaplan_min(r, supports) >= -tol * scale
+    return ok
+
+
+def _radial_spn_sdp(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
+    """Radii along a stack of direction matrices D, shape (k, n, n), inside
+    SPN, each the SDP max t s.t. X + N - t D = C, X PSD, N >= 0 entrywise,
     with C the star center (`cones.pn_problem`); the rays are solved as one
-    stack.
+    stack, and `sdp_solve_many` gives each the same bits in any stack.
     """
     probs = [pn_problem(spec._center_mat, d_mat) for d_mat in d_mats]
     radii = np.empty(len(probs))
@@ -483,7 +577,7 @@ def _bisect(spec: SectionSpec, g: np.ndarray, bisect_tol: float) -> float:
 
 def _radii(spec: SectionSpec, dirs: np.ndarray, bisect_tol: float) -> np.ndarray:
     """Radii of a stack of unit directions, shape (k, dim), by the section's
-    method: closed form, stacked P + N SDP, one LP a ray or bisection."""
+    method: closed form, spn's (`_radial_spn`), one LP a ray or bisection."""
     if spec.closed_form:
         return section_radii(spec, dirs)
     if spec.cone == "spn":

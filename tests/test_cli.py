@@ -391,8 +391,13 @@ steps = {"import": scipy_modules()}
 with contextlib.redirect_stdout(io.StringIO()):
     code = coposlab.cli.main(["vrad", "--cone", "cop", "-n", "4", "--samples", "200"])
 steps["vrad"] = [code, scipy_modules()]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = coposlab.cli.main(["vrad", "--cone", "spn", "-n", "4", "--samples", "2000",
+                              "--seed", "1"])
+steps["vrad-spn"] = [code, scipy_modules()]
 for step, path in (("nn", gram), ("psd", gram), ("dnn", gram), ("parrilo", gram),
-                   ("parrilo-vertex", shifted), ("cp", nn3), ("cop", horn)):
+                   ("parrilo-vertex", shifted), ("cp", nn3), ("cop-vertex", shifted),
+                   ("cop", horn)):
     cone = step.split("-")[0]
     level = ["--level", "1"] if cone == "parrilo" else []
     with contextlib.redirect_stdout(io.StringIO()):
@@ -428,8 +433,13 @@ def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
     # cp at n <= 4 takes the level-0 closed form: the PSD slice refutes a
     # nonnegative matrix that is not PSD
     assert steps["cp"] == [cli.EXIT_NEGATIVE, []]
-    # the cop section at n <= 4 has Kaplan's closed-form radius
+    # the cop section at n <= 4 has Kaplan's closed-form radius, and so has
+    # spn, which equals cop there
     assert steps["vrad"] == [cli.EXIT_OK, []]
+    assert steps["vrad-spn"] == [cli.EXIT_OK, []]
+    # cop on Horn - 0.2 I: the negative vertex rules out every level of the
+    # hierarchy, and the vertex scan's witness refutes
+    assert steps["cop-vertex"] == [cli.EXIT_NEGATIVE, []]
     # positive control: the copositivity of Horn takes an SDP, and with it scipy
     code, loaded = steps["cop"]
     assert code == cli.EXIT_OK

@@ -300,6 +300,23 @@ def _pm1_with_negative_triangle(n):
     return a
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_cop_negative_vertex_needs_no_sdp_and_no_descent(n, no_sdp, monkeypatch):
+    # a negative vertex lies in no K^(r), and the scan's vertex is the
+    # witness, so the projected-gradient descent never runs
+    monkeypatch.setattr(cones, "_project_simplex", None)
+    pair = np.eye(n) + 0.1
+    pair[0, n - 1] = pair[n - 1, 0] = -1.2
+    inputs = [pair, _pm1_with_negative_triangle(n)]
+    if n == 5:
+        inputs.append(horn_matrix().to_numpy() - 0.2 * np.eye(5))
+    for arr in inputs:
+        a = SymMatrix(arr)
+        assert cones.cop_inner(a) is None
+        wit = cop_refute(a)
+        assert wit is not None and wit.check_exact(a)
+
+
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("n", range(3, 7))
 def test_parrilo_negative_vertex_is_refuted_without_an_sdp(n, r, no_sdp):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from coposlab import volume
+from coposlab.cones import SpnPair, horn_matrix, spn_decompose
+from coposlab.numerics import SymMatrix
 from coposlab.volume import SectionSpec, radial, section_radii, vrad_mc
 
 CLOSED_FORM = [("nn", 5, None), ("psd", 5, None), ("dnn", 5, None), ("cp", 4, "exact"),
@@ -114,9 +116,87 @@ def test_cop_closed_form_brackets_the_pn_sdp(n):
     spec = SectionSpec(cone="cop", n=n)
     dirs = unit_directions(spec.dim, 200, seed=21)
     fast = section_radii(spec, dirs)
-    sdp = volume._radial_spn(spec, volume._direction_matrices(spec, dirs))
+    sdp = volume._radial_spn_sdp(spec, volume._direction_matrices(spec, dirs))
     assert np.all(sdp <= fast * (1 + 1e-9))
     assert np.all(fast <= sdp * (1 + 1e-6))
+
+
+def _horn_rays(spec):
+    # from the star center toward the section point of s H, s = 1, 2, 4: H is
+    # copositive but not PSD + NN, so Kaplan's COP radius overshoots there
+    h = horn_matrix().to_numpy()
+    dirs = np.array([spec.coords_of(s * h) - spec.star_center for s in (1, 2, 4)])
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def test_spn_radii_bracket_the_stacked_sdp():
+    # the SDP's primal point is feasible, so it can only under-report
+    spec = SectionSpec(cone="spn", n=5)
+    d_mats = volume._direction_matrices(spec, unit_directions(spec.dim, 200, seed=23))
+    fast = volume._radial_spn(spec, d_mats)
+    sdp = volume._radial_spn_sdp(spec, d_mats)
+    assert np.all(sdp <= fast * (1 + 1e-9))
+    assert np.all(fast <= sdp * (1 + 1e-6))
+
+
+def test_spn_stacked_radii_equal_one_by_one_across_the_fallback():
+    spec = SectionSpec(cone="spn", n=5)
+    dirs = np.concatenate([unit_directions(spec.dim, 60, seed=24), _horn_rays(spec)])
+    d_mats = volume._direction_matrices(spec, dirs)
+    t = volume._radial_cop(spec, d_mats)
+    peeled = volume._peel_certifies(spec._center_mat + t[:, None, None] * d_mats,
+                                    spec.oracle_tol)
+    assert 0 < peeled.sum() < len(dirs)
+    one_by_one = np.array([radial(spec, g) for g in dirs])
+    assert np.array_equal(volume._radii(spec, dirs, 1e-6), one_by_one)
+
+
+def test_spn_rays_toward_horn_are_refused_and_take_the_sdp():
+    spec = SectionSpec(cone="spn", n=5)
+    d_mats = volume._direction_matrices(spec, _horn_rays(spec))
+    t = volume._radial_cop(spec, d_mats)
+    assert not volume._peel_certifies(spec._center_mat + t[:, None, None] * d_mats,
+                                      spec.oracle_tol).any()
+    sdp = volume._radial_spn_sdp(spec, d_mats)
+    assert np.array_equal(volume._radial_spn(spec, d_mats), sdp)
+    assert np.all(t >= 1.1 * sdp)
+
+
+def test_peel_refuses_the_horn_orbit_and_its_yes_decomposes():
+    rng = np.random.RandomState(25)
+    h = horn_matrix().to_numpy()
+    orbit = []
+    for _ in range(200):
+        p, d = rng.permutation(5), rng.uniform(0.2, 5.0, 5)
+        orbit.append(d[:, None] * h[np.ix_(p, p)] * d[None, :])
+    assert not volume._peel_certifies(np.array(orbit), 1e-9).any()
+    # on the section boundary and off it
+    spec = SectionSpec(cone="spn", n=5)
+    d_mats = volume._direction_matrices(spec, unit_directions(spec.dim, 20, seed=26))
+    t = volume._radial_cop(spec, d_mats)
+    g = rng.normal(size=(60, 5, 5))
+    mats = np.concatenate([spec._center_mat + t[:, None, None] * d_mats,
+                           np.eye(5) + 0.2 + 0.4 * (g + np.swapaxes(g, 1, 2))])
+    ok = volume._peel_certifies(mats, 1e-9)
+    assert 0 < ok.sum() < len(mats)
+    split = 0
+    for a in mats[ok]:
+        res = spn_decompose(SymMatrix(a))
+        assert isinstance(res, SpnPair) and res.check(a, 1e-8)
+        split += a.min() < 0 and np.linalg.eigvalsh(a)[0] < 0
+    assert split >= 10  # most are in neither summand cone
+
+
+@pytest.mark.parametrize("cone,n,mode", [("dnn", 5, None), ("dnn", 3, None), ("cp", 4, "exact")])
+def test_pivot_test_keeps_the_eigvalsh_radii_bit_for_bit(cone, n, mode, monkeypatch):
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    dirs = unit_directions(spec.dim, 2000, seed=27)
+    fast = section_radii(spec, dirs)
+    monkeypatch.setattr(volume, "_positive_definite", lambda m: np.zeros(len(m), dtype=bool))
+    assert np.array_equal(fast, section_radii(spec, dirs))
+    # and the PSD side binds on some rays but not on all
+    faces = section_radii(SectionSpec(cone="nn", n=n), dirs)
+    assert 0 < np.sum(fast < faces) < len(dirs)
 
 
 @pytest.mark.parametrize("n", [3, 4])
