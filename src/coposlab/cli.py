@@ -15,9 +15,9 @@ and dnn, certify of spn and cop on a PSD or NN input, certify of parrilo at
 vector x with at most three ones and x^T A x < 0), certify of cp at n <= 4
 (where the hierarchy collapses to PSD + NN) or on an input with a negative
 entry, certify of cop on an input with a negative vertex, vrad of a
-closed-form section (cop at n <= 4 among them) or of spn at n <= 4 (where
-SPN = COP) and check-bounds load none of it.  vrad of spn at n = 5 loads it
-only for the rays whose rank-one peel fails.
+closed-form section (cop at every n <= 12 among them) or of spn at
+n <= 4 (where SPN = COP) and check-bounds load none of it.  vrad of spn at
+n = 5 loads it only for the rays whose rank-one peel fails.
 """
 
 from __future__ import annotations
@@ -325,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("vrad", help="Monte Carlo volume radius of a cone section")
     v.add_argument("--cone", required=True, choices=list(volume.SECTION_CONES))
     v.add_argument("-n", type=int, required=True)
-    v.add_argument("--mode", choices=["exact", "inner", "outer"])
+    v.add_argument("--mode", choices=["exact", "inner", "outer"],
+                   help="cp: exact (n <= 4), inner or outer; lf: inner or outer; "
+                        "the other cones are exact")
     v.add_argument("--samples", type=int, default=20000)
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--tol", type=float, default=1e-9)

@@ -221,12 +221,6 @@ class SymMatrix:
             return SymMatrix(np.zeros((n, n)))
         return SymMatrix([[0] * n for _ in range(n)], "exact")
 
-    @staticmethod
-    def ones(n: int, flavor: str = "float") -> "SymMatrix":
-        if flavor == "float":
-            return SymMatrix(np.ones((n, n)))
-        return SymMatrix([[1] * n for _ in range(n)], "exact")
-
     # -- access -------------------------------------------------------------
     def __getitem__(self, ij):
         i, j = ij

@@ -28,11 +28,11 @@ stack of directions:
   nonnegative forms); a generalized eigenvalue for psd; the minimum of the
   two for dnn and for cp at n <= 4 (mode "exact", CP = DNN), with the
   eigenvalue computed only on the rays where the PSD side can bind at the
-  face radius; for cop at n <= 4 (mode "exact") the generalized
-  eigenvalues of the 2^n - 1 principal submatrices that have a strictly
-  one-signed eigenvector, which is Kaplan's criterion (Kaplan 2000, LAA
-  313) and exact there; the ball radius itself for ball.  The membership
-  oracle of these sections tests the same face rows and eigenvalues;
+  face radius; for cop (n <= 12) the generalized eigenvalues of the
+  2^n - 1 principal submatrices that have a strictly one-signed
+  eigenvector, which is Kaplan's criterion (Kaplan 2000, LAA 313) and
+  exact; the ball radius itself for ball.  The membership oracle of these
+  sections tests the same face rows and eigenvalues;
 - spn at n <= 5 (`_radial_spn`): Kaplan's COP radius t*, an upper bound as
   SPN lies in COP, kept where C + t* D is certified PSD + NN: always at
   n <= 4, where COP = SPN (Diananda 1962), and at n = 5 by a rank-one peel
@@ -42,9 +42,9 @@ stack of directions:
   n = 5 rays the peel cannot certify.  It is also the reference that the
   tests hold the cop closed form and the spn radii to;
 - one LP per ray: lf inner (max t with the point in the generators' hull);
-- bisection on the membership oracle: cop inner/outer and cp outer.
+- bisection on the membership oracle: cp outer.
 
-COP/CP at n >= 5 are reported as inner/outer pairs only (membership there is
+CP at n >= 5 is reported as an inner/outer pair only (membership there is
 NP-hard, and pretending otherwise would be false precision).
 """
 
@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cones import cop_inner, cop_refute, cp_refute, pn_problem, spn_decompose, SpnPair
+from .cones import cp_refute, pn_problem, spn_decompose, SpnPair
 from .numerics import SymMatrix
 from .quartic import (basis_M, coeff_vector, dim_M, _l2_gram_exact,
                       _l2_gram_float)
@@ -148,21 +148,21 @@ def _pos_samples(n: int, count: int, seed: int) -> List[np.ndarray]:
 class SectionSpec:
     """Which cone section to study, with the oracle mode and star center.
 
-    Modes: the polyhedral/spectrahedral cones (nn, psd, dnn, spn) are decided
-    exactly at tolerance; cop and cp require mode "exact" (n <= 4 only,
-    where the hierarchy collapses), "inner" or "outer"; lf requires "inner"
-    (conic hull of sampled generators) or "outer" (apolar pairing against
-    sampled nonnegative forms).  "ball" is a calibration cone {|g| <= R}.
+    Modes: nn, psd, dnn, spn and cop (n <= 12, by Kaplan's criterion) are
+    decided exactly at tolerance; cp requires mode "exact" (n <= 4 only,
+    where CP = DNN), "inner" or "outer"; lf requires "inner" (conic hull of
+    sampled generators) or "outer" (apolar pairing against sampled
+    nonnegative forms).  "ball" is a calibration cone {|g| <= R}.
     `oracle_tol` must be finite and nonnegative.
 
     `closed_form` tells whether `section_radii` applies.  Polyhedral
     sections keep their face rows G (on vec(a)) with the offsets G vec(c) at
-    the star center c; spectral ones keep L^{-1}, where c = L L^T; cop at
-    n <= 4 (mode "exact") keeps, per support size, the supports S and
-    L_S^{-1}, where c_S = L_S L_S^T.  spn at n <= 5 keeps them too, for the
-    COP radius it starts from, and stays off `closed_form`: its radius
-    falls back to the P + N SDP on the rays the peel cannot certify, and
-    its membership oracle stays the P + N split (`cones.spn_decompose`).
+    the star center c; spectral ones keep L^{-1}, where c = L L^T; cop
+    keeps, per support size, the supports S and L_S^{-1}, where
+    c_S = L_S L_S^T.  spn at n <= 5 keeps them too, for the COP radius it
+    starts from, and stays off `closed_form`: its radius falls back to the
+    P + N SDP on the rays the peel cannot certify, and its membership
+    oracle stays the P + N split (`cones.spn_decompose`).
     """
 
     cone: str
@@ -186,18 +186,21 @@ class SectionSpec:
             raise ValueError("ball_radius must be positive")
         if not (math.isfinite(self.oracle_tol) and self.oracle_tol >= 0):
             raise ValueError(f"oracle_tol must be finite and >= 0, got {self.oracle_tol}")
-        if self.cone in ("nn", "psd", "dnn", "spn", "ball"):
+        if self.cone in ("nn", "psd", "dnn", "spn", "cop", "ball"):
             if self.mode not in (None, "exact"):
                 raise ValueError(f"cone {self.cone} is decided exactly; mode must be None")
+            if self.cone == "cop" and self.n > 12:
+                raise ValueError(f"cop at n = {self.n} scans 2^n - 1 = {2 ** self.n - 1} "
+                                 "supports; n must be <= 12")
             self.mode = "exact"
-        elif self.cone in ("cop", "cp"):
+        elif self.cone == "cp":
             if self.mode is None:
                 self.mode = "exact" if self.n <= 4 else None
             if self.mode == "exact" and self.n > 4:
-                raise ValueError(f"{self.cone} is only exactly decidable for n <= 4; "
+                raise ValueError("cp is only exactly decidable for n <= 4; "
                                  "request mode 'inner' or 'outer'")
             if self.mode not in ("exact", "inner", "outer"):
-                raise ValueError(f"{self.cone} at n = {self.n} needs mode 'inner' or 'outer'")
+                raise ValueError(f"cp at n = {self.n} needs mode 'inner' or 'outer'")
         elif self.cone == "lf":
             if self.mode not in ("inner", "outer"):
                 raise ValueError("lf needs mode 'inner' or 'outer'")
@@ -232,10 +235,9 @@ class SectionSpec:
         if self.cone in ("psd", "dnn") or (self.cone == "cp" and self.mode == "exact"):
             self._chol_inv = np.linalg.inv(np.linalg.cholesky(self._center_mat))
         self._supports = self._support_inv = None
-        cop_exact = self.cone == "cop" and self.mode == "exact"
         # spn starts from the COP radius up to n = 5, where a rank-one peel
         # leaves a 4 x 4 copositivity test (`_radial_spn`)
-        if cop_exact or (self.cone == "spn" and self.n <= 5):
+        if self.cone == "cop" or (self.cone == "spn" and self.n <= 5):
             # the supports S of each size, with L_S^{-1} where C_S = L_S L_S^T
             self._supports = _supports(self.n)
             self._support_inv = [
@@ -243,7 +245,7 @@ class SectionSpec:
                 for idx in self._supports]
         # spn keeps its SDP membership oracle, so it is no closed-form section
         self.closed_form = (self.cone == "ball" or faces is not None
-                            or self._chol_inv is not None or cop_exact)
+                            or self._chol_inv is not None or self.cone == "cop")
         if not self.membership(self.star_center):
             raise ValueError("star center failed the membership oracle")
 
@@ -285,10 +287,10 @@ class SectionSpec:
         A closed-form section tests what `section_radii` uses, under one
         tolerance rule: with s = 1 + max |a_ij|, every face row f needs
         f . vec(a) >= -oracle_tol * |f|_1 * s, a spectral section needs
-        lambda_min(a) >= -oracle_tol * s, and cop at n <= 4 needs every
-        eigenvalue of a principal submatrix a_S with a strictly one-signed
-        eigenvector to be >= -oracle_tol * s (Kaplan's criterion); the ball
-        needs |g| <= R + oracle_tol.
+        lambda_min(a) >= -oracle_tol * s, and cop needs every eigenvalue of
+        a principal submatrix a_S with a strictly one-signed eigenvector to
+        be >= -oracle_tol * s (Kaplan's criterion); the ball needs
+        |g| <= R + oracle_tol.
         The other sections ask their cone's certificate or refutation search.
         """
         g = np.asarray(g, dtype=float)
@@ -315,10 +317,6 @@ class SectionSpec:
             except RuntimeError:
                 return False
             return isinstance(res, SpnPair)
-        if self.cone == "cop":
-            if self.mode == "inner":
-                return cop_inner(SymMatrix(a), tol) is not None
-            return cop_refute(SymMatrix(a), seed=self.seed, tol=max(tol, 1e-9)) is None
         if self.cone == "cp":  # outer
             if float(a.min()) < -tol * scale or np.linalg.eigvalsh(a)[0] < -tol * scale:
                 return False
@@ -364,9 +362,9 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
     Face rows give min over rows with g.d < 0 of -(g.c)/(g.d); a spectral
     section gives -1/lambda_min(L^{-1} D L^{-T}); a section with both takes
     the smaller, computing lambda_min only on the rays whose face radius it
-    can undercut; cop at n <= 4 gives `_radial_cop`; the ball gives its
-    radius.  Raises ValueError for a section without a closed form
-    (`spec.closed_form` is False).
+    can undercut; cop gives Kaplan's exact radius (`_radial_cop`); the ball
+    gives its radius.  Raises ValueError for a section without a closed
+    form (`spec.closed_form` is False).
     """
     if not spec.closed_form:
         raise ValueError(f"the {spec.cone} section ({spec.mode}) has no closed-form radius")
@@ -444,7 +442,7 @@ def _kaplan_min(mats: np.ndarray, supports, support_inv=None) -> np.ndarray:
 def _radial_cop(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     """Radii of the COP section about the star center C along a stack of
     direction matrices D, shape (k, n, n), from the supports the spec keeps
-    (cop at n <= 4, spn at n <= 5); +inf where D never exits.  Nothing in
+    (cop at n <= 12, spn at n <= 5); +inf where D never exits.  Nothing in
     the argument below depends on n; only the 2^n - 1 supports grow.
 
     C + tD is singular on a support S with a one-signed null vector x
@@ -609,11 +607,11 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
     translation invariant).  The directions go to `_radii` in blocks of
-    `_BLOCK`, in one process and thread; `bisect_tol`, finite and in
-    (0, 1), matters only to the bisecting sections (cop inner/outer, cp
-    outer).  The CI is the delta-method interval of log E[r^d], mapped
-    through the 1/d power.  The result is deterministic given (seed,
-    samples).
+    `_BLOCK`, fewer where the supports are large, in one process and
+    thread; a radius does not depend on its block.  `bisect_tol`, finite
+    and in (0, 1), matters only to cp outer, the one bisecting section.
+    The CI is the delta-method interval of log E[r^d], mapped through the
+    1/d power.  The result is deterministic given (seed, samples).
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -622,8 +620,12 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     rng = np.random.RandomState(seed)
     dirs = rng.standard_normal((samples, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = np.concatenate([_radii(spec, dirs[i:i + _BLOCK], bisect_tol)
-                            for i in range(0, samples, _BLOCK)])
+    # a section with supports cuts the block so that no support stack of
+    # `_kaplan_min` holds more than _BLOCK x 1400 floats, the largest at n = 8
+    stack = max((idx.size * idx.shape[1] for idx in spec._supports or ()), default=1400)
+    block = min(_BLOCK, _BLOCK * 1400 // stack)
+    radii = np.concatenate([_radii(spec, dirs[i:i + block], bisect_tol)
+                            for i in range(0, samples, block)])
 
     powers = radii ** d
     est = float(powers.mean() ** (1.0 / d))

@@ -260,6 +260,18 @@ def test_vrad_lf_above_n8_exits_64_naming_the_orbit_size(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["-n", "13"], "2^n - 1 = 8191 supports"),
+    (["-n", "5", "--mode", "inner"], "cop is decided exactly"),
+    (["-n", "5", "--mode", "outer"], "cop is decided exactly"),
+], ids=["n13", "inner", "outer"])
+def test_vrad_cop_above_n12_or_in_a_bisecting_mode_exits_64(argv, reason, capsys):
+    assert cli.main(["vrad", "--cone", "cop", *argv, "--samples", "100"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    assert captured.out == ""
+
+
 def test_vrad_radial_error_exits_2_with_the_error(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise volume.RadialError("direction never exits the section")
@@ -300,7 +312,7 @@ def test_check_bounds_malformed_report_exits_64_naming_the_file(text, reason, tm
 def test_check_bounds_two_reports_of_one_cone_exit_64_naming_both(tmp_path, capsys):
     # check_bounds keys estimates by (cone, mode), so a second report of one
     # section would replace the first
-    report = {"cone": "cop", "n": 5, "mode": "inner", "estimate": 0.2, "ci": [0.1, 0.3],
+    report = {"cone": "cp", "n": 5, "mode": "inner", "estimate": 0.2, "ci": [0.1, 0.3],
               "samples": 100, "seed": 1, "dim": 14}
     for name, seed in (("a.json", 1), ("b.json", 2)):
         (tmp_path / name).write_text(json.dumps({**report, "seed": seed}), encoding="utf-8")
@@ -312,17 +324,17 @@ def test_check_bounds_two_reports_of_one_cone_exit_64_naming_both(tmp_path, caps
 
 
 def test_check_bounds_pairs_the_inner_and_outer_sections_of_one_cone(tmp_path, capsys):
-    report = {"cone": "cop", "n": 5, "samples": 100, "seed": 1, "dim": 14}
+    report = {"cone": "cp", "n": 5, "samples": 100, "seed": 1, "dim": 14}
     for mode, est, ci in (("inner", 0.2, [0.15, 0.25]), ("outer", 0.3, [0.25, 0.35])):
         (tmp_path / f"{mode}.json").write_text(
             json.dumps({**report, "mode": mode, "estimate": est, "ci": ci}), encoding="utf-8")
     assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
     order = [c for c in out["checks"] if c["check"] == "order"]
-    assert order == [{"check": "order", "pair": [["cop", "inner"], ["cop", "outer"]],
+    assert order == [{"check": "order", "pair": [["cp", "inner"], ["cp", "outer"]],
                       "passed": True, "estimates": [0.2, 0.3]}]
     assert {(c["cone"], c["mode"]) for c in out["checks"] if c["check"] == "band"} == \
-        {("cop", "inner"), ("cop", "outer")}
+        {("cp", "inner"), ("cp", "outer")}
 
 
 def test_check_bounds_accepts_a_ball_report_past_the_exact_nn_range(tmp_path, capsys):
@@ -389,7 +401,7 @@ def scipy_modules():
 gram, shifted, nn3, horn = sys.argv[1:]
 steps = {"import": scipy_modules()}
 with contextlib.redirect_stdout(io.StringIO()):
-    code = coposlab.cli.main(["vrad", "--cone", "cop", "-n", "4", "--samples", "200"])
+    code = coposlab.cli.main(["vrad", "--cone", "cop", "-n", "6", "--samples", "200"])
 steps["vrad"] = [code, scipy_modules()]
 with contextlib.redirect_stdout(io.StringIO()):
     code = coposlab.cli.main(["vrad", "--cone", "spn", "-n", "4", "--samples", "2000",
@@ -433,8 +445,8 @@ def test_import_and_sdp_free_certify_load_no_scipy(tmp_path):
     # cp at n <= 4 takes the level-0 closed form: the PSD slice refutes a
     # nonnegative matrix that is not PSD
     assert steps["cp"] == [cli.EXIT_NEGATIVE, []]
-    # the cop section at n <= 4 has Kaplan's closed-form radius, and so has
-    # spn, which equals cop there
+    # the cop section has Kaplan's closed-form radius, and so has spn at
+    # n <= 4, where it equals cop
     assert steps["vrad"] == [cli.EXIT_OK, []]
     assert steps["vrad-spn"] == [cli.EXIT_OK, []]
     # cop on Horn - 0.2 I: the negative vertex rules out every level of the

@@ -1,18 +1,20 @@
 import math
 import warnings
+from itertools import combinations
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from coposlab import volume
+from coposlab import cones, volume
 from coposlab.cones import SpnPair, horn_matrix, spn_decompose
 from coposlab.numerics import SymMatrix
 from coposlab.volume import SectionSpec, radial, section_radii, vrad_mc
 
 CLOSED_FORM = [("nn", 5, None), ("psd", 5, None), ("dnn", 5, None), ("cp", 4, "exact"),
                ("cp", 5, "inner"), ("lf", 4, "outer"), ("ball", 5, None),
-               ("cop", 3, "exact"), ("cop", 4, "exact")]
+               ("cop", 3, "exact"), ("cop", 4, "exact"), ("cop", 5, None), ("cop", 6, None)]
 
 
 def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
@@ -110,15 +112,69 @@ def test_boundary_bisection_emits_no_runtime_warning():
     assert got == want
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_cop_closed_form_brackets_the_pn_sdp(n):
-    # the SDP's primal point is feasible, so it can only under-report
+    # the SDP's primal point is feasible and SPN lies in COP, so it can only
+    # under-report; at n <= 4, where SPN = COP, it meets Kaplan's radius
     spec = SectionSpec(cone="cop", n=n)
     dirs = unit_directions(spec.dim, 200, seed=21)
     fast = section_radii(spec, dirs)
     sdp = volume._radial_spn_sdp(spec, volume._direction_matrices(spec, dirs))
     assert np.all(sdp <= fast * (1 + 1e-9))
-    assert np.all(fast <= sdp * (1 + 1e-6))
+    if n <= 4:
+        assert np.all(fast <= sdp * (1 + 1e-6))
+
+
+def _one_signed_witness(a):
+    """Kaplan's scan, apart from `volume._kaplan_min`: over the principal
+    submatrices a_S, the eigenvector of the most negative eigenvalue that
+    has a strictly one-signed eigenvector, made positive and padded with
+    zeros off S; None when no such eigenvalue is negative."""
+    n = len(a)
+    best, low = None, 0.0
+    for size in range(1, n + 1):
+        for sup in combinations(range(n), size):
+            mu, vec = np.linalg.eigh(a[np.ix_(sup, sup)])
+            for k in np.flatnonzero(mu < low):
+                v = vec[:, k] * np.sign(vec[0, k])
+                if np.all(v > 0):
+                    best, low = np.zeros(n), mu[k]
+                    best[list(sup)] = v
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cop_radius_is_bracketed_by_an_exact_witness(n):
+    # just inside the radius no support refutes; just outside, the binding
+    # support's one-signed eigenvector is a rational x >= 0 with x^T A x < 0
+    spec = SectionSpec(cone="cop", n=n)
+    dirs = unit_directions(spec.dim, 50, seed=22)
+    t = section_radii(spec, dirs)
+    for r, d_mat in zip(t, volume._direction_matrices(spec, dirs)):
+        assert _one_signed_witness(spec._center_mat + (1 - 1e-6) * r * d_mat) is None
+        a = spec._center_mat + (1 + 1e-6) * r * d_mat
+        cert = cones._exact_witness(SymMatrix(a), _one_signed_witness(a))
+        assert cert is not None and cert.check_exact(SymMatrix(a))
+        assert all(x >= 0 for x in cert.x)
+
+
+def test_cop_radius_lies_between_the_bisected_hierarchy_and_refuter():
+    # the bisecting modes that Kaplan's radius replaced, as duck-typed
+    # sections: K^(1) membership from inside, the multistart refuter from
+    # outside
+    spec = SectionSpec(cone="cop", n=5)
+    dirs = unit_directions(spec.dim, 2, seed=31)
+    t = section_radii(spec, dirs)
+    tol = 1e-6
+    oracles = {"inner": lambda a: cones.cop_inner(a, spec.oracle_tol) is not None,
+               "outer": lambda a: cones.cop_refute(a, seed=spec.seed, tol=1e-9) is None}
+    got = {}
+    for mode, member in oracles.items():
+        section = SimpleNamespace(star_center=spec.star_center,
+                                  membership=lambda g: member(SymMatrix(spec.matrix_of(g))))
+        got[mode] = np.array([volume._bisect(section, g, tol) for g in dirs])
+        assert np.all(np.abs(got[mode] - t) <= tol * t), mode
+    assert np.all(got["inner"] <= t * (1 + tol)) and np.all(t <= got["outer"] * (1 + tol))
 
 
 def _horn_rays(spec):
@@ -241,6 +297,20 @@ def test_lf_section_above_n8_is_refused_before_building_generators(monkeypatch):
         volume.lf_generators(10, 16, seed=0)
 
 
+@pytest.mark.parametrize("mode", ["inner", "outer"])
+def test_cop_bisecting_modes_are_refused(mode):
+    with pytest.raises(ValueError, match="cop is decided exactly"):
+        SectionSpec(cone="cop", n=5, mode=mode)
+
+
+def test_cop_section_above_n12_is_refused_before_building_supports(monkeypatch):
+    # with no combinations at hand a missing check fails at once, not after
+    # building 2^13 - 1 supports
+    monkeypatch.setattr(volume, "combinations", None)
+    with pytest.raises(ValueError, match="2\\^n - 1 = 8191 supports"):
+        SectionSpec(cone="cop", n=13)
+
+
 def test_lf_inner_radius_is_one_lp():
     spec = SectionSpec(cone="lf", n=3, mode="inner", generator_count=64)
     assert not spec.closed_form
@@ -257,6 +327,21 @@ def test_vrad_mc_spans_several_blocks():
     radii = section_radii(spec, dirs)
     want = float(np.mean(radii ** spec.dim) ** (1.0 / spec.dim))
     assert vrad_mc(spec, samples, seed=9).point_estimate == want
+
+
+def test_cop_blocks_shrink_with_the_support_stack_and_keep_the_estimate(monkeypatch):
+    # the largest support stack at n = 9 holds C(9, 5) x 25 = 3150 floats a
+    # ray, so a block holds _BLOCK x 1400 // 3150 rays
+    spec = SectionSpec(cone="cop", n=9)
+    radii = section_radii(spec, unit_directions(spec.dim, 100, seed=3))
+    want = float(np.mean(radii ** spec.dim) ** (1.0 / spec.dim))
+    monkeypatch.setattr(volume, "_BLOCK", 64)
+    blocks = []
+    stacked = volume._radii
+    monkeypatch.setattr(volume, "_radii",
+                        lambda s, dirs, tol: blocks.append(len(dirs)) or stacked(s, dirs, tol))
+    assert vrad_mc(spec, 100, seed=3).point_estimate == want
+    assert blocks == [28, 28, 28, 16]
 
 
 def test_vrad_mc_ci_is_the_delta_method_interval():
