@@ -221,7 +221,7 @@ def cmd_vrad(args) -> int:
                               oracle_tol=args.tol, seed=args.seed,
                               ball_radius=args.ball_radius)
     try:
-        est = volume.vrad_mc(spec, args.samples, args.seed, bisect_tol=args.bisect_tol)
+        est = volume.vrad_mc(spec, args.samples, args.seed)
     except RuntimeError as exc:
         _emit({"command": "vrad", "status": "indeterminate", "error": str(exc)}, args)
         return EXIT_INDETERMINATE
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=20000)
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--tol", type=float, default=1e-9)
-    v.add_argument("--bisect-tol", dest="bisect_tol", type=float, default=1e-6)
     v.add_argument("--ball-radius", dest="ball_radius", type=float, default=1.0)
     v.set_defaults(func=cmd_vrad)
 

@@ -16,13 +16,10 @@ the rational Gram determinant of the vertex differences, D^T Gamma D with
 Gamma the exact L2 Gram table `quartic._l2_gram_exact` (`vrad_nn_exact`).
 The orthonormal basis of M (`quartic.basis_M`) is built in floats from the
 float copy of that table, and the coordinate maps pair through it.  The radial
-problem is linear in t, so no section bisects unless its membership is
-itself a search; `_bisect` on the membership oracle stays as the generic
-reference that the tests hold every other method to.
-`_radii` is the one place that picks the radius method of a section, for a
-stack of directions:
+problem is linear in t, so no section bisects: `section_radii` gives the
+radii of a stack of directions for every section, by one of four methods:
 
-- closed form (`section_radii`): face rows of the polyhedral sections
+- closed form: face rows of the polyhedral sections
   {a : G vec(a) >= 0}, i.e. nn (the entries), cp inner (the entries plus
   diagonal dominance) and lf outer (the apolar pairings with sampled
   nonnegative forms); a generalized eigenvalue for psd; the minimum of the
@@ -37,12 +34,11 @@ stack of directions:
   SPN lies in COP, kept where C + t* D is certified PSD + NN: always at
   n <= 4, where COP = SPN (Diananda 1962), and at n = 5 by a rank-one peel
   that leaves a 4 x 4 copositive rest (`_peel_certifies`);
-- one parametric SDP per ray on the P + N rows of `cones.pn_problem`, the
-  rays solved as one stack (`sdp.sdp_solve_many`): spn at n >= 6, and the
-  n = 5 rays the peel cannot certify.  It is also the reference that the
-  tests hold the cop closed form and the spn radii to;
-- one LP per ray: lf inner (max t with the point in the generators' hull);
-- bisection on the membership oracle: cp outer.
+- one parametric SDP per ray, in stacks (`_sdp_radii`): the P + N rows of
+  `cones.pn_problem` for spn at n >= 6 and the n = 5 rays the peel cannot
+  certify, also the tests' reference for the cop and spn radii; the K^(1)
+  rows of `cones.kr_problem` for cp outer (`_radial_cp_outer`);
+- one LP per ray: lf inner (max t with the point in the generators' hull).
 
 CP at n >= 5 is reported as an inner/outer pair only (membership there is
 NP-hard, and pretending otherwise would be false precision).
@@ -59,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cones import cp_refute, pn_problem, spn_decompose, SpnPair
+from .cones import _pairing_expr, cp_refute, kr_problem, pn_problem, spn_decompose, SpnPair
 from .numerics import SymMatrix
 from .quartic import (basis_M, coeff_vector, dim_M, _l2_gram_exact,
                       _l2_gram_float)
@@ -155,9 +151,9 @@ class SectionSpec:
     nonnegative forms).  "ball" is a calibration cone {|g| <= R}.
     `oracle_tol` must be finite and nonnegative.
 
-    `closed_form` tells whether `section_radii` applies.  Polyhedral
-    sections keep their face rows G (on vec(a)) with the offsets G vec(c) at
-    the star center c; spectral ones keep L^{-1}, where c = L L^T; cop
+    `closed_form` tells whether the membership oracle is the closed form's.
+    Polyhedral sections keep their face rows G (on vec(a)) with the offsets
+    G vec(c) at the star center c; spectral ones keep L^{-1}, where c = L L^T; cop
     keeps, per support size, the supports S and L_S^{-1}, where
     c_S = L_S L_S^T.  spn at n <= 5 keeps them too, for the COP radius it
     starts from, and stays off `closed_form`: its radius falls back to the
@@ -212,7 +208,6 @@ class SectionSpec:
             self.star_center = np.zeros(self.dim)
         elif self.cone == "lf":
             gens = lf_generators(self.n, self.generator_count, self.seed)
-            self._gens = gens
             navg = self.n * (self.n + 2) / 3.0  # generators have average 3/(n(n+2))
             pts = gens * navg
             self._gen_cols = np.array([coeff_vector(g, self.n) for g in pts]).T
@@ -311,7 +306,7 @@ class SectionSpec:
             return self._chol_inv is None or float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
         if self.cone == "spn":
             # a boundary query can leave the solver indeterminate; counting
-            # that as non-membership keeps bisection within solver resolution
+            # that as non-membership keeps a bisection within solver resolution
             try:
                 res = spn_decompose(SymMatrix(a), tol=max(tol, 1e-8))
             except RuntimeError:
@@ -340,9 +335,12 @@ class RadialError(RuntimeError):
     pass
 
 
-# directions per `_radii` call in `vrad_mc`; bounds the temporaries of the
-# closed form and the size of a stacked SDP solve
+# directions per `section_radii` call in `vrad_mc`; bounds the temporaries of
+# the closed form
 _BLOCK = 1024
+# problems per `sdp_solve_many` call: one stack of 1024 rays peaked at 869 MB
+# at n = 6, and past 64 problems a ray got no cheaper
+_SDP_STACK = 64
 
 
 def _check_unit(dirs: np.ndarray) -> None:
@@ -351,29 +349,36 @@ def _check_unit(dirs: np.ndarray) -> None:
 
 
 def _check_bisect_tol(bisect_tol: float) -> None:
-    # NaN would end `_bisect` at once, and 0 or less would never end it
+    # unused, as no section bisects, but kept for its callers and still checked
     if not (math.isfinite(bisect_tol) and 0 < bisect_tol < 1):
         raise ValueError(f"bisect_tol must be finite and in (0, 1), got {bisect_tol}")
 
 
 def section_radii(spec: SectionSpec, directions) -> np.ndarray:
-    """Radii of a stack of unit directions, shape (k, dim), in closed form.
+    """Radii of a stack of unit directions, shape (k, dim), by the section's
+    method; a direction's radius does not depend on the stack.
 
     Face rows give min over rows with g.d < 0 of -(g.c)/(g.d); a spectral
     section gives -1/lambda_min(L^{-1} D L^{-T}); a section with both takes
     the smaller, computing lambda_min only on the rays whose face radius it
     can undercut; cop gives Kaplan's exact radius (`_radial_cop`); the ball
-    gives its radius.  Raises ValueError for a section without a closed
-    form (`spec.closed_form` is False).
+    gives its radius.  spn takes `_radial_spn`, cp outer one K^(1) SDP a ray
+    (`_radial_cp_outer`) and lf inner one LP a ray (`_radial_lf_inner`).
     """
-    if not spec.closed_form:
-        raise ValueError(f"the {spec.cone} section ({spec.mode}) has no closed-form radius")
     dirs = np.asarray(directions, dtype=float)
     _check_unit(dirs)
     if spec.cone == "ball":
         return np.full(len(dirs), spec.ball_radius)
-    # einsum, not BLAS: a direction's radius must not depend on the stack size
     radii = np.full(len(dirs), np.inf)
+    if spec.cone == "lf" and spec.mode == "inner":
+        radii = np.array([_radial_lf_inner(spec, g) for g in dirs])
+    elif spec.cone == "spn":
+        radii = _radial_spn(spec, _direction_matrices(spec, dirs))
+    elif spec.cone == "cp" and spec.mode == "outer":
+        radii = _radial_cp_outer(spec, _direction_matrices(spec, dirs))
+    elif spec._supports is not None:
+        radii = _radial_cop(spec, _direction_matrices(spec, dirs))
+    # einsum, not BLAS: a direction's radius must not depend on the stack size
     if spec._face_dir is not None:
         gd = np.einsum("kd,dm->km", dirs, spec._face_dir)
         ratios = np.divide(-spec._face_off, gd, out=np.full(gd.shape, np.inf), where=gd < 0)
@@ -391,8 +396,6 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
         lam = np.linalg.eigvalsh(w[bind])[:, 0]
         radii[bind] = np.minimum(radii[bind], np.divide(-1.0, lam, out=np.full(lam.shape, np.inf),
                                                         where=lam < 0))
-    if spec._supports is not None:
-        radii = _radial_cop(spec, _direction_matrices(spec, dirs))
     if not np.isfinite(radii).all():
         raise RadialError("direction never exits the section")
     return radii
@@ -520,19 +523,41 @@ def _peel_certifies(mats: np.ndarray, tol: float) -> np.ndarray:
     return ok
 
 
+def _sdp_radii(d_mats: np.ndarray, problem, radius) -> np.ndarray:
+    """Radii along a stack of direction matrices D, shape (k, n, n), from
+    the SDP `problem(D)` a ray, read off its optimum by `radius`; solved
+    `_SDP_STACK` at a time, which `sdp_solve_many` makes bit for bit."""
+    radii = np.empty(len(d_mats))
+    for lo in range(0, len(d_mats), _SDP_STACK):
+        sols = sdp_solve_many([problem(d_mat) for d_mat in d_mats[lo:lo + _SDP_STACK]], tol=1e-8)
+        for k, sol in enumerate(sols, lo):
+            if sol.status != SdpStatus.OPTIMAL:
+                raise RadialError(f"parametric radial SDP failed: {sol.message}")
+            radii[k] = radius(sol)
+    return radii
+
+
 def _radial_spn_sdp(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     """Radii along a stack of direction matrices D, shape (k, n, n), inside
     SPN, each the SDP max t s.t. X + N - t D = C, X PSD, N >= 0 entrywise,
-    with C the star center (`cones.pn_problem`); the rays are solved as one
-    stack, and `sdp_solve_many` gives each the same bits in any stack.
+    with C the star center (`cones.pn_problem`).
     """
-    probs = [pn_problem(spec._center_mat, d_mat) for d_mat in d_mats]
-    radii = np.empty(len(probs))
-    for k, sol in enumerate(sdp_solve_many(probs, tol=1e-8)):
-        if sol.status != SdpStatus.OPTIMAL:
-            raise RadialError(f"parametric SPN radial failed: {sol.message}")
-        radii[k] = sol.free[0]
-    return radii
+    return _sdp_radii(d_mats, lambda d_mat: pn_problem(spec._center_mat, d_mat),
+                      lambda sol: sol.free[0])
+
+
+def _radial_cp_outer(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
+    """Radii of the cp outer section (K^(1))* along a stack of direction
+    matrices D, shape (k, n, n): by duality, min <C, M> over M in K^(1) with
+    <D, M> = -1 (`cones.kr_problem`).  C is inside CP, which lies in
+    (K^(1))*, and 2I + J is interior to K^(1) and pairs to zero with every
+    direction, so the SDP is feasible with a positive optimum.
+    """
+    def problem(d_mat):
+        prob, _ = kr_problem(d_mat, 1, -1.0)
+        prob.objective = _pairing_expr(spec._center_mat)
+        return prob
+    return _sdp_radii(d_mats, problem, lambda sol: sol.objective_value)
 
 
 def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:
@@ -553,48 +578,16 @@ def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:
     return float(res.x[-1])
 
 
-def _bisect(spec: SectionSpec, g: np.ndarray, bisect_tol: float) -> float:
-    """Bracket doubling plus bisection to `bisect_tol` on the membership
-    oracle (the section is convex)."""
-    c = spec.star_center
-    hi = 1.0
-    lo = 0.0
-    while spec.membership(c + hi * g):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise RadialError("no bracket found within 1e6")
-    while hi - lo > bisect_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if spec.membership(c + mid * g):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _radii(spec: SectionSpec, dirs: np.ndarray, bisect_tol: float) -> np.ndarray:
-    """Radii of a stack of unit directions, shape (k, dim), by the section's
-    method: closed form, spn's (`_radial_spn`), one LP a ray or bisection."""
-    if spec.closed_form:
-        return section_radii(spec, dirs)
-    if spec.cone == "spn":
-        return _radial_spn(spec, _direction_matrices(spec, dirs))
-    if spec.cone == "lf":
-        return np.array([_radial_lf_inner(spec, g) for g in dirs])
-    return np.array([_bisect(spec, g, bisect_tol) for g in dirs])
-
-
 def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9) -> float:
     """Largest t with center + t * direction inside the section.
 
-    This is `_radii` on a stack of one, so the radius equals the one
-    `vrad_mc` computes in its blocks.
+    This is `section_radii` on a stack of one, so the radius equals the one
+    `vrad_mc` computes in its blocks.  `bisect_tol` is checked but unused.
     """
     _check_bisect_tol(bisect_tol)
     g = np.asarray(direction, dtype=float)
     _check_unit(g)
-    return float(_radii(spec, g[None, :], bisect_tol)[0])
+    return float(section_radii(spec, g[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +599,10 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     """Monte Carlo volume radius (Vol/Vol(B_d))^(1/d) with a 95% CI.
 
     Uses Vol = Vol(B_d) E[r(theta)^d] about the star center (volume is
-    translation invariant).  The directions go to `_radii` in blocks of
-    `_BLOCK`, fewer where the supports are large, in one process and
-    thread; a radius does not depend on its block.  `bisect_tol`, finite
-    and in (0, 1), matters only to cp outer, the one bisecting section.
+    translation invariant).  The directions go to `section_radii` in blocks
+    of `_BLOCK`, fewer where the supports are large, in one process and
+    thread; a radius does not depend on its block.  No section bisects, so
+    `bisect_tol` is checked, finite and in (0, 1), but unused.
     The CI is the delta-method interval of log E[r^d], mapped through the
     1/d power.  The result is deterministic given (seed, samples).
     """
@@ -624,7 +617,7 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     # `_kaplan_min` holds more than _BLOCK x 1400 floats, the largest at n = 8
     stack = max((idx.size * idx.shape[1] for idx in spec._supports or ()), default=1400)
     block = min(_BLOCK, _BLOCK * 1400 // stack)
-    radii = np.concatenate([_radii(spec, dirs[i:i + block], bisect_tol)
+    radii = np.concatenate([section_radii(spec, dirs[i:i + block])
                             for i in range(0, samples, block)])
 
     powers = radii ** d

@@ -243,7 +243,7 @@ def test_vrad_nonpositive_ball_radius_exits_64(radius, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("option,name", [("--bisect-tol", "bisect_tol"), ("--tol", "oracle_tol")])
+@pytest.mark.parametrize("option,name", [("--tol", "oracle_tol")])
 def test_vrad_nan_tolerance_exits_64_naming_it(option, name, capsys):
     assert cli.main(["vrad", "--cone", "nn", "-n", "3", "--samples", "100",
                      option, "nan"]) == cli.EXIT_USAGE

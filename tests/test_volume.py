@@ -9,17 +9,54 @@ import pytest
 
 from coposlab import cones, volume
 from coposlab.cones import SpnPair, horn_matrix, spn_decompose
+from coposlab.exceptional import load_reference_a5
 from coposlab.numerics import SymMatrix
-from coposlab.volume import SectionSpec, radial, section_radii, vrad_mc
+from coposlab.volume import RadialError, SectionSpec, radial, section_radii, vrad_mc
 
 CLOSED_FORM = [("nn", 5, None), ("psd", 5, None), ("dnn", 5, None), ("cp", 4, "exact"),
                ("cp", 5, "inner"), ("lf", 4, "outer"), ("ball", 5, None),
                ("cop", 3, "exact"), ("cop", 4, "exact"), ("cop", 5, None), ("cop", 6, None)]
+# the sections whose radius is one SDP, one LP or a Kaplan radius with an
+# SDP fallback a ray
+PARAMETRIC = [("cp", 5, "outer"), ("spn", 4, None), ("lf", 3, "inner")]
 
 
 def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     dirs = np.random.RandomState(seed).standard_normal((count, dim))
     return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def _bisect(spec, g: np.ndarray, bisect_tol: float) -> float:
+    """The reference radius: bracket doubling plus bisection to
+    `bisect_tol` on the membership oracle (the section is convex)."""
+    c = spec.star_center
+    hi = 1.0
+    lo = 0.0
+    while spec.membership(c + hi * g):
+        lo = hi
+        hi *= 2.0
+        if hi > 1e6:
+            raise RadialError("no bracket found within 1e6")
+    while hi - lo > bisect_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if spec.membership(c + mid * g):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _average_one(a: np.ndarray) -> np.ndarray:
+    # the sphere average of sum a_ij x_i^2 x_j^2 is (2 tr a + sum a) / (n (n + 2))
+    n = len(a)
+    return a * n * (n + 2) / (2.0 * np.trace(a) + a.sum())
+
+
+def _toward(spec, a: np.ndarray):
+    """The unit direction from the star center toward the section point of
+    a, and the distance to it."""
+    d = spec.coords_of(a) - spec.star_center
+    return d / np.linalg.norm(d), float(np.linalg.norm(d))
 
 
 @pytest.mark.parametrize("cone,n,mode", CLOSED_FORM)
@@ -31,11 +68,11 @@ def test_closed_form_radii_match_bisection(cone, n, mode):
     assert spec.closed_form
     dirs = unit_directions(spec.dim, 50, seed=11)
     fast = section_radii(spec, dirs)
-    ref = np.array([volume._bisect(spec, g, 1e-9) for g in dirs])
+    ref = np.array([_bisect(spec, g, 1e-9) for g in dirs])
     assert np.all(np.abs(fast - ref) <= 1e-8 * ref)
 
 
-@pytest.mark.parametrize("cone,n,mode", CLOSED_FORM)
+@pytest.mark.parametrize("cone,n,mode", CLOSED_FORM + PARAMETRIC)
 def test_stacked_radii_equal_one_by_one(cone, n, mode):
     spec = SectionSpec(cone=cone, n=n, mode=mode)
     dirs = unit_directions(spec.dim, 37, seed=5)
@@ -49,13 +86,6 @@ def test_ball_estimate_is_the_radius():
     assert abs(est.point_estimate - 1.7) <= 1e-12
     assert est.ci_low <= est.point_estimate <= est.ci_high
     assert est.ci_high - est.ci_low <= 1e-12 * 1.7
-
-
-def test_sections_without_closed_form_are_refused():
-    spec = SectionSpec(cone="spn", n=3)
-    assert not spec.closed_form
-    with pytest.raises(ValueError):
-        section_radii(spec, unit_directions(spec.dim, 2, seed=0))
 
 
 def test_unnormalized_direction_is_rejected():
@@ -94,7 +124,7 @@ def test_stacked_parametric_radii_equal_one_by_one():
 def test_parametric_radii_match_bisection():
     spec = SectionSpec(cone="spn", n=4)
     for g in unit_directions(spec.dim, 5, seed=12):
-        ref = volume._bisect(spec, g, 1e-7)
+        ref = _bisect(spec, g, 1e-7)
         assert abs(radial(spec, g) - ref) <= 1e-6 * ref
 
 
@@ -107,7 +137,7 @@ def test_boundary_bisection_emits_no_runtime_warning():
     spec = SectionSpec(cone="spn", n=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [volume._bisect(spec, g, 1e-9)
+        got = [_bisect(spec, g, 1e-9)
                for g in unit_directions(spec.dim, 5, seed=12)]
     assert got == want
 
@@ -172,9 +202,73 @@ def test_cop_radius_lies_between_the_bisected_hierarchy_and_refuter():
     for mode, member in oracles.items():
         section = SimpleNamespace(star_center=spec.star_center,
                                   membership=lambda g: member(SymMatrix(spec.matrix_of(g))))
-        got[mode] = np.array([volume._bisect(section, g, tol) for g in dirs])
+        got[mode] = np.array([_bisect(section, g, tol) for g in dirs])
         assert np.all(np.abs(got[mode] - t) <= tol * t), mode
     assert np.all(got["inner"] <= t * (1 + tol)) and np.all(t <= got["outer"] * (1 + tol))
+
+
+def test_cop_radius_toward_horn_is_its_distance():
+    # H is copositive with x^T H x = 0 at x = e_1 + e_2, so its section
+    # point, 7H/3 at sphere average one, lies on the boundary
+    spec = SectionSpec(cone="cop", n=5)
+    g, dist = _toward(spec, _average_one(horn_matrix().to_numpy()))
+    assert abs(section_radii(spec, g[None, :])[0] - dist) <= 1e-12 * dist
+
+
+def test_cp_outer_radii_match_bisection():
+    spec = SectionSpec(cone="cp", n=5, mode="outer")
+    for g in unit_directions(spec.dim, 3, seed=32):
+        ref = _bisect(spec, g, 1e-7)
+        assert abs(radial(spec, g) - ref) <= 1e-6 * ref
+
+
+@pytest.mark.parametrize("n,count", [(3, 20), (4, 20), (5, 50)])
+def test_cp_outer_radii_against_dnn(n, count):
+    # at n <= 4, K^(1) = K^(0) = PSD + NN, whose dual is DNN; at n = 5,
+    # K^(1) holds PSD + NN, so its dual lies inside DNN
+    outer = SectionSpec(cone="cp", n=n, mode="outer")
+    dirs = unit_directions(outer.dim, count, seed=33)
+    got = section_radii(outer, dirs)
+    dnn = section_radii(SectionSpec(cone="dnn", n=n), dirs)
+    if n <= 4:
+        assert np.all(np.abs(got - dnn) <= 1e-6 * dnn)
+    else:
+        assert np.all(got <= dnn * (1 + 1e-6))
+
+
+def test_cp_outer_radius_toward_a5_stops_short_of_it():
+    # A5 is DNN but refuted at level 1: the ray toward it leaves the cp
+    # outer section before it reaches A5, and the dnn section after
+    a5 = _average_one(load_reference_a5().to_numpy())
+    outer = SectionSpec(cone="cp", n=5, mode="outer")
+    g, dist = _toward(outer, a5)
+    assert section_radii(outer, g[None, :])[0] < dist
+    assert section_radii(SectionSpec(cone="dnn", n=5), g[None, :])[0] >= dist
+
+
+@pytest.mark.parametrize("cone,n,mode", [("cp", 5, "outer"), ("spn", 6, None)])
+def test_sdp_stacks_keep_the_radii_bit_for_bit(cone, n, mode, monkeypatch):
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    dirs = unit_directions(spec.dim, 10, seed=34)
+    one_stack = section_radii(spec, dirs)
+    monkeypatch.setattr(volume, "_SDP_STACK", 4)
+    assert np.array_equal(section_radii(spec, dirs), one_stack)
+
+
+@pytest.mark.parametrize("cone,n,mode,kwargs", [
+    ("nn", 4, None, {}), ("psd", 4, None, {}), ("dnn", 4, None, {}),
+    ("spn", 4, None, {}), ("spn", 5, None, {}), ("spn", 6, None, {}),
+    ("cop", 5, None, {}), ("cp", 4, "exact", {}), ("cp", 5, "inner", {}),
+    ("cp", 5, "outer", {}), ("lf", 3, "inner", {"generator_count": 16}),
+    ("lf", 4, "outer", {}), ("ball", 3, None, {}),
+])
+def test_radii_never_ask_the_membership_oracle(cone, n, mode, kwargs, monkeypatch):
+    spec = SectionSpec(cone=cone, n=n, mode=mode, **kwargs)
+
+    def refuse(self, g):
+        raise AssertionError("membership oracle called")
+    monkeypatch.setattr(SectionSpec, "membership", refuse)
+    assert vrad_mc(spec, 100, seed=35).point_estimate > 0
 
 
 def _horn_rays(spec):
@@ -204,7 +298,7 @@ def test_spn_stacked_radii_equal_one_by_one_across_the_fallback():
                                     spec.oracle_tol)
     assert 0 < peeled.sum() < len(dirs)
     one_by_one = np.array([radial(spec, g) for g in dirs])
-    assert np.array_equal(volume._radii(spec, dirs, 1e-6), one_by_one)
+    assert np.array_equal(section_radii(spec, dirs), one_by_one)
 
 
 def test_spn_rays_toward_horn_are_refused_and_take_the_sdp():
@@ -271,8 +365,8 @@ def test_cop_closed_form_analytic_radii(n):
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1.0])
 def test_bisect_tol_outside_0_1_is_refused_before_any_loop(bad, monkeypatch):
-    # 0 or less would never end `_bisect`, and NaN would end it at once
-    monkeypatch.setattr(volume, "_radii", None)
+    # 0 or less would never end a bisection, and NaN would end it at once
+    monkeypatch.setattr(volume, "section_radii", None)
     spec = SectionSpec(cone="nn", n=3)
     g = unit_directions(spec.dim, 1, seed=0)[0]
     with pytest.raises(ValueError, match="bisect_tol"):
@@ -315,7 +409,7 @@ def test_lf_inner_radius_is_one_lp():
     spec = SectionSpec(cone="lf", n=3, mode="inner", generator_count=64)
     assert not spec.closed_form
     for g in unit_directions(spec.dim, 5, seed=13):
-        ref = volume._bisect(spec, g, 1e-9)
+        ref = _bisect(spec, g, 1e-9)
         assert abs(radial(spec, g) - ref) <= 1e-6 * ref
 
 
@@ -337,9 +431,9 @@ def test_cop_blocks_shrink_with_the_support_stack_and_keep_the_estimate(monkeypa
     want = float(np.mean(radii ** spec.dim) ** (1.0 / spec.dim))
     monkeypatch.setattr(volume, "_BLOCK", 64)
     blocks = []
-    stacked = volume._radii
-    monkeypatch.setattr(volume, "_radii",
-                        lambda s, dirs, tol: blocks.append(len(dirs)) or stacked(s, dirs, tol))
+    stacked = volume.section_radii
+    monkeypatch.setattr(volume, "section_radii",
+                        lambda s, dirs: blocks.append(len(dirs)) or stacked(s, dirs))
     assert vrad_mc(spec, 100, seed=3).point_estimate == want
     assert blocks == [28, 28, 28, 16]
 
