@@ -9,6 +9,10 @@ wrong shape, a non-numeric, non-finite or out-of-range entry, an asymmetric
 matrix), or a construct-ecop --in matrix that is not certified doubly
 nonnegative.
 
+certify --cone cop refutes with an exactly checked x >= 0, x^T A x < 0: at
+n <= 12 by Kaplan's scan, which finds one unless the input is copositive
+within --tol, and above n = 12 by a 0/1 vertex and a seeded descent.
+
 scipy is imported on first use, by an SDP or LP solve, so certify of nn, psd
 and dnn, certify of spn and cop on a PSD or NN input, certify of parrilo at
 --level 1 or above on a PSD or NN input or one with a negative vertex (a 0/1
@@ -137,7 +141,7 @@ def _certify(m: SymMatrix, args):
         inner = cones.cop_inner(m, tol)
         if inner is not None:
             return True, {"inner_level": inner[0], "certificate": _cert_json(inner[1])}
-        wit = cones.cop_refute(m, attempts=args.attempts, seed=args.seed, tol=tol)
+        wit = cones.cop_refute(m, tol)
         if wit is not None:
             return False, {"certificate": _cert_json(wit)}
         return None, {"note": "no hierarchy certificate at r <= 1 and no simplex witness"}
@@ -296,14 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to a file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("certify", help="certify cone membership of a matrix")
+    c = sub.add_parser("certify", help="certify cone membership (cop: exact refuter at n <= 12)")
     c.add_argument("--cone", required=True,
                    choices=["nn", "psd", "dnn", "spn", "cop", "cp", "parrilo"])
     c.add_argument("--level", type=int, default=0, help="hierarchy level for parrilo")
     c.add_argument("--in", dest="infile", required=True, help="matrix JSON file")
     c.add_argument("--tol", type=float, default=1e-9)
-    c.add_argument("--attempts", type=int, default=64)
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_certify)
 
     e = sub.add_parser("construct-ednn", help="construct an exceptional DNN matrix")

@@ -9,22 +9,22 @@ every negative answer carries a refutation (separating matrix, improving
 dual ray, or an explicit vector with negative quadratic value).
 
 COP and CP membership are undecidable at practical cost in general, so the
-module deliberately offers one-sided machinery for them: inner certificates
-via the hierarchy, outer refutations via simplex minimization (COP) or
-separating hierarchy directions (CP).
+module offers one-sided machinery for them: inner certificates via the
+hierarchy, outer refutations via Kaplan's scan of the principal submatrices
+(COP, complete at n <= 12) or separating hierarchy directions (CP).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .numerics import (CholeskyFactor, NegVector, QSqrt2, SymMatrix,
+from .numerics import (CholeskyFactor, QSqrt2, SymMatrix,
                        psd_certificate, sym_eigen, sym_from_upper)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
 from .sdp import (BasisDeficiencyError, DualRay, LinExpr, SdpProblem,
@@ -97,10 +97,6 @@ class CpRefutation:
     pairing: float
     level: int
     certificate: Union[SosGram, SpnPair]  # hierarchy certificate for M
-
-
-Certificate = Union[CholeskyFactor, NegVector, SpnPair, SosGram,
-                    InfeasibilityCert, CopRefutation, CpRefutation, dict, None]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +358,7 @@ def _summand_gram(pair: SpnPair, r: int) -> SosGram:
     squares = [at[tuple(2 if t == i else 0 for t in range(n))] for i in range(n)]
     level0 = np.zeros((len(quad), len(quad)))
     level0[np.ix_(squares, squares)] = pair.p + np.diag(np.diag(pair.n))
-    for i, j in itertools.combinations(range(n), 2):
+    for i, j in combinations(range(n), 2):
         k = at[tuple(1 if t in (i, j) else 0 for t in range(n))]
         level0[k, k] = 2.0 * pair.n[i, j]
     basis = monomials(n, r + 2)
@@ -386,7 +382,7 @@ def _negative_vertex(arr: np.ndarray, tol: float) -> Optional[Tuple[Tuple[int, .
     negative at the simplex point x / |S| is returned.
     """
     n = arr.shape[0]
-    sups = [s for k in (1, 2, 3) for s in itertools.combinations(range(n), k)]
+    sups = [s for k in (1, 2, 3) for s in combinations(range(n), k)]
     x = np.zeros((len(sups), n))
     for row, s in enumerate(sups):
         x[row, list(s)] = 1.0
@@ -457,8 +453,43 @@ def cop_inner(a: SymMatrix, tol: float = 1e-9) -> Optional[Tuple[int, SosGram]]:
 
 
 # ---------------------------------------------------------------------------
-# copositivity refutation: simplex minimization
+# copositivity refutation: Kaplan's support scan, simplex descent above it
 # ---------------------------------------------------------------------------
+
+# Kaplan's scan runs over all 2^n - 1 principal submatrices, so it stops here
+KAPLAN_MAX_N = 12
+_DESCENT_STARTS, _DESCENT_SEED = 64, 0  # cop_refute's simplex descent above it
+
+
+def _supports(n: int) -> List[np.ndarray]:
+    """The supports S of {0, ..., n - 1}, per size 1..n, as rows of indices."""
+    return [np.array(list(combinations(range(n), size))) for size in range(1, n + 1)]
+
+
+def _kaplan_eigh(mats: np.ndarray, idx: np.ndarray, linv: Optional[np.ndarray] = None):
+    """Per matrix of a stack, shape (k, n, n), and per support S of one size,
+    a row of idx: the eigenvalues mu of W_S = L_S^{-1} A_S L_S^{-T}, their
+    eigenvectors w mapped to x = L_S^{-T} w (columns), and whether each x is
+    strictly one-signed.  `linv` stacks the L_S^{-1}, None for L_S = I."""
+    w = mats[:, idx[:, :, None], idx[:, None, :]]
+    if linv is not None:
+        w = linv @ w @ np.swapaxes(linv, 1, 2)
+        w = 0.5 * (w + np.swapaxes(w, 2, 3))
+    mu, vec = np.linalg.eigh(w)
+    x = vec if linv is None else np.swapaxes(linv, 1, 2) @ vec
+    return mu, x, np.all(x > 0, axis=2) | np.all(x < 0, axis=2)
+
+
+def _kaplan_min(mats: np.ndarray, supports, support_inv=None) -> np.ndarray:
+    """Per matrix of a stack, the smallest mu of `_kaplan_eigh` with a
+    one-signed x, over the supports of every size (`supports`, with the
+    stacks of their L_S^{-1} in `support_inv`); +inf when there is none."""
+    low = np.full(len(mats), np.inf)
+    for idx, linv in zip(supports, support_inv or [None] * len(supports)):
+        mu, _, signed = _kaplan_eigh(mats, idx, linv)
+        low = np.minimum(low, np.where(signed, mu, np.inf).reshape(len(mats), -1).min(axis=1))
+    return low
+
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of v onto the probability simplex."""
@@ -471,48 +502,51 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def cop_refute(a: SymMatrix, attempts: int = 64, seed: int = 0,
-               tol: float = 1e-9) -> Optional[CopRefutation]:
-    """Search for x >= 0 with x^T A x < 0; absence is not a copositivity proof.
-
-    Combines an exhaustive scan of 0/1-support vertices (supports up to size
-    min(n, 6)) with seeded multi-start projected-gradient descent on the
-    simplex, all starts stepped together as the rows of one array.  A
-    returned witness is re-verified in exact rational arithmetic.  When the
-    scan already finds a point below -tol that re-verifies, it is returned
-    and the descent does not run.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    n = a.n
-    arr = a.to_numpy()
-    best_x, best_v = None, -tol
-
-    for size in range(1, min(n, 6) + 1):
-        for sup in itertools.combinations(range(n), size):
-            x = np.zeros(n)
-            x[list(sup)] = 1.0 / size
-            v = float(x @ arr @ x)
-            if v < best_v:
-                best_x, best_v = x, v
-    if best_x is not None:
-        cert = _exact_witness(a, best_x)
-        if cert is not None:
-            return cert
-
-    rng = np.random.RandomState(seed)
-    lip = float(np.abs(arr).sum(axis=1).max())  # row-sum bound on ||A||_2
-    eta = 0.5 / max(lip, 1e-12)
-    x = rng.exponential(size=(attempts, n))
+def _simplex_descent(arr: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The lowest x^T A x, with its x, that projected-gradient descent on the
+    simplex reaches from `_DESCENT_STARTS` seeded starts, stepped together as
+    the rows of one array; a local search, so a value >= 0 proves nothing."""
+    rng = np.random.RandomState(_DESCENT_SEED)
+    eta = 0.5 / max(float(np.abs(arr).sum(axis=1).max()), 1e-12)  # row sums bound ||A||_2
+    x = rng.exponential(size=(_DESCENT_STARTS, arr.shape[0]))
     x /= x.sum(axis=1, keepdims=True)
     for _ in range(250):
         x = _project_simplex(x - eta * 2.0 * (x @ arr))
     vals = np.einsum("ai,ij,aj->a", x, arr, x)
     k = int(np.argmin(vals))
-    if vals[k] < best_v:
-        best_x, best_v = x[k], float(vals[k])
+    return x[k], float(vals[k])
 
-    return None if best_x is None else _exact_witness(a, best_x)
+
+def cop_refute(a: SymMatrix, tol: float = 1e-9) -> Optional[CopRefutation]:
+    """A rational x >= 0 with x^T A x < 0, re-checked exactly, or None.
+
+    At n <= KAPLAN_MAX_N the scan is complete (Kaplan 2000, LAA 313): A is
+    copositive iff no A_S has a strictly one-signed eigenvector v with
+    eigenvalue mu < 0.  On the smallest support size where the least such mu
+    is below -tol (1 + max |a_ij|), `volume.SectionSpec.membership`'s rule,
+    x = |v| / sum |v| on S is the witness; None means copositive within tol.
+    Above KAPLAN_MAX_N only `_negative_vertex` and `_simplex_descent` search,
+    and None proves nothing.
+    """
+    n = a.n
+    arr = a.to_numpy()
+    if n <= KAPLAN_MAX_N:
+        for idx in _supports(n):
+            mu, x, signed = (t[0] for t in _kaplan_eigh(arr[None], idx))
+            s, k = np.unravel_index(int(np.argmin(np.where(signed, mu, np.inf))), mu.shape)
+            if signed[s, k] and mu[s, k] < -tol * (1.0 + np.abs(arr).max()):
+                v = np.zeros(n)
+                v[idx[s]] = np.abs(x[s][:, k])
+                cert = _exact_witness(a, v / v.sum())
+                if cert is not None:
+                    return cert
+        return None
+    vertex = _negative_vertex(arr, tol)
+    cert = vertex and _exact_witness(a, np.isin(np.arange(n), vertex[0]) / len(vertex[0]))
+    if cert is not None:
+        return cert
+    x, value = _simplex_descent(arr)
+    return _exact_witness(a, x) if value < -tol else None
 
 
 def _exact_witness(a: SymMatrix, x: np.ndarray) -> Optional[CopRefutation]:

@@ -208,19 +208,6 @@ class SymMatrix:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    # -- constructors -------------------------------------------------------
-    @staticmethod
-    def identity(n: int, flavor: str = "float") -> "SymMatrix":
-        if flavor == "float":
-            return SymMatrix(np.eye(n))
-        return SymMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], "exact")
-
-    @staticmethod
-    def zeros(n: int, flavor: str = "float") -> "SymMatrix":
-        if flavor == "float":
-            return SymMatrix(np.zeros((n, n)))
-        return SymMatrix([[0] * n for _ in range(n)], "exact")
-
     # -- access -------------------------------------------------------------
     def __getitem__(self, ij):
         i, j = ij

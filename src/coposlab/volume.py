@@ -47,15 +47,16 @@ NP-hard, and pretending otherwise would be false precision).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cones import _pairing_expr, cp_refute, kr_problem, pn_problem, spn_decompose, SpnPair
+from .cones import (KAPLAN_MAX_N, SpnPair, _kaplan_min, _pairing_expr, _supports, cp_refute,
+                    kr_problem, pn_problem, spn_decompose)
 from .numerics import SymMatrix
 from .quartic import (basis_M, coeff_vector, dim_M, _l2_gram_exact,
                       _l2_gram_float)
@@ -185,9 +186,9 @@ class SectionSpec:
         if self.cone in ("nn", "psd", "dnn", "spn", "cop", "ball"):
             if self.mode not in (None, "exact"):
                 raise ValueError(f"cone {self.cone} is decided exactly; mode must be None")
-            if self.cone == "cop" and self.n > 12:
+            if self.cone == "cop" and self.n > KAPLAN_MAX_N:
                 raise ValueError(f"cop at n = {self.n} scans 2^n - 1 = {2 ** self.n - 1} "
-                                 "supports; n must be <= 12")
+                                 f"supports; n must be <= {KAPLAN_MAX_N}")
             self.mode = "exact"
         elif self.cone == "cp":
             if self.mode is None:
@@ -415,33 +416,6 @@ def _positive_definite(mats: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _supports(n: int) -> List[np.ndarray]:
-    """The supports S of {0, ..., n - 1}, per size 1..n, as rows of indices."""
-    return [np.array(list(combinations(range(n), size))) for size in range(1, n + 1)]
-
-
-def _kaplan_min(mats: np.ndarray, supports, support_inv=None) -> np.ndarray:
-    """Per matrix of a stack, shape (k, n, n), the smallest eigenvalue mu of
-    a principal submatrix W_S = L_S^{-1} A_S L_S^{-T} whose eigenvector w
-    maps to a strictly one-signed x = L_S^{-T} w; +inf when there is none.
-
-    `supports` holds, per support size, the supports as rows of indices;
-    `support_inv` the stacks of their L_S^{-1}, or None for L_S = I.  One
-    `eigh` a size.
-    """
-    low = np.full(len(mats), np.inf)
-    for idx, linv in zip(supports, support_inv or [None] * len(supports)):
-        w = mats[:, idx[:, :, None], idx[:, None, :]]
-        if linv is not None:
-            w = linv @ w @ np.swapaxes(linv, 1, 2)
-            w = 0.5 * (w + np.swapaxes(w, 2, 3))
-        mu, vec = np.linalg.eigh(w)
-        x = vec if linv is None else np.swapaxes(linv, 1, 2) @ vec
-        signed = np.all(x > 0, axis=2) | np.all(x < 0, axis=2)
-        low = np.minimum(low, np.where(signed, mu, np.inf).reshape(len(mats), -1).min(axis=1))
-    return low
-
-
 def _radial_cop(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     """Radii of the COP section about the star center C along a stack of
     direction matrices D, shape (k, n, n), from the supports the spec keeps
@@ -553,11 +527,13 @@ def _radial_cp_outer(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     (K^(1))*, and 2I + J is interior to K^(1) and pairs to zero with every
     direction, so the SDP is feasible with a positive optimum.
     """
-    def problem(d_mat):
-        prob, _ = kr_problem(d_mat, 1, -1.0)
-        prob.objective = _pairing_expr(spec._center_mat)
-        return prob
-    return _sdp_radii(d_mats, problem, lambda sol: sol.objective_value)
+    # the K^(1) rows once a call; only the last, <D, M> = -1, differs between rays
+    base, _ = kr_problem(spec._center_mat, 1, -1.0)
+    base.objective = _pairing_expr(spec._center_mat)
+    sos = base.constraints[:-1]
+    return _sdp_radii(d_mats,
+                      lambda d_mat: replace(base, constraints=sos + [(_pairing_expr(d_mat), -1.0)]),
+                      lambda sol: sol.objective_value)
 
 
 def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:

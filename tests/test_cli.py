@@ -132,6 +132,15 @@ def test_certify_bad_input_file_exits_64(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("option", [["--attempts", "8"], ["--seed", "0"]])
+def test_certify_cop_takes_no_refuter_knobs(option, tmp_path, capsys):
+    # Kaplan's scan is exact at n <= 12, and the descent above it is seeded
+    # by module constants, so certify has no attempts or seed to set
+    path = _write(tmp_path, _simplex_witness())
+    assert cli.main(["certify", "--cone", "cop", "--in", path, *option]) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("n,entries,reason", [
     (2, "5", "entries must be a list of rows, got 5"),
     (2, "[1.0, 2.0]", "row 0 is not a list: 1.0"),

@@ -1,10 +1,11 @@
+import itertools
 import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coposlab import cones
+from coposlab import cones, volume
 from coposlab.cones import (CopRefutation, CpRefutation, InfeasibilityCert,
                             SosGram, SpnPair, cop_refute, cp_refute,
                             frobenius, horn_matrix, membership_basic,
@@ -12,6 +13,7 @@ from coposlab.cones import (CopRefutation, CpRefutation, InfeasibilityCert,
 from coposlab.numerics import CholeskyFactor, QSqrt2, SymMatrix
 from coposlab.exceptional import load_reference_a5, load_reference_c
 from coposlab.quartic import monomials
+from coposlab.volume import SectionSpec, section_radii
 from coposlab.sdp import (LinExpr, SdpProblem, SdpStatus, sdp_solve,
                           sos_gram_assemble)
 
@@ -302,7 +304,7 @@ def _pm1_with_negative_triangle(n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_cop_negative_vertex_needs_no_sdp_and_no_descent(n, no_sdp, monkeypatch):
-    # a negative vertex lies in no K^(r), and the scan's vertex is the
+    # a negative vertex lies in no K^(r), and Kaplan's scan finds the
     # witness, so the projected-gradient descent never runs
     monkeypatch.setattr(cones, "_project_simplex", None)
     pair = np.eye(n) + 0.1
@@ -428,7 +430,7 @@ def test_hierarchy_chain_on_inner_generators():
             ok_nn, _ = membership_basic(m, "nn", 1e-9)
             ok_dnn, _ = membership_basic(m, "dnn", 1e-8)
             assert ok_nn and ok_dnn
-        assert cop_refute(m, attempts=4, seed=trial) is None
+        assert cop_refute(m) is None
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,7 @@ def test_hierarchy_chain_on_inner_generators():
 # ---------------------------------------------------------------------------
 
 def test_cop_refute_negative_identity():
-    res = cop_refute(SymMatrix(-np.eye(3)), attempts=4, seed=1)
+    res = cop_refute(SymMatrix(-np.eye(3)))
     assert res is not None
     assert res.check_exact(SymMatrix(-np.eye(3)))
     # the best vertex is a single axis with value -1 after normalization
@@ -444,11 +446,11 @@ def test_cop_refute_negative_identity():
 
 
 def test_cop_refute_horn_finds_nothing():
-    assert cop_refute(horn_matrix(), attempts=64, seed=2) is None
+    assert cop_refute(horn_matrix()) is None
 
 
 def test_cop_refute_reference_c_finds_nothing():
-    assert cop_refute(load_reference_c(), attempts=64, seed=3) is None
+    assert cop_refute(load_reference_c()) is None
 
 
 def test_cop_refute_witness_exactly_negative():
@@ -459,7 +461,7 @@ def test_cop_refute_witness_exactly_negative():
         a = 0.5 * (a + a.T)
         a[0, 0] = -abs(a[0, 0]) - 0.5  # guarantees refutability at e_1
         m = SymMatrix(a)
-        res = cop_refute(m, attempts=8, seed=trial)
+        res = cop_refute(m)
         assert res is not None
         assert res.check_exact(m)
         found += 1
@@ -468,11 +470,95 @@ def test_cop_refute_witness_exactly_negative():
 
 def test_cop_refute_exact_matrix_witness_exact_arithmetic():
     m = SymMatrix([[1, -3], [-3, 1]], "exact")
-    res = cop_refute(m, attempts=8, seed=5)
+    res = cop_refute(m)
     assert res is not None
     assert res.check_exact(m)
     assert isinstance(res.value, QSqrt2)
     assert res.value.sign() < 0
+
+
+def _t_matrix(psi):
+    """Hildebrand's T(psi) at n = 5: the first row is (1, -cos psi4,
+    cos(psi4 + psi5), cos(psi2 + psi3), -cos psi3), and row i is row 0 with
+    the indices of psi and the columns shifted by i; T(0) is Horn's."""
+    t = np.eye(5)
+    for i in range(5):
+        p = np.roll(psi, -i)  # p[k] is psi_{k + 1 + i}, cyclically
+        row = (-np.cos(p[3]), np.cos(p[3] + p[4]), np.cos(p[1] + p[2]), -np.cos(p[2]))
+        for off, v in enumerate(row, 1):
+            t[i, (i + off) % 5] = v
+    return t
+
+
+def test_t_matrix_at_zero_is_horn_and_symmetric():
+    assert np.array_equal(_t_matrix(np.zeros(5)), horn_matrix().to_numpy())
+    t = _t_matrix(np.random.default_rng(0).dirichlet(np.ones(6))[:5] * np.pi)
+    assert np.array_equal(t, t.T)
+
+
+def test_cop_refute_shifted_t_matrices_without_an_sdp(no_sdp):
+    # T(psi) is copositive with zeros on consecutive triples, so
+    # D (T(psi) - 1e-3 I) D is not copositive for a positive diagonal D
+    rng = np.random.default_rng(2305)
+    for _ in range(8):
+        psi = rng.dirichlet(np.ones(6))[:5] * np.pi  # psi > 0, sum < pi
+        d = np.diag(np.exp(rng.uniform(-1.0, 1.0, 5)))
+        a = SymMatrix(d @ (_t_matrix(psi) - 1e-3 * np.eye(5)) @ d)
+        res = cop_refute(a)
+        assert res is not None and res.check_exact(a)
+        assert all(t >= 0 for t in res.x)
+        assert float(sum(res.x)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _kaplan_by_loops(a):
+    """Kaplan's minimum, support by support: the smallest eigenvalue of a
+    principal submatrix whose eigenvector is strictly one-signed."""
+    n = len(a)
+    low = np.inf
+    for size in range(1, n + 1):
+        for sup in itertools.combinations(range(n), size):
+            mu, vec = np.linalg.eigh(a[np.ix_(sup, sup)])
+            for k in range(size):
+                if np.all(vec[:, k] > 0) or np.all(vec[:, k] < 0):
+                    low = min(low, mu[k])
+    return low
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_cop_refute_answers_none_exactly_when_kaplan_does(n):
+    rng = np.random.default_rng([n, 7])
+    for _ in range(20):
+        a = rng.normal(size=(n, n)) + 1.5
+        a = 0.5 * (a + a.T)
+        res = cop_refute(SymMatrix(a))
+        assert (res is None) == (_kaplan_by_loops(a) >= -1e-9 * (1.0 + np.abs(a).max()))
+        if res is not None:
+            assert res.check_exact(SymMatrix(a)) and all(t >= 0 for t in res.x)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cop_refute_ends_where_the_cop_section_does(n):
+    # the refuter and vrad's exact cop radius t* agree on where COP ends:
+    # a witness just outside t*, none just inside
+    spec = SectionSpec(cone="cop", n=n)
+    dirs = np.random.RandomState(n).standard_normal((50, spec.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for t, d_mat in zip(section_radii(spec, dirs), volume._direction_matrices(spec, dirs)):
+        outside = SymMatrix(spec._center_mat + (1 + 1e-6) * t * d_mat)
+        res = cop_refute(outside)
+        assert res is not None and res.check_exact(outside) and all(x >= 0 for x in res.x)
+        assert cop_refute(SymMatrix(spec._center_mat + (1 - 1e-6) * t * d_mat)) is None
+
+
+def test_cop_refute_above_n12_descends_without_kaplan(monkeypatch):
+    # the leading 8 x 8 block 6.5 I - (J - I) is negative only at supports
+    # of 7 and 8, so no 0/1 vertex refutes and only the descent can
+    a = np.eye(13) + 0.3
+    a[:8, :8] = 6.5 * np.eye(8) - (np.ones((8, 8)) - np.eye(8))
+    assert cones._negative_vertex(a, 1e-9) is None
+    monkeypatch.setattr(cones, "_kaplan_eigh", None)
+    res = cop_refute(SymMatrix(a))
+    assert res is not None and res.check_exact(SymMatrix(a)) and all(t >= 0 for t in res.x)
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +724,15 @@ def test_cop_inner_at_n4_stops_after_level0(sdp_calls):
 # ---------------------------------------------------------------------------
 
 def test_frobenius_identity_with_horn():
-    val = frobenius(SymMatrix.identity(5, "exact"), horn_matrix())
+    eye5 = SymMatrix([[int(i == j) for j in range(5)] for i in range(5)], "exact")
+    val = frobenius(eye5, horn_matrix())
     assert val == 5
 
 
 def test_frobenius_zero():
-    z = SymMatrix.zeros(4, "exact")
-    assert frobenius(z, SymMatrix.identity(4, "exact")) == 0
+    z = SymMatrix([[0] * 4 for _ in range(4)], "exact")
+    eye4 = SymMatrix([[int(i == j) for j in range(4)] for i in range(4)], "exact")
+    assert frobenius(z, eye4) == 0
 
 
 def test_frobenius_reference_pairing_exact():
@@ -656,4 +744,5 @@ def test_frobenius_reference_pairing_exact():
 
 def test_frobenius_dimension_mismatch():
     with pytest.raises(ValueError):
-        frobenius(SymMatrix.identity(3, "exact"), horn_matrix())
+        frobenius(SymMatrix([[int(i == j) for j in range(3)] for i in range(3)], "exact"),
+                  horn_matrix())

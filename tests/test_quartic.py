@@ -126,7 +126,7 @@ def _eval_coeffs(coeffs, x):
 
 def test_eval_examples():
     n = 5
-    qi = quartic_target(SymMatrix.identity(n, "exact"), 0)
+    qi = quartic_target(SymMatrix([[int(i == j) for j in range(n)] for i in range(n)], "exact"), 0)
     assert _eval_coeffs(qi, [Fraction(1)] * n) == n
     h = horn_matrix()
     hn = h.to_numpy()
