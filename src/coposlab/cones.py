@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -461,9 +461,10 @@ KAPLAN_MAX_N = 12
 _DESCENT_STARTS, _DESCENT_SEED = 64, 0  # cop_refute's simplex descent above it
 
 
-def _supports(n: int) -> List[np.ndarray]:
-    """The supports S of {0, ..., n - 1}, per size 1..n, as rows of indices."""
-    return [np.array(list(combinations(range(n), size))) for size in range(1, n + 1)]
+def _supports(n: int) -> Iterator[np.ndarray]:
+    """The supports S of {0, ..., n - 1} as rows of indices, one array per
+    size 1..n, each built only when the iteration reaches it."""
+    return (np.array(list(combinations(range(n), size))) for size in range(1, n + 1))
 
 
 def _kaplan_eigh(mats: np.ndarray, idx: np.ndarray, linv: Optional[np.ndarray] = None):
@@ -522,22 +523,23 @@ def cop_refute(a: SymMatrix, tol: float = 1e-9) -> Optional[CopRefutation]:
 
     At n <= KAPLAN_MAX_N the scan is complete (Kaplan 2000, LAA 313): A is
     copositive iff no A_S has a strictly one-signed eigenvector v with
-    eigenvalue mu < 0.  On the smallest support size where the least such mu
-    is below -tol (1 + max |a_ij|), `volume.SectionSpec.membership`'s rule,
-    x = |v| / sum |v| on S is the witness; None means copositive within tol.
+    eigenvalue mu < 0.  On the first support size, built one at a time,
+    where the least such mu is below -tol (1 + max |a_ij|), x = |v| / sum |v|
+    on S is the witness; None means copositive within tol.
     Above KAPLAN_MAX_N only `_negative_vertex` and `_simplex_descent` search,
     and None proves nothing.
     """
     n = a.n
     arr = a.to_numpy()
     if n <= KAPLAN_MAX_N:
+        bound = -tol * (1.0 + np.abs(arr).max())
         for idx in _supports(n):
             mu, x, signed = (t[0] for t in _kaplan_eigh(arr[None], idx))
             s, k = np.unravel_index(int(np.argmin(np.where(signed, mu, np.inf))), mu.shape)
-            if signed[s, k] and mu[s, k] < -tol * (1.0 + np.abs(arr).max()):
+            if signed[s, k] and mu[s, k] < bound:
                 v = np.zeros(n)
                 v[idx[s]] = np.abs(x[s][:, k])
-                cert = _exact_witness(a, v / v.sum())
+                cert = _exact_witness(a, v)
                 if cert is not None:
                     return cert
         return None
@@ -550,9 +552,14 @@ def cop_refute(a: SymMatrix, tol: float = 1e-9) -> Optional[CopRefutation]:
 
 
 def _exact_witness(a: SymMatrix, x: np.ndarray) -> Optional[CopRefutation]:
-    """x rationalized, with its exact x^T A x, when that is negative."""
+    """x >= 0 scaled onto the simplex and rounded to k / den, den = 10^6 then
+    10^12, with integers k >= 0 whose rounding shortfall goes to the largest,
+    so sum k = den; with its exact x^T A x, when that is negative."""
+    x = x / x.sum()
     for den in (10 ** 6, 10 ** 12):
-        xr = tuple(Fraction(float(t)).limit_denominator(den) for t in x)
+        k = [int(t) for t in np.rint(x * den)]
+        k[int(np.argmax(k))] += den - sum(k)
+        xr = tuple(Fraction(t, den) for t in k)
         cert = CopRefutation(x=xr, value=_exact_quadratic(a, xr))
         if _is_negative(cert.value):
             return cert

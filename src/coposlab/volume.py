@@ -28,8 +28,7 @@ radii of a stack of directions for every section, by one of four methods:
   face radius; for cop (n <= 12) the generalized eigenvalues of the
   2^n - 1 principal submatrices that have a strictly one-signed
   eigenvector, which is Kaplan's criterion (Kaplan 2000, LAA 313) and
-  exact; the ball radius itself for ball.  The membership oracle of these
-  sections tests the same face rows and eigenvalues;
+  exact; the ball radius itself for ball;
 - spn at n <= 5 (`_radial_spn`): Kaplan's COP radius t*, an upper bound as
   SPN lies in COP, kept where C + t* D is certified PSD + NN: always at
   n <= 4, where COP = SPN (Diananda 1962), and at n = 5 by a rank-one peel
@@ -39,6 +38,10 @@ radii of a stack of directions for every section, by one of four methods:
   certify, also the tests' reference for the cop and spn radii; the K^(1)
   rows of `cones.kr_problem` for cp outer (`_radial_cp_outer`);
 - one LP per ray: lf inner (max t with the point in the generators' hull).
+
+The radius is each section's one decision.  Membership follows from it
+(`SectionSpec.membership`), and a star center outside its section shows as
+a radius <= 0, which `section_radii` refuses on every ray it computes.
 
 CP at n >= 5 is reported as an inner/outer pair only (membership there is
 NP-hard, and pretending otherwise would be false precision).
@@ -55,9 +58,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cones import (KAPLAN_MAX_N, SpnPair, _kaplan_min, _pairing_expr, _supports, cp_refute,
-                    kr_problem, pn_problem, spn_decompose)
-from .numerics import SymMatrix
+from .cones import KAPLAN_MAX_N, _kaplan_min, _pairing_expr, _supports, kr_problem, pn_problem
 from .quartic import (basis_M, coeff_vector, dim_M, _l2_gram_exact,
                       _l2_gram_float)
 from .sdp import SdpStatus, sdp_solve_many
@@ -152,14 +153,9 @@ class SectionSpec:
     nonnegative forms).  "ball" is a calibration cone {|g| <= R}.
     `oracle_tol` must be finite and nonnegative.
 
-    `closed_form` tells whether the membership oracle is the closed form's.
-    Polyhedral sections keep their face rows G (on vec(a)) with the offsets
-    G vec(c) at the star center c; spectral ones keep L^{-1}, where c = L L^T; cop
-    keeps, per support size, the supports S and L_S^{-1}, where
-    c_S = L_S L_S^T.  spn at n <= 5 keeps them too, for the COP radius it
-    starts from, and stays off `closed_form`: its radius falls back to the
-    P + N SDP on the rays the peel cannot certify, and its membership
-    oracle stays the P + N split (`cones.spn_decompose`).
+    A spec keeps only what its radius needs (face rows, L^{-1} of the
+    center, the supports with their L_S^{-1}, or the lf generators), and
+    membership is the radius's rule, so building one solves no SDP or LP.
     """
 
     cone: str
@@ -172,7 +168,6 @@ class SectionSpec:
     # derived fields
     dim: int = field(init=False)
     star_center: np.ndarray = field(init=False)
-    closed_form: bool = field(init=False)
 
     def __post_init__(self):
         if self.cone not in SECTION_CONES:
@@ -212,21 +207,17 @@ class SectionSpec:
             navg = self.n * (self.n + 2) / 3.0  # generators have average 3/(n(n+2))
             pts = gens * navg
             self._gen_cols = np.array([coeff_vector(g, self.n) for g in pts]).T
-            center_mat = pts.mean(axis=0)
-            self.star_center = self.coords_of(center_mat)
-            if self.mode == "outer":
-                self._pos = np.array(_pos_samples(self.n, max(64, self.generator_count // 4),
-                                                  self.seed + 1))
+            self.star_center = self.coords_of(pts.mean(axis=0))
         else:
             self.star_center = self.coords_of(_center_matrix(self.n))
         self._center_mat = self.matrix_of(self.star_center)
+        self._face_dir = self._face_off = None
         faces = self._face_rows()
-        self._faces = self._face_dir = self._face_off = None
         if faces is not None:
-            self._faces = faces.reshape(len(faces), -1)
+            faces = faces.reshape(len(faces), -1)
             # face values along a direction g are g @ _face_dir
-            self._face_dir = self._bstack.reshape(self.dim, -1) @ self._faces.T
-            self._face_off = self._faces @ self._center_mat.ravel()
+            self._face_dir = self._bstack.reshape(self.dim, -1) @ faces.T
+            self._face_off = faces @ self._center_mat.ravel()
         self._chol_inv = None
         if self.cone in ("psd", "dnn") or (self.cone == "cp" and self.mode == "exact"):
             self._chol_inv = np.linalg.inv(np.linalg.cholesky(self._center_mat))
@@ -235,15 +226,10 @@ class SectionSpec:
         # leaves a 4 x 4 copositivity test (`_radial_spn`)
         if self.cone == "cop" or (self.cone == "spn" and self.n <= 5):
             # the supports S of each size, with L_S^{-1} where C_S = L_S L_S^T
-            self._supports = _supports(self.n)
+            self._supports = list(_supports(self.n))
             self._support_inv = [
                 np.linalg.inv(np.linalg.cholesky(self._center_mat[idx[:, :, None], idx[:, None, :]]))
                 for idx in self._supports]
-        # spn keeps its SDP membership oracle, so it is no closed-form section
-        self.closed_form = (self.cone == "ball" or faces is not None
-                            or self._chol_inv is not None or self.cone == "cop")
-        if not self.membership(self.star_center):
-            raise ValueError("star center failed the membership oracle")
 
     def _face_rows(self) -> Optional[np.ndarray]:
         """Face rows of a polyhedral section as (m, n, n) functionals on a."""
@@ -262,7 +248,7 @@ class SectionSpec:
             return np.concatenate([entries, dom])
         if self.cone == "lf" and self.mode == "outer":
             # apolar pairing 8 sum a_ij p_ij + 16 sum a_ii p_ii with each p
-            rows = 8.0 * self._pos
+            rows = 8.0 * np.array(_pos_samples(n, max(64, self.generator_count // 4), self.seed + 1))
             rows[:, diag, diag] *= 3.0
             return rows
         return None
@@ -280,52 +266,15 @@ class SectionSpec:
     def membership(self, g: np.ndarray) -> bool:
         """Is r^2 + sum g_i b_i in the (translated) cone section?
 
-        A closed-form section tests what `section_radii` uses, under one
-        tolerance rule: with s = 1 + max |a_ij|, every face row f needs
-        f . vec(a) >= -oracle_tol * |f|_1 * s, a spectral section needs
-        lambda_min(a) >= -oracle_tol * s, and cop needs every eigenvalue of
-        a principal submatrix a_S with a strictly one-signed eigenvector to
-        be >= -oracle_tol * s (Kaplan's criterion); the ball needs
-        |g| <= R + oracle_tol.
-        The other sections ask their cone's certificate or refutation search.
+        One rule for every section: with c the star center and t the radius
+        of `section_radii` along u = (g - c) / |g - c|, g is inside when
+        |g - c| <= t (1 + oracle_tol).  The center itself is inside.
         """
-        g = np.asarray(g, dtype=float)
-        tol = self.oracle_tol
-        if self.cone == "ball":
-            return float(np.linalg.norm(g)) <= self.ball_radius + tol
-        a = self.matrix_of(g)
-        scale = 1.0 + np.abs(a).max()
-        if self.closed_form:
-            if self._faces is not None:
-                bound = tol * scale * np.abs(self._faces).sum(axis=1)
-                if not np.all(self._faces @ a.ravel() >= -bound):
-                    return False
-            if self._supports is not None:
-                # Kaplan: no support has a negative eigenvalue with a
-                # strictly one-signed eigenvector
-                return float(_kaplan_min(a[None], self._supports)[0]) >= -tol * scale
-            return self._chol_inv is None or float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
-        if self.cone == "spn":
-            # a boundary query can leave the solver indeterminate; counting
-            # that as non-membership keeps a bisection within solver resolution
-            try:
-                res = spn_decompose(SymMatrix(a), tol=max(tol, 1e-8))
-            except RuntimeError:
-                return False
-            return isinstance(res, SpnPair)
-        if self.cone == "cp":  # outer
-            if float(a.min()) < -tol * scale or np.linalg.eigvalsh(a)[0] < -tol * scale:
-                return False
-            try:
-                sep = cp_refute(SymMatrix(a), r=1, tol=max(tol, 1e-8))
-            except RuntimeError:
-                return True  # not refuted: stay on the outer side
-            return sep is None
-        # lf inner; only its LPs import scipy.optimize, so no other section loads it
-        from scipy.optimize import linprog
-        res = linprog(np.zeros(self._gen_cols.shape[1]), A_eq=self._gen_cols,
-                      b_eq=coeff_vector(a, self.n), bounds=(0, None), method="highs")
-        return bool(res.status == 0)
+        step = np.asarray(g, dtype=float) - self.star_center
+        dist = float(np.linalg.norm(step))
+        if dist == 0.0:
+            return True
+        return dist <= float(section_radii(self, step[None, :] / dist)[0]) * (1.0 + self.oracle_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +314,8 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
     can undercut; cop gives Kaplan's exact radius (`_radial_cop`); the ball
     gives its radius.  spn takes `_radial_spn`, cp outer one K^(1) SDP a ray
     (`_radial_cp_outer`) and lf inner one LP a ray (`_radial_lf_inner`).
+    RadialError: a direction never exits, or a radius is <= 0, which means
+    the star center is not interior to the section.
     """
     dirs = np.asarray(directions, dtype=float)
     _check_unit(dirs)
@@ -399,6 +350,8 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
                                                         where=lam < 0))
     if not np.isfinite(radii).all():
         raise RadialError("direction never exits the section")
+    if not (radii > 0).all():
+        raise RadialError("star center is not interior to the section")
     return radii
 
 
@@ -474,14 +427,14 @@ def _peel_certifies(mats: np.ndarray, tol: float) -> np.ndarray:
         A = v v^T + [[0, (b - beta)^T], [b - beta, R]],  R = A_-i,-i - beta beta^T / a.
 
     b - beta >= 0, so if R is copositive, hence PSD + NN as 4 x 4 (Diananda
-    1962), A is PSD + NN.  R is judged by Kaplan's criterion under the rule
-    of `SectionSpec.membership`: no eigenvalue below -tol (1 + max |R_ij|)
-    with a strictly one-signed eigenvector.  The peels are tried in turn,
-    beta = min(b, 0) on every row first, each only on the matrices no
-    earlier peel certified.  A False is no refutation.
+    1962), A is PSD + NN.  R is judged by Kaplan's criterion at tolerance:
+    it passes when no principal submatrix R_S has an eigenvalue below
+    -tol (1 + max |R_ij|) with a strictly one-signed eigenvector.  The peels
+    are tried in turn, beta = min(b, 0) on every row first, each only on the
+    matrices no earlier peel certified.  A False is no refutation.
     """
     n = mats.shape[1]
-    supports = _supports(n - 1)
+    supports = list(_supports(n - 1))
     ok = np.zeros(len(mats), dtype=bool)
     for whole_row in (False, True):
         for i in range(n):
@@ -539,7 +492,7 @@ def _radial_cp_outer(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
 def _radial_lf_inner(spec: SectionSpec, g: np.ndarray) -> float:
     """Radius of the lf inner section along g as one LP: max t s.t.
     sum_k lam_k tvec(G_k) = tvec(C) + t tvec(D), lam >= 0, t >= 0."""
-    from scipy.optimize import linprog
+    from scipy.optimize import linprog  # so that no other section loads scipy
     d_col = coeff_vector(np.tensordot(g, spec._bstack, axes=1), spec.n)
     gens = spec._gen_cols
     cost = np.zeros(gens.shape[1] + 1)
@@ -561,9 +514,7 @@ def radial(spec: SectionSpec, direction, bisect_tol: float = 1e-9) -> float:
     `vrad_mc` computes in its blocks.  `bisect_tol` is checked but unused.
     """
     _check_bisect_tol(bisect_tol)
-    g = np.asarray(direction, dtype=float)
-    _check_unit(g)
-    return float(section_radii(spec, g[None, :])[0])
+    return float(section_radii(spec, np.asarray(direction, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def test_cop_refute_negative_identity():
     assert res is not None
     assert res.check_exact(SymMatrix(-np.eye(3)))
     # the best vertex is a single axis with value -1 after normalization
-    assert float(sum(res.x)) == pytest.approx(1.0, abs=1e-9)
+    assert sum(res.x) == 1
 
 
 def test_cop_refute_horn_finds_nothing():
@@ -506,8 +506,61 @@ def test_cop_refute_shifted_t_matrices_without_an_sdp(no_sdp):
         a = SymMatrix(d @ (_t_matrix(psi) - 1e-3 * np.eye(5)) @ d)
         res = cop_refute(a)
         assert res is not None and res.check_exact(a)
-        assert all(t >= 0 for t in res.x)
-        assert float(sum(res.x)) == pytest.approx(1.0, abs=1e-9)
+        assert all(t >= 0 for t in res.x) and sum(res.x) == 1
+
+
+def test_cop_witness_is_an_exact_point_of_the_simplex():
+    # the rounded coordinates of a witness sum to exactly 1: on the shifted
+    # T-matrix of the CI step, whose coordinates rounded one by one summed
+    # to 1 + 3.1e-12, and on Kaplan witnesses just outside the cop section
+    # along seeded rays at n = 4..8
+    t_shifted = np.array([[0.999, -1.960133, 0.348353, 0.932415, -0.877583],
+                          [-1.960133, 3.996, -0.825336, 1.86483, 1.529684],
+                          [0.348353, -0.825336, 0.24975, -0.716502, 0.382421],
+                          [0.932415, 1.86483, -0.716502, 2.24775, -1.381591],
+                          [-0.877583, 1.529684, 0.382421, -1.381591, 0.999]])
+    inputs = [t_shifted]
+    for n in range(4, 9):
+        spec = SectionSpec(cone="cop", n=n)
+        dirs = np.random.RandomState(n).standard_normal((10, spec.dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        t = section_radii(spec, dirs)
+        inputs.extend(spec._center_mat + (1 + 1e-6) * t[:, None, None]
+                      * volume._direction_matrices(spec, dirs))
+    for arr in inputs:
+        a = SymMatrix(arr)
+        res = cop_refute(a)
+        assert res is not None and res.check_exact(a)
+        assert all(isinstance(t, Fraction) and t >= 0 for t in res.x) and sum(res.x) == 1
+
+
+def test_cop_size_one_witness_builds_no_larger_support(monkeypatch):
+    # a negative diagonal entry refutes at size 1; at n = 12 the 4095
+    # supports of the larger sizes are never built
+    built = []
+    monkeypatch.setattr(cones, "combinations",
+                        lambda items, k: built.append(k) or itertools.combinations(items, k))
+    a = np.eye(12)
+    a[7, 7] = -1.0
+    res = cop_refute(SymMatrix(a))
+    assert res is not None and res.x == tuple(Fraction(int(i == 7)) for i in range(12))
+    assert built == [1]
+
+
+def test_cop_refute_decides_the_horn_orbit_without_an_sdp(no_sdp):
+    # D P H P^T D is copositive with zeros, so it gets None; shifted by
+    # -delta I it is not copositive and gets an exact witness
+    rng = np.random.default_rng(2325)
+    h = horn_matrix().to_numpy()
+    for _ in range(20):
+        p = rng.permutation(5)
+        d = np.diag(np.exp(rng.uniform(-1.0, 1.0, 5)))
+        ph = h[np.ix_(p, p)]
+        assert cop_refute(SymMatrix(d @ ph @ d)) is None
+        a = SymMatrix(d @ (ph - 1e-3 * np.eye(5)) @ d)
+        res = cop_refute(a)
+        assert res is not None and res.check_exact(a)
+        assert all(t >= 0 for t in res.x) and sum(res.x) == 1
 
 
 def _kaplan_by_loops(a):

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from coposlab import cones, volume
-from coposlab.cones import SpnPair, horn_matrix, spn_decompose
+from coposlab.cones import (SpnPair, cop_refute, cp_refute, horn_matrix, membership_basic,
+                            spn_decompose)
 from coposlab.exceptional import load_reference_a5
 from coposlab.numerics import SymMatrix
+from coposlab.quartic import coeff_vector
 from coposlab.volume import RadialError, SectionSpec, radial, section_radii, vrad_mc
+from test_cones import _t_matrix
 
 CLOSED_FORM = [("nn", 5, None), ("psd", 5, None), ("dnn", 5, None), ("cp", 4, "exact"),
                ("cp", 5, "inner"), ("lf", 4, "outer"), ("ball", 5, None),
@@ -28,7 +31,8 @@ def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
 
 def _bisect(spec, g: np.ndarray, bisect_tol: float) -> float:
     """The reference radius: bracket doubling plus bisection to
-    `bisect_tol` on the membership oracle (the section is convex)."""
+    `bisect_tol` on the membership oracle of `spec`, a section or a
+    duck-typed one such as `_reference` (the section is convex)."""
     c = spec.star_center
     hi = 1.0
     lo = 0.0
@@ -46,6 +50,64 @@ def _bisect(spec, g: np.ndarray, bisect_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _reference(spec, tol: float = 1e-12):
+    """The section as a duck-typed spec whose membership decides the point
+    apart from volume.py's radii: by cones' own deciders where the cone has
+    one, by a numpy or LP test of the section's definition otherwise.
+
+    nn, psd, dnn and cp exact (CP = DNN at n <= 4) take `membership_basic`,
+    cop `cop_refute`; spn and cp outer keep the rules of the P + N split
+    and of the K^(1) separator at tol 1e-8, an undecided spn solve counting
+    as outside and an undecided cp one as inside.  cp inner tests its face
+    rows, lf outer the apolar pairings with its sampled nonnegative forms,
+    lf inner the LP of its generators' conic hull, and the ball the norm.
+    """
+    n, cone, mode = spec.n, spec.cone, spec.mode
+    if cone == "ball":
+        return SimpleNamespace(star_center=spec.star_center,
+                               membership=lambda g: np.linalg.norm(g) <= spec.ball_radius + tol)
+    if cone in ("nn", "psd", "dnn") or (cone, mode) == ("cp", "exact"):
+        def member(a):
+            return membership_basic(SymMatrix(a), "dnn" if cone == "cp" else cone, tol)[0]
+    elif cone == "cop":
+        def member(a):
+            return cop_refute(SymMatrix(a), tol) is None
+    elif cone == "spn":
+        def member(a):
+            try:
+                return isinstance(spn_decompose(SymMatrix(a), tol=1e-8), SpnPair)
+            except RuntimeError:
+                return False
+    elif (cone, mode) == ("cp", "outer"):
+        def member(a):
+            if not membership_basic(SymMatrix(a), "dnn", tol)[0]:
+                return False
+            try:
+                return cp_refute(SymMatrix(a), r=1, tol=1e-8) is None
+            except RuntimeError:
+                return True
+    elif cone == "cp":  # inner: a >= 0 entrywise and diagonally dominant
+        def member(a):
+            return a.min() >= -tol and (2.0 * np.diag(a) - a.sum(axis=1)).min() >= -tol
+    elif mode == "outer":  # lf: apolar pairing 8 sum a_ij p_ij + 16 sum a_ii p_ii >= 0
+        forms = np.array(volume._pos_samples(n, max(64, spec.generator_count // 4), spec.seed + 1))
+        diag = np.arange(n)
+
+        def member(a):
+            pair = 8.0 * np.einsum("ij,kij->k", a, forms) + 16.0 * forms[:, diag, diag] @ np.diag(a)
+            return pair.min() >= -tol
+    else:  # lf inner: q_A in the conic hull of the generators
+        from scipy.optimize import linprog
+        gens = volume.lf_generators(n, spec.generator_count, spec.seed)
+        cols = np.array([coeff_vector(m, n) for m in gens]).T
+
+        def member(a):
+            return linprog(np.zeros(cols.shape[1]), A_eq=cols, b_eq=coeff_vector(a, n),
+                           bounds=(0, None), method="highs").status == 0
+    return SimpleNamespace(star_center=spec.star_center,
+                           membership=lambda g: member(spec.matrix_of(g)))
+
+
 def _average_one(a: np.ndarray) -> np.ndarray:
     # the sphere average of sum a_ij x_i^2 x_j^2 is (2 tr a + sum a) / (n (n + 2))
     n = len(a)
@@ -61,14 +123,13 @@ def _toward(spec, a: np.ndarray):
 
 @pytest.mark.parametrize("cone,n,mode", CLOSED_FORM)
 def test_closed_form_radii_match_bisection(cone, n, mode):
-    # the oracle accepts points up to oracle_tol * scale outside the section,
-    # which moves the bisection radius outward by ~1e-8 relative at the
-    # default 1e-9; a tight oracle makes bisection the exact reference
-    spec = SectionSpec(cone=cone, n=n, mode=mode, oracle_tol=1e-12)
-    assert spec.closed_form
+    # bisection on a decider apart from the radius, at the tight tolerance
+    # 1e-12 that makes it the exact reference
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
     dirs = unit_directions(spec.dim, 50, seed=11)
     fast = section_radii(spec, dirs)
-    ref = np.array([_bisect(spec, g, 1e-9) for g in dirs])
+    reference = _reference(spec)
+    ref = np.array([_bisect(reference, g, 1e-9) for g in dirs])
     assert np.all(np.abs(fast - ref) <= 1e-8 * ref)
 
 
@@ -94,13 +155,16 @@ def test_unnormalized_direction_is_rejected():
         section_radii(spec, 2.0 * unit_directions(spec.dim, 3, seed=0))
 
 
-@pytest.mark.parametrize("cone,n,mode", [c for c in CLOSED_FORM if c[0] != "ball"])
+@pytest.mark.parametrize("cone,n,mode", CLOSED_FORM + PARAMETRIC)
 def test_closed_form_membership_agrees_with_the_radius(cone, n, mode):
+    # membership is the radius's rule, and the independent decider agrees
     spec = SectionSpec(cone=cone, n=n, mode=mode)
+    reference = _reference(spec)
     for g in unit_directions(spec.dim, 3, seed=2):
         r = section_radii(spec, g[None, :])[0]
-        assert spec.membership(spec.star_center + 0.999 * r * g)
-        assert not spec.membership(spec.star_center + 1.001 * r * g)
+        for section in (spec, reference):
+            assert section.membership(spec.star_center + 0.999 * r * g)
+            assert not section.membership(spec.star_center + 1.001 * r * g)
 
 
 @pytest.mark.parametrize("cone,n,mode,kwargs", [
@@ -123,21 +187,23 @@ def test_stacked_parametric_radii_equal_one_by_one():
 
 def test_parametric_radii_match_bisection():
     spec = SectionSpec(cone="spn", n=4)
+    reference = _reference(spec)
     for g in unit_directions(spec.dim, 5, seed=12):
-        ref = _bisect(spec, g, 1e-7)
+        ref = _bisect(reference, g, 1e-7)
         assert abs(radial(spec, g) - ref) <= 1e-6 * ref
 
 
 def test_boundary_bisection_emits_no_runtime_warning():
-    # the tight bisection's radii are pinned bit for bit, with warnings
-    # raised as errors
+    # the tight bisection's radii on the P + N split are pinned bit for
+    # bit, with warnings raised as errors
     want = [float.fromhex(h) for h in ("0x1.d464087600000p-2", "0x1.c4feb38200000p-2",
                                        "0x1.8eed4e7e00000p-2", "0x1.e924034c00000p-2",
                                        "0x1.b463920a00000p-2")]
     spec = SectionSpec(cone="spn", n=4)
+    reference = _reference(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [_bisect(spec, g, 1e-9)
+        got = [_bisect(reference, g, 1e-9)
                for g in unit_directions(spec.dim, 5, seed=12)]
     assert got == want
 
@@ -215,10 +281,22 @@ def test_cop_radius_toward_horn_is_its_distance():
     assert abs(section_radii(spec, g[None, :])[0] - dist) <= 1e-12 * dist
 
 
+def test_cop_radius_toward_a_t_matrix_is_its_distance():
+    # Hildebrand's T(psi) is copositive with zeros on consecutive triples,
+    # so its section point lies on the boundary, as Horn's does
+    spec = SectionSpec(cone="cop", n=5)
+    rng = np.random.default_rng(2312)
+    for _ in range(20):
+        psi = rng.dirichlet(np.ones(6))[:5] * np.pi  # psi > 0, sum < pi
+        g, dist = _toward(spec, _average_one(_t_matrix(psi)))
+        assert abs(section_radii(spec, g[None, :])[0] - dist) <= 1e-12 * dist
+
+
 def test_cp_outer_radii_match_bisection():
     spec = SectionSpec(cone="cp", n=5, mode="outer")
+    reference = _reference(spec)
     for g in unit_directions(spec.dim, 3, seed=32):
-        ref = _bisect(spec, g, 1e-7)
+        ref = _bisect(reference, g, 1e-7)
         assert abs(radial(spec, g) - ref) <= 1e-6 * ref
 
 
@@ -269,6 +347,38 @@ def test_radii_never_ask_the_membership_oracle(cone, n, mode, kwargs, monkeypatc
         raise AssertionError("membership oracle called")
     monkeypatch.setattr(SectionSpec, "membership", refuse)
     assert vrad_mc(spec, 100, seed=35).point_estimate > 0
+
+
+@pytest.mark.parametrize("cone,n,mode,match", [
+    ("nn", 4, None, "star center is not interior"),   # a face radius < 0
+    ("cp", 5, "outer", "SDP failed"),                 # unbounded or infeasible SDPs
+    ("spn", 6, None, "SDP failed"),
+])
+def test_star_center_outside_the_section_is_refused_by_the_radius(cone, n, mode, match,
+                                                                   monkeypatch):
+    # a center with a -10 s off-diagonal entry is not copositive, so it lies
+    # outside every one of these sections; the radii refuse it
+    def outside(n):
+        c = n * (n + 2) / (4.0 * n + 2.0) * (np.eye(n) + np.ones((n, n)) / n)
+        c[0, 1] = c[1, 0] = -10.0 * c[0, 0]
+        return c
+    monkeypatch.setattr(volume, "_center_matrix", outside)
+    spec = SectionSpec(cone=cone, n=n, mode=mode)
+    assert spec._center_mat[0, 1] < 0
+    with pytest.raises(RadialError, match=match):
+        section_radii(spec, unit_directions(spec.dim, 20, seed=36))
+
+
+@pytest.mark.parametrize("cone,n,mode", [("cp", 5, "outer"), ("lf", 3, "inner")])
+def test_building_a_section_solves_no_sdp_and_no_lp(cone, n, mode, monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran while building the section")
+    for module, name in ((volume, "sdp_solve_many"), (cones, "sdp_solve"),
+                         (scipy.optimize, "linprog")):
+        monkeypatch.setattr(module, name, refuse)
+    SectionSpec(cone=cone, n=n, mode=mode)
 
 
 def _horn_rays(spec):
@@ -407,9 +517,9 @@ def test_cop_section_above_n12_is_refused_before_building_supports(monkeypatch):
 
 def test_lf_inner_radius_is_one_lp():
     spec = SectionSpec(cone="lf", n=3, mode="inner", generator_count=64)
-    assert not spec.closed_form
+    reference = _reference(spec)
     for g in unit_directions(spec.dim, 5, seed=13):
-        ref = _bisect(spec, g, 1e-9)
+        ref = _bisect(reference, g, 1e-9)
         assert abs(radial(spec, g) - ref) <= 1e-6 * ref
 
 
