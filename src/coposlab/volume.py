@@ -28,7 +28,10 @@ radii of a stack of directions for every section, by one of four methods:
   face radius; for cop (n <= 12) the generalized eigenvalues of the
   2^n - 1 principal submatrices that have a strictly one-signed
   eigenvector, which is Kaplan's criterion (Kaplan 2000, LAA 313) and
-  exact; the ball radius itself for ball;
+  exact, with the supports scanned by size and a principal submatrix sent
+  to `eigh` only when the Cottle-Habetler-Lemke test says it could still
+  lower the radius (`_radial_cop`; a few percent of them past n = 5);
+  the ball radius itself for ball;
 - spn at n <= 5 (`_radial_spn`): Kaplan's COP radius t*, an upper bound as
   SPN lies in COP, kept where C + t* D is certified PSD + NN: always at
   n <= 4, where COP = SPN (Diananda 1962), and at n = 5 by a rank-one peel
@@ -58,7 +61,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cones import KAPLAN_MAX_N, _kaplan_min, _pairing_expr, _supports, kr_problem, pn_problem
+from .cones import (KAPLAN_MAX_N, _gather, _kaplan_eigh, _kaplan_min, _pairing_expr, _supports,
+                    kr_problem, pn_problem)
 from .quartic import (basis_M, coeff_vector, dim_M, _l2_gram_exact,
                       _l2_gram_float)
 from .sdp import SdpStatus, sdp_solve_many
@@ -227,9 +231,8 @@ class SectionSpec:
         if self.cone == "cop" or (self.cone == "spn" and self.n <= 5):
             # the supports S of each size, with L_S^{-1} where C_S = L_S L_S^T
             self._supports = list(_supports(self.n))
-            self._support_inv = [
-                np.linalg.inv(np.linalg.cholesky(self._center_mat[idx[:, :, None], idx[:, None, :]]))
-                for idx in self._supports]
+            self._support_inv = [np.linalg.inv(np.linalg.cholesky(_gather(self._center_mat, idx)))
+                                 for idx in self._supports]
 
     def _face_rows(self) -> Optional[np.ndarray]:
         """Face rows of a polyhedral section as (m, n, n) functionals on a."""
@@ -341,10 +344,13 @@ def section_radii(spec: SectionSpec, directions) -> np.ndarray:
         w = 0.5 * (w + np.swapaxes(w, 1, 2))
         # the PSD side binds only where I + r W is not positive definite at
         # the face radius r; the margin 1e-9 is far above rounding, so every
-        # ray skipped here has -1/lambda_min > r and keeps r bit for bit
+        # ray skipped here has -1/lambda_min > r and keeps r bit for bit.  A
+        # ray with no face radius binds (every ray of psd, which has no faces)
         face = np.isfinite(radii)
-        grown = np.where(face, radii, 0.0) * (1.0 + 1e-9)
-        bind = ~face | ~_positive_definite(np.eye(spec.n) + grown[:, None, None] * w)
+        bind = ~face
+        rows = slice(None) if face.all() else face  # no copy of w where every ray has faces
+        grown = radii[rows, None, None] * (1.0 + 1e-9)
+        bind[rows] = ~_positive_definite(np.eye(spec.n) + grown * w[rows])
         lam = np.linalg.eigvalsh(w[bind])[:, 0]
         radii[bind] = np.minimum(radii[bind], np.divide(-1.0, lam, out=np.full(lam.shape, np.inf),
                                                         where=lam < 0))
@@ -378,14 +384,80 @@ def _radial_cop(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     C + tD is singular on a support S with a one-signed null vector x
     exactly when W_S = L_S^{-1} D_S L_S^{-T} has the eigenvalue mu = -1/t
     with eigenvector L_S^T x.  The radius is -1/mu for the smallest such
-    mu < 0 (`_kaplan_min`), and it is exact: at the radius t* some x >= 0
+    mu < 0 (`_kaplan_eigh`), and it is exact: at the radius t* some x >= 0
     has x^T (C + t* D) x = 0, so (C + t* D)_S x_S = 0 on its support S; for
     t < t*, C + tD is strictly copositive and no submatrix has a one-signed
     null vector; and on a minimal such S the null space has dimension one,
     so a repeated eigenvalue cannot hide the witness.
+
+    The supports are scanned by size, and a (ray, S) pair reaches `eigh`
+    only when S could still lower the ray's radius t so far
+    (`_chl_may_lower`); a ray with no exit yet keeps every pair.  Pruning
+    is exact.  Every support smaller than S is scanned, so at t every
+    proper principal submatrix of M_S = C_S + t D_S is copositive.  If S
+    had t_S < t, its x would give x^T M_S x = (t - t_S) x^T D_S x < 0, so
+    M_S would not be copositive, and then M_S^{-1} <= 0 (Cottle, Habetler
+    & Lemke 1970, LAA 3).  `_chl_may_lower` tests consequences of that; a
+    pair failing one has t_S >= t and cannot lower the ray's minimum, so
+    the radii are those of the unpruned scan (`_kaplan_min`) bit for bit.
     """
-    low = _kaplan_min(d_mats, spec._supports, spec._support_inv)
+    low = np.full(len(d_mats), np.inf)  # the smallest one-signed mu so far
+    for idx, linv in zip(spec._supports, spec._support_inv):
+        keep = np.ones((len(d_mats), len(idx)), dtype=bool)
+        hit = low < 0  # never at size 1, so the singletons all reach `eigh`
+        if hit.any():
+            t = -1.0 / low[hit]
+            keep[hit] = _chl_may_lower(spec._center_mat + t[:, None, None] * d_mats[hit], idx)
+        ray, sup = np.nonzero(keep)
+        mu, _, signed = _kaplan_eigh(_gather_pairs(d_mats, ray, idx[sup]), linv[sup])
+        np.minimum.at(low, ray, np.where(signed, mu, np.inf).min(axis=1))
     return np.divide(-1.0, low, out=np.full(low.shape, np.inf), where=low < 0)
+
+
+def _gather_pairs(mats: np.ndarray, which: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The principal submatrix of mats[which[p]] on the support idx[p], for
+    each pair p: shape (pairs, s, s)."""
+    return mats[which[:, None, None], idx[:, :, None], idx[:, None, :]]
+
+
+# the pruning tests keep a pair within this share of its ray's largest entry,
+# which only sends more pairs to `eigh`; no radius depends on it
+_CHL_MARGIN = 1e-9
+
+
+def _chl_may_lower(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per matrix M of a stack, shape (k, n, n), and per support S of one
+    size s >= 2, a row of idx: whether M_S^{-1} <= 0 may hold, shape
+    (k, supports).
+
+    If it holds, x = -M_S^{-1} 1 > 0 has M_S x = -1: every row of M_S has a
+    negative off-diagonal entry, and on the row of the largest x_i, M_ii
+    plus the negative off-diagonal entries is negative.  Both tests read
+    the sums q_i = sum over j in S, j != i, of min(M_ij - margin, 0), one
+    matmul for all supports; only the pairs passing both solve M_S y = 1
+    and need y < 0.  A singular or non-finite solve keeps its pairs.
+    """
+    k, n, _ = mats.shape
+    supports, size = idx.shape
+    members = np.zeros((n, supports))
+    members[idx, np.arange(supports)[:, None]] = 1.0
+    thr = _CHL_MARGIN * np.abs(mats).max(axis=(1, 2))[:, None, None]
+    diag = np.arange(n)
+    q = np.minimum(mats - thr, 0.0)
+    q[:, diag, diag] = 0.0
+    # q_i for each matrix, support S and i in S, shape (k, supports, s)
+    q = (q.reshape(k * n, n) @ members).reshape(k, n, supports)
+    q = q[:, idx, np.arange(supports)[:, None]]
+    keep = np.all(q < 0, axis=2) & np.any(mats[:, diag, diag][:, idx] + q < thr, axis=2)
+    ray, sup = np.nonzero(keep)
+    blocks = _gather_pairs(mats, ray, idx[sup])
+    try:
+        y = np.linalg.solve(blocks, np.ones((size, 1)))[..., 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the stack; keep it all
+        return keep
+    top = np.abs(y).max(axis=1, initial=0.0)
+    keep[ray, sup] = ~np.isfinite(top) | np.all(y < _CHL_MARGIN * top[:, None], axis=1)
+    return keep
 
 
 def _direction_matrices(spec: SectionSpec, dirs: np.ndarray) -> np.ndarray:
@@ -540,8 +612,12 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
     rng = np.random.RandomState(seed)
     dirs = rng.standard_normal((samples, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # a section with supports cuts the block so that no support stack of
-    # `_kaplan_min` holds more than _BLOCK x 1400 floats, the largest at n = 8
+    # a section with supports cuts the block to _BLOCK x 1400 floats of
+    # support blocks, the most a ray has at n = 8 (m supports of s x s at the
+    # largest size).  `_radial_cop` gathers for its solves and `eigh` at most
+    # every pair of one size, and its row sums hold n x m floats a ray, so no
+    # temporary outgrows that.  Traced peaks of one block: 9.3 MB at n = 8,
+    # 9.4 at n = 10 and 9.3 at n = 12; the unpruned scan took 46-49 MB.
     stack = max((idx.size * idx.shape[1] for idx in spec._supports or ()), default=1400)
     block = min(_BLOCK, _BLOCK * 1400 // stack)
     radii = np.concatenate([section_radii(spec, dirs[i:i + block])

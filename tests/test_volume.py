@@ -473,6 +473,81 @@ def test_cop_closed_form_analytic_radii(n):
     assert np.allclose(got, [s * (1 + 2.0 / n), s * (1 + 1.0 / n)], rtol=1e-13, atol=0)
 
 
+def _unpruned_cop_radii(spec, d_mats):
+    # every support of every ray through `eigh`, as before the pruned scan
+    low = cones._kaplan_min(d_mats, spec._supports, spec._support_inv)
+    return np.divide(-1.0, low, out=np.full(low.shape, np.inf), where=low < 0)
+
+
+@pytest.mark.parametrize("cone,n,count", [("cop", 3, 400), ("cop", 4, 400), ("cop", 5, 300),
+                                          ("cop", 6, 200), ("cop", 7, 100), ("cop", 8, 60),
+                                          ("spn", 5, 300)])
+def test_pruned_cop_scan_keeps_the_unpruned_radii_bit_for_bit(cone, n, count):
+    spec = SectionSpec(cone=cone, n=n)
+    d_mats = volume._direction_matrices(spec, unit_directions(spec.dim, count, seed=40 + n))
+    assert np.array_equal(volume._radial_cop(spec, d_mats), _unpruned_cop_radii(spec, d_mats))
+
+
+def _tied_rays(n):
+    # direction matrices whose radius many supports reach together: -E_ij
+    # and -I, where every support of size >= 2 ties with the singletons,
+    # and at n = 5 the rays toward multiples of Horn's matrix and toward
+    # T-matrices, whose zeros sit on several supports at once
+    mats = [-np.eye(n)]
+    for i, j in combinations(range(n), 2):
+        e = np.zeros((n, n))
+        e[i, j] = e[j, i] = 1.0
+        mats.append(-e)
+    if n == 5:
+        spec = SectionSpec(cone="cop", n=5)
+        rng = np.random.default_rng(2312)
+        dirs = [_toward(spec, _average_one(_t_matrix(rng.dirichlet(np.ones(6))[:5] * np.pi)))[0]
+                for _ in range(20)]
+        dirs = np.concatenate([_horn_rays(spec), dirs])
+        mats.extend(volume._direction_matrices(spec, dirs))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pruned_cop_scan_keeps_the_radii_of_tied_supports(n):
+    spec = SectionSpec(cone="cop", n=n)
+    d_mats = _tied_rays(n)
+    got = volume._radial_cop(spec, d_mats)
+    want = _unpruned_cop_radii(spec, d_mats)
+    assert np.all(np.isfinite(want))
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_chl_test_keeps_every_pair_of_a_stack_with_a_singular_block():
+    # one exactly singular M_S fails the whole batched solve, so its stack
+    # keeps the pairs that pass the row tests; [[1, -1.5], [-1.5, 4]] passes
+    # them, but it is copositive and its solve is positive
+    mats = np.array([[[1.0, -2.0], [-2.0, 1.0]], [[1.0, -1.5], [-1.5, 4.0]],
+                     [[1.0, 0.5], [0.5, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+    idx = np.array([[0, 1]])
+    assert volume._chl_may_lower(mats[:3], idx)[:, 0].tolist() == [True, False, False]
+    assert volume._chl_may_lower(mats, idx)[:, 0].tolist() == [True, True, False, True]
+
+
+def test_pruned_cop_scan_sends_few_pairs_to_eigh(monkeypatch):
+    # the work guard: at n = 6 each ray has 57 supports of size >= 2, and
+    # the unpruned scan sends all of them to `eigh`
+    spec = SectionSpec(cone="cop", n=6)
+    dirs = unit_directions(spec.dim, 500, seed=41)
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        if a.shape[-1] >= 2:
+            solved.append(a.size // a.shape[-1] ** 2)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    section_radii(spec, dirs)
+    pairs = len(dirs) * (2 ** 6 - 1 - 6)
+    assert sum(solved) <= 0.12 * pairs  # 9.0% today
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1.0])
 def test_bisect_tol_outside_0_1_is_refused_before_any_loop(bad, monkeypatch):
     # 0 or less would never end a bisection, and NaN would end it at once
