@@ -6,8 +6,9 @@ All commands emit a machine-readable JSON report on stdout (or --out FILE);
 feasible, 1 certified negative (refuted or infeasible), 2 indeterminate,
 64 usage or input error: a bad option, a malformed matrix file (invalid JSON,
 wrong shape, a non-numeric, non-finite or out-of-range entry, an asymmetric
-matrix), or a construct-ecop --in matrix that is not certified doubly
-nonnegative.
+matrix), a malformed vrad report (n not an integer >= 3, or >= 2 for ball,
+dim other than n(n+1)/2 - 1, a missing key or a bad CI), or a
+construct-ecop --in matrix that is not certified doubly nonnegative.
 
 certify --cone cop refutes with an exactly checked x >= 0, x^T A x < 0: at
 n <= 12 by Kaplan's scan, which finds one unless the input is copositive
@@ -39,6 +40,7 @@ import numpy as np
 from . import cones, exceptional, volume
 from .numerics import (CholeskyFactor, MatrixFormatError, NegVector, QSqrt2,
                        SymMatrix, matrix_load_file, matrix_to_json_dict)
+from .quartic import dim_M
 from .sdp import DualRay
 
 EXIT_OK = 0
@@ -239,20 +241,28 @@ def cmd_check_bounds(args) -> int:
         raise CliUsage(f"not a directory: {directory}")
     estimates, sources = {}, {}
     n = args.n
+    if n is not None and n < 2:
+        raise CliUsage(f"check-bounds -n must be >= 2, got {n}")
     for path in sorted(directory.glob("*.json")):
         try:
             d = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(d, dict) or "cone" not in d or "estimate" not in d:
                 continue
+            # the smallest n of a section, as in SectionSpec
+            if type(d["n"]) is not int or d["n"] < (2 if d["cone"] == "ball" else 3):
+                raise ValueError(f"n must be an integer >= 3 (>= 2 for ball), got {d['n']!r}")
             if n is None:
-                n = int(d["n"])
-            if int(d["n"]) != n:
+                n = d["n"]
+            if d["n"] != n:
                 continue
-            est = volume.VradEstimate(cone=d["cone"], n=int(d["n"]), mode=d.get("mode"),
+            est = volume.VradEstimate(cone=d["cone"], n=n, mode=d.get("mode"),
                                       point_estimate=float(d["estimate"]),
                                       ci_low=float(d["ci"][0]), ci_high=float(d["ci"][1]),
                                       samples=int(d["samples"]), seed=int(d["seed"]),
                                       dim=int(d["dim"]))
+            if d["dim"] != dim_M(n):
+                raise ValueError(f"dim must be n(n+1)/2 - 1 = {dim_M(n)} at n = {n}, "
+                                 f"got {d['dim']!r}")
             lo, x, hi = est.ci_low, est.point_estimate, est.ci_high
             if not (0 <= lo <= x <= hi < math.inf and x > 0):
                 raise ValueError(f"need finite 0 <= ci_low <= estimate <= ci_high and "

@@ -3,9 +3,11 @@
 An even quartic is identified with its symmetric coefficient matrix, so the
 matrix cones under study become cones of forms.  This module holds what the
 library computes with them: monomial lists and products for the SOS
-assembly, exact sphere moments, the exact L2 Gram table of the aggregated
-coordinates (`_l2_gram_exact`), and a float orthonormal basis of the
-zero-average hyperplane M built from its float copy.
+assembly, exact sphere moments, the L2 Gram table of the aggregated
+coordinates (`_l2_gram_float`, the exact moments rounded to floats), and a
+float orthonormal basis of the zero-average hyperplane M built from it.
+The table commutes with coordinate permutations; its three S_n eigen-blocks
+give det Gamma in closed form, which `volume.vrad_nn_exact` uses.
 
 `EvenQuartic`, `l2_inner` and `r_squared` are an exact-rational reference:
 `l2_inner` pairs two forms monomial by monomial, an independent route to
@@ -187,7 +189,7 @@ def basis_M(n: int) -> np.ndarray:
     even quartics, an array of shape (d, n, n).
 
     Gram-Schmidt in floats on the aggregated coordinates t (see
-    `_l2_gram_exact`), where the L2 pairing is t_f^T Gamma t_g.  The pivots
+    `_l2_gram_float`), where the L2 pairing is t_f^T Gamma t_g.  The pivots
     are x_1^4 .. x_n^4, then x_i^2 x_j^2 (i < j) lexicographic, each less
     its r^2 component; the last one depends on the others and is dropped.
     Two passes of Cholesky QR, t <- t L^{-T} with L L^T = t^T Gamma t, keep
@@ -211,34 +213,27 @@ def basis_M(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _l2_gram_exact(n: int) -> tuple:
-    """Exact Gram of the aggregated q-monomial coordinates, plus the key order.
+def _l2_gram_float(n: int) -> tuple:
+    """L2 Gram of the aggregated q-monomial coordinates, plus the key order.
 
     Keys are (i, j) with i <= j; coordinate value t_ij is a_ii for i == j and
-    2 a_ij otherwise, so <f, g> = t_f^T Gamma t_g.
+    2 a_ij otherwise, so <f, g> = t_f^T Gamma t_g.  Each entry is the exact
+    sphere moment of x_i^2 x_j^2 x_k^2 x_l^2 rounded to a float, and the
+    table is read-only.  Its determinant has a closed form (see
+    `volume.vrad_nn_exact`).
     """
     keys = [(i, j) for i in range(n) for j in range(i, n)]
-    gam = []
-    for (i, j) in keys:
-        row = []
-        for (k, l) in keys:
+    gam = np.empty((len(keys), len(keys)))
+    for p, (i, j) in enumerate(keys):
+        for q, (k, l) in enumerate(keys):
             alpha = [0] * n
             alpha[i] += 2
             alpha[j] += 2
             alpha[k] += 2
             alpha[l] += 2
-            row.append(sphere_moment(tuple(alpha)))
-        gam.append(tuple(row))
-    return tuple(keys), tuple(gam)
-
-
-@lru_cache(maxsize=None)
-def _l2_gram_float(n: int) -> tuple:
-    """`_l2_gram_exact` rounded to floats, read-only."""
-    keys, gam_exact = _l2_gram_exact(n)
-    gam = np.array([[float(x) for x in row] for row in gam_exact])
+            gam[p, q] = float(sphere_moment(tuple(alpha)))
     gam.setflags(write=False)
-    return keys, gam
+    return tuple(keys), gam
 
 
 def coeff_vector(a: np.ndarray, n: int) -> np.ndarray:

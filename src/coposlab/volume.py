@@ -11,11 +11,12 @@ positive and strictly diagonally dominant, hence interior to the completely
 positive cone and to every cone containing it.  For the linear-forms cone
 the center is the average of the sampled fourth-power generators.
 
-Exactness policy: NN sections are simplices and also get an exact volume:
-the rational Gram determinant of the vertex differences, D^T Gamma D with
-Gamma the exact L2 Gram table `quartic._l2_gram_exact` (`vrad_nn_exact`).
-The orthonormal basis of M (`quartic.basis_M`) is built in floats from the
-float copy of that table, and the coordinate maps pair through it.  The radial
+Exactness policy: NN sections are simplices and also get an exact volume
+in closed form, at every n (`vrad_nn_exact`): the Laplace transform of the
+orthant times sqrt(det Gamma), where Gamma is the L2 Gram table of
+`quartic._l2_gram_float` and its determinant is a product over its three
+S_n eigen-blocks.  The orthonormal basis of M (`quartic.basis_M`) is built in
+floats from that table, and the coordinate maps pair through it.  The radial
 problem is linear in t, so no section bisects: `section_radii` gives the
 radii of a stack of directions for every section, by one of four methods:
 
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import permutations
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
@@ -63,8 +63,7 @@ import numpy as np
 
 from .cones import (KAPLAN_MAX_N, _gather, _kaplan_eigh, _kaplan_min, _pairing_expr, _supports,
                     kr_problem, pn_problem)
-from .quartic import (basis_M, coeff_vector, dim_M, _l2_gram_exact,
-                      _l2_gram_float)
+from .quartic import basis_M, coeff_vector, dim_M, _l2_gram_float
 from .sdp import SdpStatus, sdp_solve_many
 
 SECTION_CONES = ("nn", "psd", "dnn", "spn", "cop", "cp", "lf", "ball")
@@ -636,60 +635,39 @@ def vrad_mc(spec: SectionSpec, samples: int, seed: int,
 # exact volume of the NN section (a simplex)
 # ---------------------------------------------------------------------------
 
-def _fraction_det(m: List[List[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    a = [row[:] for row in m]
-    d = len(a)
-    det = Fraction(1)
-    for k in range(d):
-        piv = None
-        for r in range(k, d):
-            if a[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for r in range(k + 1, d):
-            f = a[r][k] * inv
-            if f == 0:
-                continue
-            for cidx in range(k, d):
-                a[r][cidx] -= f * a[k][cidx]
-    return det
-
-
-_NN_EXACT_NS = range(3, 11)
-
-
 def vrad_nn_exact(n: int) -> float:
-    """Exact volume radius of the NN section, a simplex on n(n+1)/2 vertices.
+    """Exact volume radius of the NN section, a simplex on D = n(n+1)/2
+    vertices, in closed form at every n >= 3.
 
-    Vertex p is the scaled monomial w_p e_p in the aggregated coordinates t
-    of `quartic._l2_gram_exact`: w = n(n+2)/3 on x_i^4 and n(n+2) on
-    x_i^2 x_j^2, each of sphere average one.  The Gram of the vertex
-    differences D is the rational D^T Gamma D, and Vol = sqrt(det) / d!,
-    which equals the coordinate determinant formula in any orthonormal basis
-    of M.
+    In the aggregated coordinates t of `quartic._l2_gram_float` the NN cone
+    is the orthant t >= 0, M carries the metric Gamma, and the sphere
+    average is m.t with m = 3/(n(n+2)) on x_i^4 and 1/(n(n+2)) on
+    x_i^2 x_j^2.  The Laplace transform of the orthant,
+    prod_p 1/m_p = (n(n+2))^D / 3^n, integrates e^-s over the slices
+    m.t = s, each s^(D-1) times the section m.t = 1; so in Gamma's metric
+    sqrt(det Gamma) prod_p 1/m_p = (D-1)! h Vol, where h = 1 is the distance
+    of that plane from 0 (its normal is r^4, of norm 1).  So
+    Vol = sqrt(det Gamma) prod_p 1/m_p / (D-1)!.
+
+    Gamma = G / (n(n+2)(n+4)(n+6)) with G an integer matrix: G_AA = 96 I + 9 J
+    on the x_i^4, G_AB = 3 J + 12 K and G_BB = J + 2 K^T K + 4 I on the
+    x_i^2 x_j^2, K the vertex-edge incidence matrix of the complete graph.
+    G commutes with S_n, and its three eigen-blocks give det G: the
+    invariant one (2 x 2, det 12 (n+4)(n+6)), the standard one (2 x 2, det
+    48 (n+6), n - 1 times) and ker K against the ones (eigenvalue 4,
+    n(n-3)/2 times).  Everything is summed in logs, so no n overflows.
     """
-    if n not in _NN_EXACT_NS:
-        raise ValueError(f"supported for {_NN_EXACT_NS[0]} <= n <= {_NN_EXACT_NS[-1]}")
-    keys, gam = _l2_gram_exact(n)
-    m = len(keys)
-    w = [Fraction(n * (n + 2), 3 if i == j else 1) for (i, j) in keys]
-    # Gamma between the vertices; D has columns w_k e_k - w_0 e_0, k >= 1
-    gv = [[w[p] * gam[p][q] * w[q] for q in range(m)] for p in range(m)]
-    gram = [[gv[k][l] - gv[k][0] - gv[0][l] + gv[0][0] for l in range(1, m)]
-            for k in range(1, m)]
-    d = m - 1
-    det = _fraction_det(gram)
-    vol = math.sqrt(float(det)) / math.factorial(d)
-    ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    return (vol / ball) ** (1.0 / d)
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    big_d = n * (n + 1) // 2
+    d = big_d - 1
+    log_det_g = (math.log(12 * (n + 4) * (n + 6)) + (n - 1) * math.log(48 * (n + 6))
+                 + n * (n - 3) * math.log(2))
+    log_det_gamma = log_det_g - big_d * math.log(n * (n + 2) * (n + 4) * (n + 6))
+    log_vol = (0.5 * log_det_gamma + big_d * math.log(n * (n + 2)) - n * math.log(3)
+               - math.lgamma(big_d))
+    log_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1)
+    return math.exp((log_vol - log_ball) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +705,8 @@ def check_bounds(n: int, estimates: Dict[Tuple[str, Optional[str]], VradEstimate
     (b) an inner section's estimate does not exceed an outer one's beyond CI
         overlap, for each ORDER_PAIRS pair in any modes and for the inner,
         exact and outer sections of one cone;
-    (c) the exact NN volume radius is at least (sqrt2 n)^-1, where
-        `vrad_nn_exact` is defined (3 <= n <= 10).
+    (c) the exact NN volume radius is at least (sqrt2 n)^-1, at every
+        n >= 3 (`vrad_nn_exact`, in closed form).
     """
     for cone, mode in estimates:
         if mode not in _MODE_RANK:
@@ -752,7 +730,7 @@ def check_bounds(n: int, estimates: Dict[Tuple[str, Optional[str]], VradEstimate
             items.append({"check": "order", "pair": [list(inner), list(outer)],
                           "passed": bool(ok),
                           "estimates": [ei.point_estimate, eo.point_estimate]})
-    if estimates and n in _NN_EXACT_NS:
+    if estimates and n >= 3:
         exact = vrad_nn_exact(n)
         ok = exact >= 1.0 / (math.sqrt(2.0) * n)
         items.append({"check": "nn-exact-lower", "passed": bool(ok),

@@ -307,7 +307,14 @@ def test_check_bounds_on_a_file_exits_64(tmp_path, capsys):
                  "seed": 1, "dim": 5}), "need finite 0 <= ci_low <= estimate <= ci_high"),
     ('{"cone": "nn", "estimate": NaN, "n": 3, "ci": [-Infinity, Infinity], "samples": 100,'
      ' "seed": 1, "dim": 5}', "need finite 0 <= ci_low <= estimate <= ci_high"),
-], ids=["no-ci", "null-ci", "not-json", "reversed-ci", "nan-estimate-infinite-ci"])
+    *((json.dumps({"cone": cone, "estimate": 0.2, "n": n, "ci": [0.1, 0.3], "samples": 100,
+                   "seed": 1, "dim": 5}), f"n must be an integer >= 3 (>= 2 for ball), got {n!r}")
+      for cone, n in (("nn", 0), ("nn", -3), ("nn", 5.7), ("nn", True), ("nn", 2),
+                      ("ball", 1))),
+    (json.dumps({"cone": "nn", "estimate": 0.2, "n": 3, "ci": [0.1, 0.3], "samples": 100,
+                 "seed": 1, "dim": 6}), "dim must be n(n+1)/2 - 1 = 5 at n = 3, got 6"),
+], ids=["no-ci", "null-ci", "not-json", "reversed-ci", "nan-estimate-infinite-ci",
+        "n-zero", "n-negative", "n-fraction", "n-bool", "nn-n2", "ball-n1", "wrong-dim"])
 def test_check_bounds_malformed_report_exits_64_naming_the_file(text, reason, tmp_path, capsys):
     path = tmp_path / "nn.json"
     path.write_text(text, encoding="utf-8")
@@ -346,15 +353,31 @@ def test_check_bounds_pairs_the_inner_and_outer_sections_of_one_cone(tmp_path, c
         {("cp", "inner"), ("cp", "outer")}
 
 
-def test_check_bounds_accepts_a_ball_report_past_the_exact_nn_range(tmp_path, capsys):
-    # vrad_nn_exact covers 3 <= n <= 10; past it the nn-exact-lower item is left out
-    report = {"cone": "ball", "n": 12, "mode": "exact", "estimate": 1.0, "ci": [1.0, 1.0],
-              "samples": 100, "seed": 42, "dim": 77}
+@pytest.mark.parametrize("n,checks", [(2, ["band"]), (12, ["band", "nn-exact-lower"])],
+                         ids=["n2", "n12"])
+def test_check_bounds_checks_the_exact_nn_radius_from_n3(n, checks, tmp_path, capsys):
+    # vrad_nn_exact is a closed form at every n >= 3; the ball section alone
+    # exists at n = 2
+    report = {"cone": "ball", "n": n, "mode": "exact", "estimate": 1.0, "ci": [1.0, 1.0],
+              "samples": 100, "seed": 42, "dim": n * (n + 1) // 2 - 1}
     (tmp_path / "ball.json").write_text(json.dumps(report), encoding="utf-8")
     assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
-    assert out["n"] == 12 and out["all_passed"] is True
-    assert [c["check"] for c in out["checks"]] == ["band"]
+    assert out["n"] == n and out["all_passed"] is True
+    assert [c["check"] for c in out["checks"]] == checks
+    assert all(c["passed"] for c in out["checks"])
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_check_bounds_n_below_2_exits_64(n, tmp_path, capsys):
+    # with reports at n = 3 on disk, -n 0 used to skip them all and divide by n
+    report = {"cone": "nn", "n": 3, "estimate": 0.4, "ci": [0.3, 0.5], "samples": 100,
+              "seed": 1, "dim": 5}
+    (tmp_path / "nn.json").write_text(json.dumps(report), encoding="utf-8")
+    assert cli.main(["check-bounds", "--dir", str(tmp_path), "-n", n]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == f"check-bounds -n must be >= 2, got {n}"
 
 
 def test_construct_ecop_bundled_a5_exits_0(capsys):

@@ -327,6 +327,20 @@ def test_v4_project_diagonal_direction():
 # basis of M
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_l2_gram_float_entries_are_the_rounded_sphere_moments(n):
+    # basis_M and every vrad estimate read this table, so its entries stay
+    # the correctly rounded exact moments
+    keys, gam = _l2_gram_float(n)
+    assert not gam.flags.writeable and gam.shape == (len(keys), len(keys))
+    for p, (i, j) in enumerate(keys):
+        for q, (k, l) in enumerate(keys):
+            alpha = [0] * n
+            for idx in (i, j, k, l):
+                alpha[idx] += 2
+            assert gam[p, q] == float(sphere_moment(tuple(alpha)))
+
+
 def test_basis_M_count_and_orthonormality():
     # one pass of Cholesky QR misses the 3e-14 bound from n = 7 on
     for n in range(3, 13):

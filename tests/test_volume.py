@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 from statistics import NormalDist
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from coposlab.cones import (SpnPair, cop_refute, cp_refute, horn_matrix, members
                             spn_decompose)
 from coposlab.exceptional import load_reference_a5
 from coposlab.numerics import SymMatrix
-from coposlab.quartic import coeff_vector
+from coposlab.quartic import coeff_vector, sphere_moment
 from coposlab.volume import RadialError, SectionSpec, radial, section_radii, vrad_mc
 from test_cones import _t_matrix
 
@@ -647,7 +648,74 @@ def test_vrad_mc_ci_covers_the_exact_nn_radius():
     assert hits >= 36
 
 
+def _fraction_det(m):
+    """Exact determinant of a square list of Fraction rows by Gaussian elimination."""
+    a = [row[:] for row in m]
+    d = len(a)
+    det = Fraction(1)
+    for k in range(d):
+        piv = next((r for r in range(k, d) if a[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, d):
+            f = a[r][k] / a[k][k]
+            if f:
+                for c in range(k, d):
+                    a[r][c] -= f * a[k][c]
+    return det
+
+
+def _nn_vrad_rational(n):
+    """The NN simplex's volume radius from the rational Gram D^T Gamma D of
+    its vertex differences, with Gamma built from the exact sphere moments.
+
+    Vertex p is w_p e_p in the aggregated coordinates, with w = n(n+2)/3 on
+    x_i^4 and n(n+2) on x_i^2 x_j^2 (each of sphere average one), and
+    Vol = sqrt(det) / d!.
+    """
+    keys = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def moment(p, q):
+        alpha = [0] * n
+        for k in keys[p] + keys[q]:
+            alpha[k] += 2
+        return sphere_moment(tuple(alpha))
+
+    m = len(keys)
+    w = [Fraction(n * (n + 2), 3 if i == j else 1) for (i, j) in keys]
+    gv = [[w[p] * moment(p, q) * w[q] for q in range(m)] for p in range(m)]
+    gram = [[gv[k][l] - gv[k][0] - gv[0][l] + gv[0][0] for l in range(1, m)]
+            for k in range(1, m)]
+    d = m - 1
+    vol = math.sqrt(float(_fraction_det(gram))) / math.factorial(d)
+    ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    return (vol / ball) ** (1.0 / d)
+
+
 @pytest.mark.parametrize("n", range(3, 11))
+def test_vrad_nn_exact_matches_the_rational_simplex_volume(n):
+    want = _nn_vrad_rational(n)
+    assert abs(volume.vrad_nn_exact(n) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n", [40, 1000])
+def test_vrad_nn_exact_is_finite_and_above_the_lower_bound_at_large_n(n):
+    # d = 819 and 500499: the closed form works in logs, so nothing overflows
+    got = volume.vrad_nn_exact(n)
+    assert math.isfinite(got) and 1.0 / (math.sqrt(2.0) * n) <= got < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 0, -1])
+def test_vrad_nn_exact_below_n3_raises(n):
+    with pytest.raises(ValueError, match="n must be >= 3"):
+        volume.vrad_nn_exact(n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
 def test_vrad_nn_exact_matches_the_float_simplex_volume(n):
     # independent of the Gamma table: the simplex volume |det(v_k - v_0)| / d!
     # in the orthonormal coordinates of SectionSpec.coords_of
