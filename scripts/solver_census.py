@@ -10,7 +10,8 @@ counted apart; so is an answer whose certificate fails its re-check.
   n = 3..20 (90 inputs).  Each is PSD on the boundary of SPN and never NN,
   so the answer is an SpnPair that passes `SpnPair.check(a, 1e-9)`.
 - rank1_sos0: the same inputs at n <= 8 through `parrilo_member(a, 0)`
-  (30 inputs), whose Gram certificate must pass `SosGram.check` at 1e-8.
+  (30 inputs), which solves the same P + N SDP and lifts its split to the
+  level-0 Gram; that certificate must pass `SosGram.check` at 1e-8.
 - random: 600 d x d SDPs, d = 3, 4, 5 and seeds 0..199, each drawn from
   RandomState(1000 d + seed): X0 = G G^T + 0.2 I, d + 1 rows sym(randn)
   with right-hand sides <M, X0>, objective sym(C) + 2 I, solved at 1e-9;

@@ -6,9 +6,10 @@ All commands emit a machine-readable JSON report on stdout (or --out FILE);
 feasible, 1 certified negative (refuted or infeasible), 2 indeterminate,
 64 usage or input error: a bad option, a malformed matrix file (invalid JSON,
 wrong shape, a non-numeric, non-finite or out-of-range entry, an asymmetric
-matrix), a malformed vrad report (n not an integer >= 3, or >= 2 for ball,
-dim other than n(n+1)/2 - 1, a missing key or a bad CI), or a
-construct-ecop --in matrix that is not certified doubly nonnegative.
+matrix), a malformed vrad report (an unknown cone or mode, n not an integer
+>= 3, or >= 2 for ball, samples not an integer >= 100, dim other than
+n(n+1)/2 - 1, a missing key or a bad CI), or a construct-ecop --in matrix
+that is not certified doubly nonnegative.
 
 certify --cone cop refutes with an exactly checked x >= 0, x^T A x < 0: at
 n <= 12 by Kaplan's scan, which finds one unless the input is copositive
@@ -248,6 +249,10 @@ def cmd_check_bounds(args) -> int:
             d = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(d, dict) or "cone" not in d or "estimate" not in d:
                 continue
+            if d["cone"] not in volume.SECTION_CONES:
+                raise ValueError(f"unknown cone {d['cone']!r}")
+            if d.get("mode") not in volume._MODE_RANK:
+                raise ValueError(f"unknown mode {d['mode']!r}")
             # the smallest n of a section, as in SectionSpec
             if type(d["n"]) is not int or d["n"] < (2 if d["cone"] == "ball" else 3):
                 raise ValueError(f"n must be an integer >= 3 (>= 2 for ball), got {d['n']!r}")
@@ -258,8 +263,10 @@ def cmd_check_bounds(args) -> int:
             est = volume.VradEstimate(cone=d["cone"], n=n, mode=d.get("mode"),
                                       point_estimate=float(d["estimate"]),
                                       ci_low=float(d["ci"][0]), ci_high=float(d["ci"][1]),
-                                      samples=int(d["samples"]), seed=int(d["seed"]),
+                                      samples=d["samples"], seed=int(d["seed"]),
                                       dim=int(d["dim"]))
+            if type(d["samples"]) is not int or d["samples"] < 100:
+                raise ValueError(f"samples must be an integer >= 100, got {d['samples']!r}")
             if d["dim"] != dim_M(n):
                 raise ValueError(f"dim must be n(n+1)/2 - 1 = {dim_M(n)} at n = {n}, "
                                  f"got {d['dim']!r}")

@@ -27,9 +27,8 @@ import numpy as np
 from .numerics import (CholeskyFactor, QSqrt2, SymMatrix,
                        psd_certificate, sym_eigen, sym_from_upper)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
-from .sdp import (BasisDeficiencyError, DualRay, LinExpr, SdpProblem,
-                  SdpStatus, SdpSolution, even_sos_assemble, gram_form_coeffs,
-                  sdp_solve)
+from .sdp import (DualRay, LinExpr, SdpProblem, SdpStatus, SdpSolution,
+                  even_sos_assemble, gram_form_coeffs, sdp_solve)
 
 BASIC_CONES = ("nn", "psd", "dnn")
 
@@ -72,9 +71,9 @@ class SosGram:
 class InfeasibilityCert:
     """Improving dual ray; `separator` is the cone-side matrix when meaningful.
 
-    For SPN refutations the separator M is doubly nonnegative with <A, M> < 0;
-    for SOS refutations the ray is a moment-type functional that is
-    nonnegative on the basis squares but negative on the target.
+    For SPN and level-0 refutations the separator M is doubly nonnegative
+    with <A, M> < 0; for SOS refutations the ray is a moment-type functional
+    that is nonnegative on the basis squares but negative on the target.
     """
 
     ray: DualRay
@@ -209,12 +208,24 @@ def _spn_sdp(arr: np.ndarray, tol: float):
     if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
         return SpnPair(p=sol.psd_blocks[0], n=sym_from_upper(n, sol.nonneg))
     if sol.status == SdpStatus.INFEASIBLE:
+        ray = _ray_at_scale(sol.dual_ray, arr[np.triu_indices(n)])
         # row (i, j) pairs with M_ij once on the diagonal and twice off it
-        m = sym_from_upper(n, -sol.dual_ray.y)
+        m = sym_from_upper(n, -ray.y)
         m = (m + np.diag(np.diag(m))) / 2.0
-        return InfeasibilityCert(ray=sol.dual_ray, separator=m,
-                                 note="M is DNN with <A, M> = -1")
+        return InfeasibilityCert(ray=ray, separator=m, note="M is DNN with <A, M> = -1")
     raise _indeterminate(sol)
+
+
+def _ray_at_scale(ray: DualRay, b: np.ndarray) -> DualRay:
+    """The solver's ray for the right-hand side b if it refutes at b's scale:
+    a point the size of b, paired with the ray's violation, must not make up
+    b^T y, so violation * |b|_1 < b^T y / 2.  Else, as on badly scaled
+    inputs, RuntimeError: the answer is unknown."""
+    viol, size, by = ray.max_violation(), float(np.abs(b).sum()), float(b @ ray.y)
+    if viol * size < 0.5 * by:
+        return ray
+    raise RuntimeError(f"solver ray does not refute at the input's scale: violation "
+                       f"{viol:.3g}, |b|_1 {size:.3g}, b^T y {by:.3g}")
 
 
 def _indeterminate(sol: SdpSolution) -> RuntimeError:
@@ -289,57 +300,60 @@ def kr_problem(a: np.ndarray, r: int, rhs: float):
 def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     """Decide whether (sum x_i^2)^r q_A is a sum of squares.
 
-    Level 0 coincides with the SPN split; level 1 already contains the Horn
-    matrix.  At r >= 1 a matrix in a summand cone (_summand_split at tol)
-    lies in every K^(r), and its Gram is written down from the split
-    (_summand_gram) without an SDP.  Likewise a matrix with a negative
-    vertex (_negative_vertex) is not copositive, so it lies in no K^(r), and
-    its separating functional is written down from the vertex (_vertex_ray).
-    Level 0 keeps its SDP, so that parrilo_member(a, 0) stays the plain SOS
-    model; spn_decompose and cop_inner try the split in front of it.
-    Otherwise the target is even, so the SDP is solved block-diagonally, one
-    block per exponent-parity class (even_sos_assemble).  Returns a Gram certificate over the full
+    Level 0 is K^(0) = PSD + NN and solves the P + N SDP (_spn_sdp): a split
+    becomes its Gram (_summand_gram) and a DNN separator its functional
+    (_level0_ray).  Level 1 already contains the Horn matrix.  At r >= 1 a
+    matrix in a summand cone (_summand_split at tol) lies in every K^(r),
+    and its Gram is written down from the split without an SDP.  Likewise a
+    matrix with a negative vertex (_negative_vertex) is not copositive, so
+    it lies in no K^(r), and its separating functional is written down from
+    the vertex (_vertex_ray).  Otherwise the target is even, so the SDP is
+    solved block-diagonally, one block per exponent-parity class
+    (even_sos_assemble).  Returns a Gram certificate over the full
     homogeneous monomial basis of degree r + 2, or the separating moment
     functional indexed like the rows of the dense sos_gram_assemble problem.
-    A solver ray counts only if its violation times |b|_1, b the dense
-    target, is below half of b^T y; otherwise, as when the solver ends
-    indeterminate, RuntimeError is raised.
+    A solver ray counts only at the input's scale (_ray_at_scale); otherwise,
+    as when the solver ends indeterminate, RuntimeError is raised.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     n = a.n
-    if r > 0:
-        arr = a.to_numpy()
-        pair = _summand_split(arr, tol)
-        if pair is not None:
-            return _summand_gram(pair, r)
-        vertex = _negative_vertex(arr, tol)
-        if vertex is not None:
-            return _vertex_ray(n, r, *vertex)
+    arr = a.to_numpy()
+    if r == 0:
+        res = _spn_sdp(arr, tol)
+        return _summand_gram(res, 0) if isinstance(res, SpnPair) else _level0_ray(res.separator)
+    pair = _summand_split(arr, tol)
+    if pair is not None:
+        return _summand_gram(pair, r)
+    vertex = _negative_vertex(arr, tol)
+    if vertex is not None:
+        return _vertex_ray(n, r, *vertex)
     target = quartic_target(a, r)
-    basis = monomials(n, r + 2)
-    try:
-        prob, layout = even_sos_assemble(basis, target)
-    except BasisDeficiencyError as exc:
-        ray = DualRay(y=np.zeros(0), psd_operators=[], nonneg_part=np.zeros(0),
-                      free_part=np.zeros(0))
-        return InfeasibilityCert(ray=ray, note=f"structural: monomial {exc.monomial} unreachable")
+    prob, layout = even_sos_assemble(monomials(n, r + 2), target)
     sol = sdp_solve(prob, tol=tol)
     if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
-        return SosGram(basis=basis, gram=layout.gram(sol))
+        return SosGram(basis=layout.basis, gram=layout.gram(sol))
     if sol.status == SdpStatus.INFEASIBLE:
-        ray = layout.lift_ray(sol.dual_ray)
-        # b^T y > 0 refutes only if a Gram the size of the target, paired
-        # with the ray's violation, cannot make up b^T y; on badly scaled
-        # inputs the solver's ray fails this and the answer is unknown
         b = np.array([float(target.get(g, 0)) for g in monomials(n, 2 * (r + 2))])
-        viol, size, by = ray.max_violation(), float(np.abs(b).sum()), float(b @ ray.y)
-        if viol * size < 0.5 * by:
-            return InfeasibilityCert(ray=ray,
-                                     note="moment functional separating the target from SOS")
-        raise RuntimeError(f"solver ray does not refute at the input's scale: violation "
-                           f"{viol:.3g}, |b|_1 {size:.3g}, b^T y {by:.3g}")
+        return InfeasibilityCert(ray=_ray_at_scale(layout.lift_ray(sol.dual_ray), b),
+                                 note="moment functional separating the target from SOS")
     raise _indeterminate(sol)
+
+
+def _level0_ray(m: np.ndarray) -> InfeasibilityCert:
+    """parrilo_member's level-0 functional, over the dense sos_gram_assemble
+    rows, of a DNN M with <A, M> = -1: y = -M_ij on the row of x_i^2 x_j^2
+    and 0 elsewhere, so b^T y = 1, and -A^T y on the full Gram is M on the
+    squares and M_ij on each x_i x_j, i.e. _summand_gram(SpnPair(M,
+    (M - diag M) / 2), 0), PSD as M is."""
+    n = m.shape[0]
+    rows = {g: k for k, g in enumerate(monomials(n, 4))}  # decreasing, like the dense rows
+    y = np.zeros(len(rows))
+    for i, j in _upper_pairs(n):
+        y[rows[tuple(2 * (t == i) + 2 * (t == j) for t in range(n))]] = -m[i, j]
+    z = _summand_gram(SpnPair(p=m, n=(m - np.diag(np.diag(m))) / 2.0), 0).gram
+    ray = DualRay(y=y, psd_operators=[z], nonneg_part=np.zeros(0), free_part=np.zeros(0))
+    return InfeasibilityCert(ray=ray, separator=m, note="moment functional of the DNN M")
 
 
 def _summand_gram(pair: SpnPair, r: int) -> SosGram:
@@ -424,13 +438,12 @@ def cop_inner(a: SymMatrix, tol: float = 1e-9) -> Optional[Tuple[int, SosGram]]:
     squares, with its Gram certificate; None when neither level certifies.
 
     A matrix in a summand cone (_summand_split at tol) gets its level-0 Gram
-    (_summand_gram at r = 0) without an SDP; parrilo_member keeps its
-    level-0 SDP, so the split is tried here first.  A matrix with a negative
-    vertex (_negative_vertex at the levels' tolerance) is not copositive and
-    lies in no K^(r), so it gets None without an SDP.  Otherwise
-    parrilo_member runs at r = 0 and then r = 1, at tol raised to 1e-7 at
-    least, and a level that leaves the solver indeterminate counts as not
-    certified.
+    (_summand_gram at r = 0) here, without the P + N SDP that parrilo_member
+    solves at level 0.  A matrix with a negative vertex (_negative_vertex at
+    the levels' tolerance) is not copositive and lies in no K^(r), so it
+    gets None without an SDP.  Otherwise parrilo_member runs at r = 0 and
+    then r = 1, at tol raised to 1e-7 at least, and a level that leaves the
+    solver indeterminate counts as not certified.
     Level 1 runs only for n >= 5: for n <= 4 every copositive matrix is
     PSD + NN (Diananda 1962), so every level of the hierarchy equals K^(0)
     and no level certifies a matrix that level 0 does not.

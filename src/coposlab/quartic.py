@@ -55,14 +55,9 @@ def poly_mul(a: Dict[Monomial, object], b: Dict[Monomial, object]) -> Dict[Monom
     return {k: v for k, v in out.items() if v != 0}
 
 
-def sum_of_squares_poly(n: int, exact: bool = True) -> Dict[Monomial, object]:
-    """Coefficient dict of sum_i x_i^2."""
-    one = Fraction(1) if exact else 1.0
-    out = {}
-    for i in range(n):
-        key = tuple(2 if j == i else 0 for j in range(n))
-        out[key] = one
-    return out
+def sum_of_squares_poly(n: int) -> Dict[Monomial, object]:
+    """Coefficient dict of sum_i x_i^2, with exact coefficients."""
+    return {tuple(2 if j == i else 0 for j in range(n)): Fraction(1) for i in range(n)}
 
 
 def _double_factorial(k: int) -> int:

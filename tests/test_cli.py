@@ -100,6 +100,23 @@ def test_certify_parrilo0_badly_scaled_input_is_undecided(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["member"] is None
 
 
+# PSD + NN, yet in neither summand cone: min entry -1.06, lambda_min -0.36
+SPN_MIXED = np.array([[7.42, 1.88, -1.06, 4.02], [1.88, 0.81, 0.84, -0.37],
+                      [-1.06, 0.84, 3.36, -0.83], [4.02, -0.37, -0.83, 5.84]])
+_D = np.diag([1e6, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("argv", [["--cone", "spn"], ["--cone", "parrilo", "--level", "0"]],
+                         ids=["spn", "parrilo0"])
+@pytest.mark.parametrize("arr", [1e6 * SPN_MIXED, 1e9 * SPN_MIXED, 1e12 * SPN_MIXED,
+                                 _D @ SPN_MIXED @ _D], ids=["1e6", "1e9", "1e12", "DAD"])
+def test_certify_level0_rescaled_psd_nn_input_never_exits_1(arr, argv, tmp_path, capsys):
+    code = cli.main(["certify", *argv, "--in", _write(tmp_path, arr)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INDETERMINATE)
+    report = json.loads(capsys.readouterr().out)
+    assert report["member"] is (True if code == cli.EXIT_OK else None)
+
+
 def test_certify_psd_gram_matrix_exits_0_with_a_factor(tmp_path, capsys):
     b = np.random.RandomState(4).randn(6, 4)
     a = b @ b.T  # rank four
@@ -323,6 +340,24 @@ def test_check_bounds_malformed_report_exits_64_naming_the_file(text, reason, tm
     assert out.out == ""
     error = json.loads(out.err)["error"]
     assert error.startswith(f"malformed vrad report {path}: ") and reason in error
+
+
+@pytest.mark.parametrize("fields,reason", [
+    ({"cone": "foo"}, "unknown cone 'foo'"),
+    ({"samples": 3.7}, "samples must be an integer >= 100, got 3.7"),
+    ({"samples": 99}, "samples must be an integer >= 100, got 99"),
+    ({"mode": "middle"}, "unknown mode 'middle'"),
+], ids=["unknown-cone", "fractional-samples", "few-samples", "unknown-mode"])
+def test_check_bounds_bad_cone_samples_or_mode_exits_64_naming_the_file(fields, reason,
+                                                                       tmp_path, capsys):
+    report = {"cone": "nn", "n": 3, "estimate": 0.2, "ci": [0.1, 0.3], "samples": 100,
+              "seed": 1, "dim": 5}
+    path = tmp_path / "nn.json"
+    path.write_text(json.dumps({**report, **fields}), encoding="utf-8")
+    assert cli.main(["check-bounds", "--dir", str(tmp_path)]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == f"malformed vrad report {path}: {reason}"
 
 
 def test_check_bounds_two_reports_of_one_cone_exit_64_naming_both(tmp_path, capsys):

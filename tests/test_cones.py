@@ -360,6 +360,61 @@ def test_parrilo_level0_genuine_ray_still_refutes():
     assert res.ray.max_violation() * np.abs(b).sum() < 0.5 * float(b @ res.ray.y)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.2])
+def test_parrilo_level0_ray_is_the_dnn_separator_on_the_dense_rows(shift):
+    a = SymMatrix(horn_matrix().to_numpy() - shift * np.eye(5))
+    res = parrilo_member(a, 0)
+    _assert_ray_on_dense_rows(a, 0, res)
+    m = res.separator
+    assert m.min() >= -1e-9 and np.linalg.eigvalsh(m)[0] >= -1e-9
+    assert float((a.to_numpy() * m).sum()) == pytest.approx(-1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [[2, 8], [4, 6]])
+def test_parrilo_level0_certifies_rank_one_inputs_the_sos_model_stalled_on(seed):
+    # mixed-sign v v^T, PSD on the boundary of SPN: the census inputs
+    # default_rng([s, n]) on which the level-0 SOS model once stalled
+    a = SymMatrix(_rank_one_mixed(np.random.default_rng(seed), seed[1]))
+    res = parrilo_member(a, 0)
+    assert isinstance(res, SosGram)
+    assert res.check(quartic_target(a, 0), 1e-8)
+
+
+# PSD + NN, yet in neither summand cone: min entry -1.06, lambda_min -0.36
+SPN_MIXED = np.array([[7.42, 1.88, -1.06, 4.02], [1.88, 0.81, 0.84, -0.37],
+                      [-1.06, 0.84, 3.36, -0.83], [4.02, -0.37, -0.83, 5.84]])
+_D = np.diag([1e6, 1.0, 1.0, 1.0])
+
+
+def test_spn_mixed_input_splits_at_unit_scale():
+    assert cones._summand_split(SPN_MIXED, 1e-9) is None
+    pair = spn_decompose(SymMatrix(SPN_MIXED))
+    assert isinstance(pair, SpnPair) and pair.check(SPN_MIXED, 1e-9)
+
+
+def _yes_or_unknown(decide):
+    """decide()'s answer, or None when it raises the solver's RuntimeError."""
+    try:
+        return decide()
+    except RuntimeError as exc:
+        assert ("does not refute at the input's scale" in str(exc)
+                or str(exc).startswith("solver indeterminate"))
+        return None
+
+
+@pytest.mark.parametrize("arr", [1e6 * SPN_MIXED, 1e9 * SPN_MIXED, 1e12 * SPN_MIXED,
+                                 _D @ SPN_MIXED @ _D], ids=["1e6", "1e9", "1e12", "DAD"])
+def test_level0_rescaled_psd_nn_input_is_never_refuted(arr):
+    # at 1e9 A the solver's P + N ray has b^T y = 1 but a violation of
+    # 9e-10, which a point of size |b|_1 = 2.6e10 makes up: no refutation
+    a = SymMatrix(arr)
+    pair = _yes_or_unknown(lambda: spn_decompose(a))
+    assert pair is None or (isinstance(pair, SpnPair) and pair.check(arr, 1e-9))
+    gram = _yes_or_unknown(lambda: parrilo_member(a, 0))
+    assert gram is None or (isinstance(gram, SosGram)
+                            and gram.check(quartic_target(a, 0), 1e-8))
+
+
 def test_negative_vertex_ignores_values_within_tol():
     a = np.eye(3)
     a[0, 1] = a[1, 0] = -1.0 - 0.25e-9   # x = e_0 + e_1 gives -0.5e-9, within tol
