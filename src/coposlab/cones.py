@@ -16,6 +16,7 @@ hierarchy, outer refutations via Kaplan's scan of the principal submatrices
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ import numpy as np
 from .numerics import (CholeskyFactor, QSqrt2, SymMatrix,
                        psd_certificate, sym_eigen, sym_from_upper)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
-from .sdp import (DualRay, LinExpr, SdpProblem, SdpStatus, SdpSolution,
+from .sdp import (DualRay, EvenSosLayout, LinExpr, SdpProblem, SdpStatus, SdpSolution,
                   even_sos_assemble, gram_form_coeffs, sdp_solve)
 
 BASIC_CONES = ("nn", "psd", "dnn")
@@ -236,30 +237,34 @@ def _indeterminate(sol: SdpSolution) -> RuntimeError:
 # the SOS hierarchy
 # ---------------------------------------------------------------------------
 
-def quartic_target(a: SymMatrix, r: int) -> Dict[Tuple[int, ...], object]:
-    """Coefficient map of (sum_i x_i^2)^r * q_A."""
-    n = a.n
-    q: Dict[Tuple[int, ...], object] = {}
-    exact = a.flavor == "exact"
-    for i in range(n):
-        for j in range(i, n):
-            v = a[i, j]
-            if exact:
-                if isinstance(v, QSqrt2):
-                    if v.is_zero():
-                        continue
-                    coef = float(v) if not v.is_rational() else v.rat
-                else:
-                    coef = v
-            else:
-                coef = float(v)
-            if coef == 0:
-                continue
-            key = tuple((2 if t == i else 0) + (2 if t == j else 0) for t in range(n))
-            q[key] = coef if i == j else 2 * coef
-    out = q
+@functools.lru_cache(maxsize=None)
+def _kr_coefficients(n: int, r: int) -> Dict[Tuple[int, ...], Dict[int, int]]:
+    """The one expansion of (sum_i x_i^2)^r q_M: for each x^gamma the integer
+    coefficients c_k, x^gamma's coefficient being sum_k c_k M_k over the
+    upper entries M_k in _upper_pairs order.  Cached and shared: read-only."""
+    rk = {(0,) * n: 1}
     for _ in range(r):
-        out = poly_mul(out, sum_of_squares_poly(n))
+        rk = poly_mul(rk, sum_of_squares_poly(n))
+    coef: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for k, (i, j) in enumerate(_upper_pairs(n)):
+        base = tuple((2 if t == i else 0) + (2 if t == j else 0) for t in range(n))
+        for gamma, c in poly_mul({base: 1 if i == j else 2}, rk).items():
+            coef.setdefault(gamma, {})[k] = int(c)
+    return coef
+
+
+def quartic_target(a: SymMatrix, r: int) -> Dict[Tuple[int, ...], object]:
+    """Coefficient map of (sum_i x_i^2)^r q_A, sum_k c_k a_k over _kr_coefficients
+    with zeros dropped: Fractions for exact input (an irrational Q(sqrt2)
+    entry enters as its float), floats for float input."""
+    exact = a.flavor == "exact"
+    vals = [(v.rat if v.is_rational() else float(v)) if exact else float(v)
+            for v in (a[i, j] for i, j in _upper_pairs(a.n))]
+    out = {}
+    for gamma, row in _kr_coefficients(a.n, r).items():
+        v = sum(c * vals[k] for k, c in row.items())
+        if v != 0:
+            out[gamma] = v
     return out
 
 
@@ -271,30 +276,30 @@ def _pairing_expr(a: np.ndarray) -> LinExpr:
     return expr
 
 
-def kr_problem(a: np.ndarray, r: int, rhs: float):
-    """The K^(r) matrix model: a free symmetric M with (sum_i x_i^2)^r q_M a
-    sum of squares, and the row <A, M> = rhs.
+def kr_problem(n: int, r: int, target: Optional[Dict[Tuple[int, ...], object]] = None):
+    """The K^(r) model: (sum_i x_i^2)^r q_M, as _kr_coefficients expands it,
+    a sum of squares, solved block-diagonally by exponent parity
+    (even_sos_assemble).  Without a target M is free, one scalar per upper
+    entry (read it back with sym_from_upper), and callers append their rows
+    and objective; a target, quartic_target(A, r), fixes M to A.  Returns
+    the problem and its EvenSosLayout."""
+    if target is not None:
+        return even_sos_assemble(monomials(n, r + 2), target)
+    return even_sos_assemble(monomials(n, r + 2), {}, _kr_coefficients(n, r), n * (n + 1) // 2)
 
-    M is one free scalar per upper entry, in _upper_pairs order (read it
-    back with sym_from_upper).  The SOS condition is even, so
-    even_sos_assemble solves it block-diagonally by exponent parity over
-    the degree-(r + 2) monomials; the pairing row comes last.  Returns the
-    problem and its EvenSosLayout.
-    """
-    n = a.shape[0]
-    pairs = _upper_pairs(n)
-    rk = {(0,) * n: 1.0}
-    for _ in range(r):
-        rk = poly_mul(rk, sum_of_squares_poly(n))
-    coef: Dict[Tuple[int, ...], Dict[int, float]] = {}
-    for k, (i, j) in enumerate(pairs):
-        base = tuple((2 if t == i else 0) + (2 if t == j else 0) for t in range(n))
-        w = 1.0 if i == j else 2.0
-        for gamma, c in poly_mul({base: w}, rk).items():
-            coef.setdefault(gamma, {})[k] = float(c)
-    prob, layout = even_sos_assemble(monomials(n, r + 2), {}, coef, len(pairs))
-    prob.constraints.append((_pairing_expr(a), rhs))
-    return prob, layout
+
+def _kr_answer(prob: SdpProblem, layout: EvenSosLayout, sol: SdpSolution, target, note: str):
+    """The one readback of a kr_problem solve: the Gram on a solution; on
+    infeasibility the ray lifted to the dense rows, plus any appended ones,
+    if it refutes at the scale of b, the target there followed by the
+    appended right-hand sides (_ray_at_scale); else RuntimeError."""
+    if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
+        return SosGram(basis=layout.basis, gram=layout.gram(sol))
+    if sol.status != SdpStatus.INFEASIBLE:
+        raise _indeterminate(sol)
+    b = [float(target.get(g, 0)) for g in monomials(len(layout.rows[0]), sum(layout.rows[0]))]
+    b += [rhs for _, rhs in prob.constraints[len(layout.rows):]]
+    return InfeasibilityCert(_ray_at_scale(layout.lift_ray(sol.dual_ray), np.array(b)), note=note)
 
 
 def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
@@ -307,13 +312,11 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     and its Gram is written down from the split without an SDP.  Likewise a
     matrix with a negative vertex (_negative_vertex) is not copositive, so
     it lies in no K^(r), and its separating functional is written down from
-    the vertex (_vertex_ray).  Otherwise the target is even, so the SDP is
-    solved block-diagonally, one block per exponent-parity class
-    (even_sos_assemble).  Returns a Gram certificate over the full
+    the vertex (_vertex_ray).  Otherwise it solves kr_problem with M fixed
+    to A, read back by _kr_answer: a Gram certificate over the full
     homogeneous monomial basis of degree r + 2, or the separating moment
-    functional indexed like the rows of the dense sos_gram_assemble problem.
-    A solver ray counts only at the input's scale (_ray_at_scale); otherwise,
-    as when the solver ends indeterminate, RuntimeError is raised.
+    functional indexed like the rows of the dense sos_gram_assemble problem,
+    which counts only at the input's scale; else RuntimeError.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -329,15 +332,9 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     if vertex is not None:
         return _vertex_ray(n, r, *vertex)
     target = quartic_target(a, r)
-    prob, layout = even_sos_assemble(monomials(n, r + 2), target)
-    sol = sdp_solve(prob, tol=tol)
-    if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
-        return SosGram(basis=layout.basis, gram=layout.gram(sol))
-    if sol.status == SdpStatus.INFEASIBLE:
-        b = np.array([float(target.get(g, 0)) for g in monomials(n, 2 * (r + 2))])
-        return InfeasibilityCert(ray=_ray_at_scale(layout.lift_ray(sol.dual_ray), b),
-                                 note="moment functional separating the target from SOS")
-    raise _indeterminate(sol)
+    prob, layout = kr_problem(n, r, target)
+    return _kr_answer(prob, layout, sdp_solve(prob, tol=tol), target,
+                      "moment functional separating the target from SOS")
 
 
 def _level0_ray(m: np.ndarray) -> InfeasibilityCert:
@@ -642,9 +639,9 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
     for the bottom eigenvector v, which comes with SpnPair(M, 0).  For
     n <= 4 every copositive matrix is PSD + NN (Diananda 1962), so
     K^(1) = K^(0) and r = 1 takes the level-0 closed form too.  At r = 1
-    and n >= 5 the SDP runs, with the SOS condition on M solved
-    block-diagonally by exponent parity (even_sos_assemble), and the
-    certificate is a Gram matrix over the full degree-3 basis.
+    and n >= 5 the SDP runs: kr_problem's free-M model at r = 1 with the row
+    <I + J, M> = 1 appended, and the certificate is a Gram matrix over the
+    full degree-3 basis.
     Returns None when the optimum is not negative beyond solver resolution.
     """
     if r not in (0, 1):
@@ -673,7 +670,8 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
                             certificate=SpnPair(p=m, n=np.zeros_like(arr)))
 
     # r = 1, n >= 5: the K^(1) matrix model with the row <I + J, M> = 1
-    prob, layout = kr_problem(np.eye(n) + 1.0, 1, 1.0)
+    prob, layout = kr_problem(n, 1)
+    prob.constraints.append((_pairing_expr(np.eye(n) + 1.0), 1.0))
     prob.objective = _pairing_expr(arr)
     sol = sdp_solve(prob, tol=tol)
     if sol.status != SdpStatus.OPTIMAL:

@@ -38,8 +38,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .cones import (InfeasibilityCert, SosGram, cp_refute, frobenius,
-                    horn_matrix, kr_problem, membership_basic, _indeterminate)
+from .cones import (InfeasibilityCert, SosGram, cop_refute, cp_refute, frobenius, horn_matrix,
+                    kr_problem, membership_basic, _indeterminate, _kr_answer, _pairing_expr)
 from .numerics import (NegVector, PivotList, QSqrt2, SymMatrix,
                        exact_ldl_psd, matrix_loads, sym_from_upper)
 from .sdp import LinExpr, SdpProblem, SdpStatus, sdp_solve
@@ -284,10 +284,12 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
     from PSD + NN, while the Gram certificate keeps C copositive.  An A that
     membership_basic(A, "dnn", tol) does not certify raises ValueError
     naming the failed part (nn or psd).
-    The SOS condition is even, so the SDP is solved block-diagonally by
-    exponent parity (even_sos_assemble); the Gram certificate is still over
-    the full monomial basis of degree k + 2, and an infeasibility ray is
-    indexed like the dense coefficient rows followed by the pairing row.
+    The SDP is cones.kr_problem's free-M model at r = k with the pairing row
+    appended, read back by cones._kr_answer: the Gram certificate is over the
+    full monomial basis of degree k + 2, and an infeasibility ray, indexed
+    like the dense coefficient rows followed by the pairing row, counts only
+    at the scale of eps'.  A C that cop_refute(C, tol=0) refutes, with an
+    exactly re-checked witness, raises VerificationError.
     Returns (C, SosGram) or an InfeasibilityCert; Indeterminate raises.
     """
     if k not in (1, 2):
@@ -305,22 +307,23 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
             failed.append(f"psd fails with v^T A v = {psd.value:.6g}")
         raise ValueError("A is not doubly nonnegative: " + "; ".join(failed))
     arr = a.to_numpy()
-    prob, layout = kr_problem(arr, k, -float(epsp))
+    prob, layout = kr_problem(a.n, k)
+    prob.constraints.append((_pairing_expr(arr), -float(epsp)))
     if dump_sdp:
         prob.dump_json(dump_sdp)
 
     sol = sdp_solve(prob, tol=tol)
-    if sol.status == SdpStatus.INFEASIBLE:
-        return InfeasibilityCert(ray=layout.lift_ray(sol.dual_ray),
-                                 note="no copositive separator at this pairing")
-    if sol.status not in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
-        raise _indeterminate(sol)
-    cmat = sym_from_upper(a.n, sol.free)
-    gram = SosGram(basis=layout.basis, gram=layout.gram(sol))
-    pairing = float((arr * cmat).sum())
+    gram = _kr_answer(prob, layout, sol, {}, "no copositive separator at this pairing")
+    if isinstance(gram, InfeasibilityCert):
+        return gram
+    cmat = SymMatrix(sym_from_upper(a.n, sol.free))
+    pairing = float((arr * cmat.to_numpy()).sum())
     if abs(pairing + float(epsp)) > 1e-7:
         raise VerificationError(f"pairing {pairing} missed target {-float(epsp)}")
-    return SymMatrix(cmat), gram
+    witness = cop_refute(cmat, tol=0.0)
+    if witness is not None:
+        raise VerificationError(f"C is not copositive: x^T C x = {float(witness.value):.3g} < 0")
+    return cmat, gram
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ radii of a stack of directions for every section, by one of four methods:
   that leaves a 4 x 4 copositive rest (`_peel_certifies`);
 - one parametric SDP per ray, in stacks (`_sdp_radii`): the P + N rows of
   `cones.pn_problem` for spn at n >= 6 and the n = 5 rays the peel cannot
-  certify, also the tests' reference for the cop and spn radii; the K^(1)
-  rows of `cones.kr_problem` for cp outer (`_radial_cp_outer`);
+  certify, also the tests' reference for the cop and spn radii; the free-M
+  K^(1) model of `cones.kr_problem` plus one pairing row a ray for cp outer
+  (`_radial_cp_outer`);
 - one LP per ray: lf inner (max t with the point in the generators' hull).
 
 The radius is each section's one decision.  Membership follows from it
@@ -547,16 +548,15 @@ def _radial_spn_sdp(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
 def _radial_cp_outer(spec: SectionSpec, d_mats: np.ndarray) -> np.ndarray:
     """Radii of the cp outer section (K^(1))* along a stack of direction
     matrices D, shape (k, n, n): by duality, min <C, M> over M in K^(1) with
-    <D, M> = -1 (`cones.kr_problem`).  C is inside CP, which lies in
-    (K^(1))*, and 2I + J is interior to K^(1) and pairs to zero with every
-    direction, so the SDP is feasible with a positive optimum.
+    <D, M> = -1, a row appended a ray to `cones.kr_problem`'s free-M model,
+    which is built once a call.  C is inside CP, which lies in (K^(1))*, and
+    2I + J is interior to K^(1) and pairs to zero with every direction, so
+    the SDP is feasible with a positive optimum.
     """
-    # the K^(1) rows once a call; only the last, <D, M> = -1, differs between rays
-    base, _ = kr_problem(spec._center_mat, 1, -1.0)
+    base, _ = kr_problem(spec.n, 1)
     base.objective = _pairing_expr(spec._center_mat)
-    sos = base.constraints[:-1]
-    return _sdp_radii(d_mats,
-                      lambda d_mat: replace(base, constraints=sos + [(_pairing_expr(d_mat), -1.0)]),
+    sos = base.constraints
+    return _sdp_radii(d_mats, lambda d: replace(base, constraints=sos + [(_pairing_expr(d), -1.0)]),
                       lambda sol: sol.objective_value)
 
 

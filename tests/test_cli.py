@@ -422,6 +422,16 @@ def test_construct_ecop_bundled_a5_exits_0(capsys):
     assert report["pairing"] < 0.0
 
 
+def test_construct_ecop_on_a_large_identity_exits_2(tmp_path, capsys):
+    # <1e7 I, C> = -1/10 needs trace C < 0: the solver's C fails the exact
+    # copositivity re-check, so the answer is indeterminate, not feasible
+    path = _write(tmp_path, 1e7 * np.eye(5))
+    assert cli.main(["construct-ecop", "--in", path]) == cli.EXIT_INDETERMINATE
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "indeterminate"
+    assert report["error"].startswith("C is not copositive")
+
+
 def test_construct_ecop_refuses_an_input_that_is_not_dnn(tmp_path, capsys):
     a = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # PSD, not NN
     assert cli.main(["construct-ecop", "--in", _write(tmp_path, a)]) == cli.EXIT_USAGE

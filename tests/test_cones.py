@@ -791,7 +791,8 @@ def test_cp_refute_level1_at_small_n_needs_no_sdp(n, no_sdp):
 def _level1_sdp_minimum(a):
     # the reference: min <A, M> over M in K^(1) with <M, I + J> = 1
     n = a.shape[0]
-    prob, _ = cones.kr_problem(np.eye(n) + 1.0, 1, 1.0)
+    prob, _ = cones.kr_problem(n, 1)
+    prob.constraints.append((cones._pairing_expr(np.eye(n) + 1.0), 1.0))
     prob.objective = cones._pairing_expr(a)
     sol = sdp_solve(prob, tol=1e-9)
     assert sol.status == SdpStatus.OPTIMAL

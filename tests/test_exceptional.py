@@ -7,16 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coposlab.cones import (InfeasibilityCert, SosGram, horn_matrix, membership_basic,
-                            quartic_target)
-from coposlab.exceptional import (CosPoly, EdnnResult, TrigGram, build_ednn_sdp,
-                                  compression_matrix, construct_ecop, construct_ednn,
-                                  gram_function_coeffs, horn_pairing_coefficients,
-                                  load_reference_a5, load_reference_gram,
+from coposlab import cones, exceptional
+from coposlab.cones import (InfeasibilityCert, SosGram, cp_refute, horn_matrix,
+                            membership_basic, parrilo_member, quartic_target)
+from coposlab.exceptional import (CosPoly, EdnnResult, TrigGram, VerificationError,
+                                  build_ednn_sdp, compression_matrix, construct_ecop,
+                                  construct_ednn, gram_function_coeffs,
+                                  horn_pairing_coefficients, load_reference_a5,
+                                  load_reference_c, load_reference_gram,
                                   read_off_series, verify_paper_examples)
 from coposlab.numerics import SymMatrix
 from coposlab.quartic import monomials
-from coposlab.sdp import sos_gram_assemble
+from coposlab.sdp import DualRay, SdpSolution, SdpStatus, sos_gram_assemble
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -47,6 +49,64 @@ def test_construct_ecop_infeasible_ray_on_dense_rows_plus_pairing():
     assert -0.1 * ray.y[-1] > 0.0  # b^T y: the coefficient rows have b = 0
     assert ray.psd_operators[0].shape == (35, 35)
     assert ray.max_violation() <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e9])
+def test_construct_ecop_never_returns_a_c_that_is_not_copositive(scale):
+    # <s I, C> = -1/10 forces trace C < 0, so no copositive C exists; the
+    # solver's C has diagonal about -2e-9 / (s / 1e7), which cop_refute at
+    # tol 0 finds and re-checks exactly
+    with pytest.raises(VerificationError, match="C is not copositive"):
+        construct_ecop(SymMatrix(scale * np.eye(5)), Fraction(1, 10), 1)
+
+
+def test_construct_ecop_ray_counts_only_at_the_input_scale(monkeypatch):
+    # a ray with b^T y = 1 whose violation times |b|_1 = 1/10 is 1, above
+    # b^T y / 2: it does not refute at the scale of b, so no answer
+    def fake_solve(prob, tol):
+        y = np.zeros(len(prob.constraints))
+        y[-1] = -10.0  # b^T y = -1/10 * -10 = 1
+        ray = DualRay(y=y, psd_operators=[np.zeros((d, d)) for d in prob.psd_block_dims],
+                      nonneg_part=np.zeros(prob.nonneg_dim), free_part=np.full(prob.free_dim, 10.0))
+        return SdpSolution(status=SdpStatus.INFEASIBLE, psd_blocks=[], nonneg=np.zeros(0),
+                           free=np.zeros(0), y=np.zeros(0), residuals=(0.0, 0.0, 0.0),
+                           objective_value=None, iterations=0, dual_ray=ray)
+
+    monkeypatch.setattr(exceptional, "sdp_solve", fake_solve)
+    with pytest.raises(RuntimeError, match="does not refute at the input's scale"):
+        construct_ecop(load_reference_a5(), Fraction(1, 10), 1)
+
+
+@pytest.mark.parametrize("module,call,want", [
+    (cones, lambda: parrilo_member(horn_matrix(), 1),
+     "3a03a4288d95f78f8799e83103f22711d6d310f87322d8335698168fe5933c51"),
+    (cones, lambda: parrilo_member(load_reference_c(), 1),
+     "e772e6e89dc4b77a7010fb5db0b7cb8fd5c7e864225e61a184b7f7305cb2b090"),
+    (cones, lambda: parrilo_member(horn_matrix(), 2),
+     "dc8621786b30c17809c861947c8f0027d9b88714898e646789330fd31d9be780"),
+    (cones, lambda: cp_refute(load_reference_a5(), 1),
+     "9e1f5ba4fff0ca5baf8416489ea7894ec6cebdd4142bc9d3aac0b7af45d4abd2"),
+    (exceptional, lambda: construct_ecop(load_reference_a5(), Fraction(1, 10), 1),
+     "b177b1f04747414c3b23caf0c9ee660d2e921d90286fa22c776deb7ff121b598"),
+    (exceptional, lambda: construct_ecop(load_reference_a5(), Fraction(1, 10), 2),
+     "0a6a2522a352af5c46d0caeff678d1f12805c743adc87fbfab8b11cec3fb7269"),
+])
+def test_level_r_sdps_are_pinned(module, call, want, monkeypatch):
+    # every row, coefficient and right-hand side of the one K^(r) SDP each
+    # call solves, float for float: a change to the expansion of
+    # (sum x_i^2)^r q_M or to the appended pairing rows shows here
+    solved = []
+    solve = module.sdp_solve
+
+    def spy(prob, **kwargs):
+        solved.append(prob)
+        return solve(prob, **kwargs)
+
+    monkeypatch.setattr(module, "sdp_solve", spy)
+    call()
+    assert len(solved) == 1
+    d = solved[0].to_json_dict()
+    assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coposlab.cones import horn_matrix, quartic_target
-from coposlab.numerics import SymMatrix
+from coposlab.numerics import QSqrt2, SymMatrix
 from coposlab.quartic import (EvenQuartic, _l2_gram_float, basis_M,
                               coeff_vector, dim_M, l2_inner, poly_mul,
                               r_squared, sphere_moment, sum_of_squares_poly)
@@ -111,6 +111,67 @@ def test_quartic_of_ones_is_r_squared():
 
 def test_quartic_horn_monomial_coefficient():
     assert quartic_target(horn_matrix(), 0)[(2, 2, 0, 0, 0)] == -2
+
+
+def _quartic_target_reference(a, r):
+    """(sum x_i^2)^r q_A by r products with sum x_i^2 (poly_mul), the
+    expansion quartic_target made before it read one shared table."""
+    n = a.n
+    q = {}
+    exact = a.flavor == "exact"
+    for i in range(n):
+        for j in range(i, n):
+            v = a[i, j]
+            if exact:
+                if isinstance(v, QSqrt2):
+                    if v.is_zero():
+                        continue
+                    coef = float(v) if not v.is_rational() else v.rat
+                else:
+                    coef = v
+            else:
+                coef = float(v)
+            if coef == 0:
+                continue
+            key = tuple((2 if t == i else 0) + (2 if t == j else 0) for t in range(n))
+            q[key] = coef if i == j else 2 * coef
+    out = q
+    for _ in range(r):
+        out = poly_mul(out, sum_of_squares_poly(n))
+    return out
+
+
+def _sparse_symmetric(rng, n, draw):
+    """A symmetric n x n list of draw() values, about a fifth of them zero."""
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw() if rng.random() >= 0.2 else 0
+    return a
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_quartic_target_equals_the_poly_mul_expansion(n, r):
+    # exact input gives the same Fractions; float input the same floats at
+    # r <= 1, and at r = 2, where the sums run in another order, values
+    # within 1e-15 of the coefficient's scale sum_k c_k |a_k|
+    rng = np.random.default_rng(40 + 3 * n + r)
+    for _ in range(5):
+        exact = SymMatrix(_sparse_symmetric(rng, n, lambda: Fraction(int(rng.integers(-50, 51)),
+                                                                     int(rng.integers(1, 9)))),
+                          "exact")
+        assert quartic_target(exact, r) == _quartic_target_reference(exact, r)
+        arr = np.array(_sparse_symmetric(rng, n, rng.standard_normal), dtype=float)
+        got = quartic_target(SymMatrix(arr), r)
+        want = _quartic_target_reference(SymMatrix(arr), r)
+        if r <= 1:
+            assert got == want
+            continue
+        scale = _quartic_target_reference(SymMatrix(np.abs(arr)), r)
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-15 * scale[k] for k in want)
+    assert quartic_target(horn_matrix(), r) == _quartic_target_reference(horn_matrix(), r)
 
 
 def _eval_coeffs(coeffs, x):
