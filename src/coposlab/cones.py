@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .numerics import (CholeskyFactor, QSqrt2, SymMatrix,
+from .numerics import (CholeskyFactor, PivotList, QSqrt2, SymMatrix, exact_ldl_psd,
                        psd_certificate, sym_eigen, sym_from_upper)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
 from .sdp import (DualRay, EvenSosLayout, LinExpr, SdpProblem, SdpStatus, SdpSolution,
@@ -620,29 +620,99 @@ def _cp_threshold(arr: np.ndarray, tol: float) -> float:
     return max(100.0 * tol, 1e-6) * (1.0 + float(np.abs(arr).max()))
 
 
+def _exact_schur(block: List[List[Fraction]], i: int) -> Optional[List[List[Fraction]]]:
+    """S = B_-i,-i - b_-i,i b_-i,i^T / b_ii when b_ii > 0 and S >= 0
+    entrywise, both exactly; else None."""
+    col = block[i]  # B is symmetric: row i is column i
+    piv = col[i]
+    if piv <= 0:
+        return None
+    rest = [j for j in range(len(block)) if j != i]
+    s = [[Fraction(0)] * len(rest) for _ in rest]
+    for p, j in enumerate(rest):
+        for q in range(p, len(rest)):
+            v = block[j][rest[q]] - col[j] * col[rest[q]] / piv
+            if v < 0:
+                return None
+            s[p][q] = s[q][p] = v
+    return s
+
+
+def _cp_peel(arr: np.ndarray) -> Optional[List[int]]:
+    """The pivots (indices of arr) of an exact proof that arr, read exactly
+    in Q, is completely positive; None when the greedy peel finds none.
+
+    A nonnegative A and a pivot i with a_ii > 0 split A into the nonnegative
+    rank one a_.i a_.i^T / a_ii and 0 (+) S, where
+    S = A_-i,-i - a_-i,i a_-i,i^T / a_ii is the Schur complement.  While S
+    is nonnegative, nonzero and of order above 4, it is peeled in turn.  The
+    last block is nonnegative, and exact_ldl_psd decides whether it is PSD;
+    A is PSD exactly when it is, every pivot being > 0.  A PSD last block is
+    DNN of order <= 4, hence CP (Maxfield & Minc 1962), and A is a sum of CP
+    matrices (the reduction of Berman & Shaked-Monderer 2003).  Every sign
+    is decided exactly, on Fraction(float), which is exact.
+
+    Pivots are taken greedily, the one whose float S has the largest least
+    entry first.  A float screen skips a pivot whose float S has an entry
+    below -1e-12 (1 + max |a|).  Where S >= 0 exactly, every term it
+    subtracts is at most the entry it comes from, so rounding moves the
+    float S by a few ulps of max |a|: the screen skips only pivots that the
+    exact test would refuse.
+    """
+    if not np.isfinite(arr).all() or arr.min() < 0:
+        return None
+    slack = -1e-12 * (1.0 + float(arr.max()))
+    idx = list(range(arr.shape[0]))
+    block = [[Fraction(v) for v in row] for row in arr.tolist()]
+    pivots: List[int] = []
+    while len(idx) > 4 and any(map(any, block)):  # a zero block is CP at any order
+        f = np.array(block, dtype=float)
+        d, k = np.diag(f), np.arange(len(idx))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s = f - f[:, :, None] * f[:, None, :] / d[:, None, None]  # s[i]: 0 (+) S of pivot i
+        s[k, k, :] = s[k, :, k] = np.inf
+        least = s.min(axis=(1, 2))
+        least[d <= 0] = -np.inf
+        for i in np.argsort(-least, kind="stable").tolist():
+            if not least[i] >= slack:  # NaN fails too
+                return None
+            schur = _exact_schur(block, i)
+            if schur is not None:
+                pivots.append(idx.pop(i))
+                block = schur
+                break
+        else:
+            return None
+    return pivots if isinstance(exact_ldl_psd(SymMatrix(block, "exact")), PivotList) else None
+
+
 def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutation]:
     """Minimize <A, M> over M in K^(r) with <M, I + J> = 1.
 
     A strictly negative optimum separates A from the completely positive
     cone (CP is dual to COP and K^(r) sits inside COP); the witness M ships
-    with its own hierarchy certificate.  The entrywise nonnegative M, which
-    lie in K^(0) and so in every K^(r), are tried first: over them the
-    minimum is at a vertex M with M_ij = M_ji = 1/2 and zeros elsewhere,
-    which pairs with A as a_ij off the diagonal and as a_ii / 2 on it.  If
-    that is negative beyond solver resolution, the answer is a level-0
-    refutation with the certificate SpnPair(0, M).
+    with its own hierarchy certificate.  Returns None when the optimum is not
+    negative beyond solver resolution.  The steps, in order:
 
-    Level 0 needs no SDP at all.  The slice of K^(0) = PSD + NN is the
-    convex hull of its PSD and NN slices, so its minimum is the smaller of
-    the NN vertex value and the PSD minimum; with I + J = L L^T the latter
-    is lambda_min(L^-1 A L^-T), attained at the rank-one M = L^-T v v^T L^-1
-    for the bottom eigenvector v, which comes with SpnPair(M, 0).  For
-    n <= 4 every copositive matrix is PSD + NN (Diananda 1962), so
-    K^(1) = K^(0) and r = 1 takes the level-0 closed form too.  At r = 1
-    and n >= 5 the SDP runs: kr_problem's free-M model at r = 1 with the row
-    <I + J, M> = 1 appended, and the certificate is a Gram matrix over the
-    full degree-3 basis.
-    Returns None when the optimum is not negative beyond solver resolution.
+    1. NN vertex.  The entrywise nonnegative M lie in K^(0) and so in every
+       K^(r); over them the minimum is at a vertex M with M_ij = M_ji = 1/2
+       and zeros elsewhere, which pairs with A as a_ij off the diagonal and
+       as a_ii / 2 on it.  If that is negative beyond solver resolution, the
+       answer is a level-0 refutation with the certificate SpnPair(0, M).
+    2. PSD slice, at every n.  The slice of K^(0) = PSD + NN is the convex
+       hull of its PSD and NN slices, so its minimum is the smaller of the
+       NN vertex value and the PSD minimum; with I + J = L L^T the latter is
+       lambda_min(L^-1 A L^-T), attained at the rank-one M = L^-T v v^T L^-1
+       for the bottom eigenvector v, which comes with SpnPair(M, 0).  A
+       negative value refutes at level 0 for every r, as K^(0) is inside
+       K^(r).  For n <= 4 every copositive matrix is PSD + NN (Diananda
+       1962), so K^(1) = K^(0) and r = 1 ends here too.
+    3. Peel (r = 1, n >= 5).  When _cp_peel proves A completely positive,
+       no M in COP pairs negatively with it, and the answer is None with no
+       SDP.  This None is exact: A, read exactly in Q, is CP.
+    4. SDP (r = 1, n >= 5).  kr_problem's free-M model at r = 1 with the row
+       <I + J, M> = 1 appended; the certificate is a Gram matrix over the
+       full degree-3 basis.
     """
     if r not in (0, 1):
         raise ValueError("r must be 0 or 1 at desk scale")
@@ -655,19 +725,19 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
         m[i, j] = m[j, i] = 0.5
         return CpRefutation(m=m, pairing=float((arr * m).sum()), level=0,
                             certificate=SpnPair(p=np.zeros_like(arr), n=m))
-    if r == 0 or n <= 4:
-        # the NN vertices did not refute, so only the PSD slice can: with
-        # M = L^-T X L^-1 it is trace(X) = 1, X PSD, minimized at X = v v^T
-        lower = np.linalg.cholesky(np.eye(n) + 1.0)
-        w = np.linalg.solve(lower, np.linalg.solve(lower, arr).T)
-        _, vecs = sym_eigen(w)
-        u = np.linalg.solve(lower.T, vecs[:, 0])
-        m = np.outer(u, u)
-        pairing = float((arr * m).sum())
-        if pairing >= -_cp_threshold(arr, tol):
-            return None
+    # the NN vertices did not refute, so at level 0 only the PSD slice can:
+    # with M = L^-T X L^-1 it is trace(X) = 1, X PSD, minimized at X = v v^T
+    lower = np.linalg.cholesky(np.eye(n) + 1.0)
+    w = np.linalg.solve(lower, np.linalg.solve(lower, arr).T)
+    _, vecs = sym_eigen(w)
+    u = np.linalg.solve(lower.T, vecs[:, 0])
+    m = np.outer(u, u)
+    pairing = float((arr * m).sum())
+    if pairing < -_cp_threshold(arr, tol):
         return CpRefutation(m=m, pairing=pairing, level=0,
                             certificate=SpnPair(p=m, n=np.zeros_like(arr)))
+    if r == 0 or n <= 4 or _cp_peel(arr) is not None:
+        return None
 
     # r = 1, n >= 5: the K^(1) matrix model with the row <I + J, M> = 1
     prob, layout = kr_problem(n, 1)

@@ -408,7 +408,8 @@ def verify_paper_examples(sos_tol: float = 1e-8) -> PaperReport:
     3. B is PSD (exact pivoted LDL^T).
     4. A5 is entrywise nonnegative (exact signs).
     5. <A5, H> < 0 exactly (reference value -1/20).
-    6. <C, A5> < 0 exactly (reference value -1/10).
+    6. <C, A5> < 0 exactly; the bundled pair gives
+       63087569/3487050 - (31718137/2440935) sqrt2 ~ -0.2847.
     7. (sum x_i^2) q_C admits a numerical SOS Gram at sos_tol.
     """
     from .cones import parrilo_member  # local import to keep module load light
@@ -455,7 +456,7 @@ def verify_paper_examples(sos_tol: float = 1e-8) -> PaperReport:
     p6 = frobenius(cmat.to_exact() if cmat.flavor == "float" else cmat, a5)
     ok6 = p6.sign() < 0
     checks.append(CheckResult(6, "separation pairing negative", ok6,
-                              f"<C,A5> = {p6} ~ {float(p6):.6f} (reference -1/10)"))
+                              f"<C,A5> = {p6} ~ {float(p6):.6f}"))
 
     try:
         res7 = parrilo_member(cmat, 1, tol=sos_tol)

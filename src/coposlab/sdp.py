@@ -794,21 +794,21 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
         return [(rinv @ smat(d[0][:, cols], n) @ _t(rinv), _t(r) @ smat(d[3][:, cols], n) @ r)
                 for (n, cols), (r, rinv, _) in zip(std.groups.items(), scal)]
 
-    def direction(sigma, act, aff=None):
+    def direction(sigma, act, aff=None, aff_sc=None):
         # Newton step killing the linear residuals, with the complementarity
         # X S = sigma mu I linearized in the NT-scaled space, where X and S
         # both become diag(lam):  dxk + H ds = R Q R^T with
         # Q_ij = (sigma mu I - lam^2 - sym(dX~a dS~a))_ij / ((lam_i + lam_j) / 2),
         # and kappa dtau + tau dkappa = sigma mu - tau kappa - dtau_a dkappa_a;
-        # the second-order terms of the affine direction aff are the Mehrotra
-        # corrector.  Full-system iterative refinement recovers digits lost in
-        # the ill-conditioned elimination near convergence; a correction is
-        # kept only if it lowers the residual of the full system.  Only the
-        # problems in act decide; the other rows are computed and ignored.
+        # the second-order terms of the affine direction aff, whose NT-scaled
+        # form is aff_sc, are the Mehrotra corrector.  Full-system iterative
+        # refinement recovers digits lost in the ill-conditioned elimination
+        # near convergence; a correction is kept only if it lowers the
+        # residual of the full system.  Only the problems in act decide; the
+        # other rows are computed and ignored.
         smu = sigma * mu
         t4 = np.empty((k, cn))
         t5 = smu - tau * kappa
-        aff_sc = scaled(aff) if aff is not None else None
         for i, ((n, cols), (r, _, lam)) in enumerate(zip(std.groups.items(), scal)):
             q = np.zeros(lam.shape + (n,))
             q.reshape(lam.shape[:-1] + (n * n,))[..., ::n + 1] = smu[:, None, None] - lam * lam
@@ -851,18 +851,20 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
     # the orthant, tau and kappa: one ratio test on their concatenation
     lin_x = np.concatenate([tau[:, None], kappa[:, None], xk[:, ln], s[:, ln]], axis=1)
 
-    def max_step(d):
-        # X + alpha dX is PSD iff I + alpha lam^{-1/2} dX~ lam^{-1/2} is
+    def max_step(d, d_sc=None):
+        # X + alpha dX is PSD iff I + alpha lam^{-1/2} dX~ lam^{-1/2} is;
+        # d_sc is scaled(d) when the caller has it already
         dlin = np.concatenate([d[4][:, None], d[5][:, None], d[0][:, ln], d[3][:, ln]], axis=1)
         alpha = _max_step_vec(lin_x, dlin)
-        for (_, _, lam), dsc in zip(scal, scaled(d)):
+        for (_, _, lam), dsc in zip(scal, scaled(d) if d_sc is None else d_sc):
             rl = 1.0 / np.sqrt(lam)
             both = np.stack([rl[..., :, None] * p * rl[..., None, :] for p in dsc])
             alpha = np.minimum(alpha, _max_step_scaled(both).min(axis=(0, 2)))
         return alpha
 
     aff = direction(0.0, ok)
-    a_aff = np.minimum(1.0, 0.999 * max_step(aff))
+    aff_sc = scaled(aff)
+    a_aff = np.minimum(1.0, 0.999 * max_step(aff, aff_sc))
     mu_aff = (_dot(xk + a_aff[:, None] * aff[0], s + a_aff[:, None] * aff[3])
               + (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])) / (std.nu + 1)
     # libm's pow, one problem at a time: numpy's SIMD power rounds ~5% of
@@ -871,7 +873,7 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
 
     # stopping at 95% of the way to the boundary keeps the smallest
     # eigenvalues of X and S from outrunning mu near the optimum
-    d = direction(sigma, ok, aff)
+    d = direction(sigma, ok, aff, aff_sc)
     alpha = np.minimum(1.0, 0.95 * max_step(d))
     retry = ok & ((alpha <= 1e-8) | ~np.isfinite(alpha))
     if np.count_nonzero(retry):

@@ -10,8 +10,8 @@ from coposlab.cones import (CopRefutation, CpRefutation, InfeasibilityCert,
                             SosGram, SpnPair, cop_refute, cp_refute,
                             frobenius, horn_matrix, membership_basic,
                             parrilo_member, quartic_target, spn_decompose)
-from coposlab.numerics import CholeskyFactor, QSqrt2, SymMatrix
-from coposlab.exceptional import load_reference_a5, load_reference_c
+from coposlab.numerics import CholeskyFactor, PivotList, QSqrt2, SymMatrix, exact_ldl_psd
+from coposlab.exceptional import construct_ednn, load_reference_a5, load_reference_c
 from coposlab.quartic import monomials
 from coposlab.volume import SectionSpec, section_radii
 from coposlab.sdp import (LinExpr, SdpProblem, SdpStatus, sdp_solve,
@@ -814,6 +814,122 @@ def test_cp_refute_level1_at_small_n_matches_the_level1_sdp(n):
             assert abs(res.pairing - value) <= 1e-6
             refuted += 1
     assert 0 < refuted < 10
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cp_refute_psd_slice_refutes_at_level1_above_n4(n, no_sdp):
+    # nonnegative but not PSD: at r = 1 the PSD slice of K^(0), which lies
+    # inside K^(1), refutes in closed form before the peel or the SDP
+    b = np.random.RandomState(80 + n).rand(n, n)
+    lower = np.linalg.cholesky(np.eye(n) + np.ones((n, n)))
+    linv = np.linalg.inv(lower)
+    for kind, a in [("b + b^T", b + b.T), ("nn-not-psd", _small_cp_inputs(n)["nn-not-psd"])]:
+        res = cp_refute(SymMatrix(a), r=1)
+        assert isinstance(res, CpRefutation) and res.level == 0, kind
+        assert isinstance(res.certificate, SpnPair) and res.certificate.check(res.m, 1e-9)
+        assert res.pairing == float((a * res.m).sum()) < 0.0
+        assert abs(res.pairing - np.linalg.eigvalsh(linv @ a @ linv.T)[0]) <= 1e-12
+        assert res.pairing == cp_refute(SymMatrix(a), r=0).pairing
+        assert _level1_sdp_minimum(a) <= res.pairing + 1e-6
+
+
+def _bbt(rng, n):
+    b = rng.rand(n, n + 1)
+    return b @ b.T
+
+
+def _peel_rebuild(a, pivots):
+    """Re-check a peel certificate exactly, apart from _cp_peel: subtract the
+    nonnegative rank one of each pivot in turn; what is left must be a
+    nonnegative PSD block of order <= 4 (or zero) on the unpeeled indices."""
+    n = a.shape[0]
+    rest = [[Fraction(v) for v in row] for row in a.tolist()]
+    for p in pivots:
+        col = [rest[i][p] for i in range(n)]
+        assert col[p] > 0 and min(col) >= 0
+        rest = [[rest[i][j] - col[i] * col[j] / col[p] for j in range(n)] for i in range(n)]
+    keep = [i for i in range(n) if i not in pivots]
+    block = [[rest[i][j] for j in keep] for i in keep]
+    assert all(rest[i][j] == 0 for i in range(n) for j in range(n)
+               if i in pivots or j in pivots)
+    assert min(min(row) for row in block) >= 0
+    assert len(keep) <= 4 or not any(map(any, block))
+    assert isinstance(exact_ldl_psd(SymMatrix(block, "exact")), PivotList)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_cp_peel_certificate_rebuilds_the_input_exactly(n, no_sdp):
+    rng = np.random.RandomState(90 + n)
+    certified = 0
+    for _ in range(10):
+        a = _bbt(rng, n)
+        pivots = cones._cp_peel(a)
+        if pivots is None:
+            continue
+        certified += 1
+        assert len(set(pivots)) == len(pivots) >= n - 4
+        _peel_rebuild(a, pivots)
+        assert cp_refute(SymMatrix(a), r=1) is None
+    assert certified >= 5
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_cp_refute_boundary_cp_inputs_need_no_sdp(n, no_sdp):
+    # I, J (rank one, peeled to a zero block) and I + J/5 are CP
+    for a in (np.eye(n), np.ones((n, n)), np.eye(n) + np.ones((n, n)) / 5):
+        pivots = cones._cp_peel(a)
+        assert pivots is not None
+        _peel_rebuild(a, pivots)
+        assert cp_refute(SymMatrix(a), r=1) is None
+
+
+def test_cp_peel_never_certifies_a_dnn_matrix_that_horn_separates():
+    # H is copositive, so <A, H> < 0 proves A is not CP
+    h = horn_matrix().to_numpy()
+    a5 = load_reference_a5().to_numpy()
+    inputs = [a5, construct_ednn(Fraction(1, 20), 12, 6).a5.to_numpy()]
+    rng = np.random.RandomState(7)
+    for _ in range(20):
+        a = a5 + rng.uniform(0.0, 0.003) * _bbt(rng, 5) + rng.uniform(0.0, 0.002) * np.eye(5)
+        inputs.append(a)
+    for a in inputs:
+        assert (a * h).sum() < 0.0
+        assert a.min() >= 0.0 and np.linalg.eigvalsh(a)[0] > 0.0
+        assert cones._cp_peel(a) is None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cp_peel_refuses_inputs_outside_dnn(n):
+    # a negative entry far below the float screen's slack, and nonnegative
+    # inputs that are not PSD (each of the latter has a pivot whose S >= 0)
+    tiny = np.eye(n)
+    tiny[0, 1] = tiny[1, 0] = -1e-300
+    b = np.random.RandomState(n).rand(n, n)
+    for a in (tiny, _small_cp_inputs(n)["nn-not-psd"], b + b.T):
+        assert cones._cp_peel(a) is None
+
+
+def test_exact_schur_refuses_a_negative_entry_below_float_resolution():
+    # S_13 = (1 - 2^-50) - 1 * 1 / 1 = -2^-50: the float screen lets it
+    # through, the exact step does not
+    a = np.eye(5) + np.diag([0.0, 1.0, 0.0, 1.0, 0.0])
+    a[0, 1] = a[1, 0] = a[0, 3] = a[3, 0] = 1.0
+    a[1, 3] = a[3, 1] = 1.0 - 2.0 ** -50
+    block = [[Fraction(v) for v in row] for row in a.tolist()]
+    assert cones._exact_schur(block, 0) is None
+    s = cones._exact_schur(block, 2)
+    assert s == [[block[i][j] for j in (0, 1, 3, 4)] for i in (0, 1, 3, 4)]
+
+
+def test_cp_peel_certified_inputs_have_a_nonnegative_level1_minimum():
+    rng = np.random.RandomState(5)
+    certified = []
+    while len(certified) < 10:
+        a = _bbt(rng, 5)
+        if cones._cp_peel(a) is not None:
+            certified.append(a)
+    for a in certified:
+        assert _level1_sdp_minimum(a) >= -cones._cp_threshold(a, 1e-8)
 
 
 def test_cop_inner_at_n4_stops_after_level0(sdp_calls):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coposlab import cones, exceptional
-from coposlab.cones import (InfeasibilityCert, SosGram, cp_refute, horn_matrix,
+from coposlab.cones import (InfeasibilityCert, SosGram, cp_refute, frobenius, horn_matrix,
                             membership_basic, parrilo_member, quartic_target)
 from coposlab.exceptional import (CosPoly, EdnnResult, TrigGram, VerificationError,
                                   build_ednn_sdp, compression_matrix, construct_ecop,
@@ -16,7 +16,7 @@ from coposlab.exceptional import (CosPoly, EdnnResult, TrigGram, VerificationErr
                                   horn_pairing_coefficients, load_reference_a5,
                                   load_reference_c, load_reference_gram,
                                   read_off_series, verify_paper_examples)
-from coposlab.numerics import SymMatrix
+from coposlab.numerics import QSqrt2, SymMatrix
 from coposlab.quartic import monomials
 from coposlab.sdp import DualRay, SdpSolution, SdpStatus, sos_gram_assemble
 
@@ -164,6 +164,14 @@ def test_verify_paper_check_2_names_the_negative_value_of_f(paper_report):
                                   for k, c in enumerate(coeffs) if k)
     assert value < -0.1
     assert abs(float(match.group(2)) - value) <= 1e-4
+
+
+def test_verify_paper_check_6_gives_the_exact_pairing(paper_report):
+    # the bundled C and A5 pair to an exact element of Q(sqrt2), -0.2847
+    want = QSqrt2(Fraction(63087569, 3487050), Fraction(-31718137, 2440935))
+    assert frobenius(load_reference_c(), load_reference_a5()) == want
+    assert abs(float(want) + 0.284695) <= 1e-6
+    assert paper_report.checks[5].detail == f"<C,A5> = {want} ~ {float(want):.6f}"
 
 
 @pytest.mark.xfail(strict=True, reason="check 2: the bundled Gram B reproduces (1 + f)/2, "
