@@ -20,13 +20,15 @@ and dnn, certify of spn and cop on a PSD or NN input, certify of parrilo at
 --level 1 or above on a PSD or NN input or one with a negative vertex (a 0/1
 vector x with at most three ones and x^T A x < 0), certify of cp at n <= 4
 (where the hierarchy collapses to PSD + NN), on an input with a negative
-entry or a negative PSD-slice minimum, or on an input the peel certifies (an
+entry or a negative PSD-slice minimum, on an input the peel certifies (an
 exact rank-one peel down to a doubly nonnegative block of order <= 4, which
-proves the input completely positive), certify of cop on an input with a
-negative vertex, vrad of a closed-form section (cop at every n <= 12 among
-them) or of spn at n <= 4 (where SPN = COP) and check-bounds load none of
-it.  vrad of spn at n = 5 loads it only for the rays whose rank-one peel
-fails.
+proves the input completely positive), or at n = 5 on an input that a
+permutation P H P^T of the Horn matrix separates (<A, P H P^T> < 0, with
+Parrilo's exact level-1 Gram for P H P^T; the bundled A5 among them),
+certify of cop on an input with a negative vertex, vrad of a closed-form
+section (cop at every n <= 12 among them) or of spn at n <= 4 (where
+SPN = COP) and check-bounds load none of it.  vrad of spn at n = 5 loads it
+only for the rays whose rank-one peel fails.
 """
 
 from __future__ import annotations

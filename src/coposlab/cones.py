@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -687,12 +687,14 @@ def _cp_peel(arr: np.ndarray) -> Optional[List[int]]:
 
 
 def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutation]:
-    """Minimize <A, M> over M in K^(r) with <M, I + J> = 1.
+    """Look for M in K^(r) with <M, I + J> = 1 and <A, M> < 0.
 
-    A strictly negative optimum separates A from the completely positive
+    A strictly negative pairing separates A from the completely positive
     cone (CP is dual to COP and K^(r) sits inside COP); the witness M ships
-    with its own hierarchy certificate.  Returns None when the optimum is not
-    negative beyond solver resolution.  The steps, in order:
+    with its own hierarchy certificate.  Returns None when min <A, M> over
+    that slice is not negative beyond solver resolution.  The steps, in
+    order; the first M that refutes is the answer, so its pairing need not
+    be the minimum:
 
     1. NN vertex.  The entrywise nonnegative M lie in K^(0) and so in every
        K^(r); over them the minimum is at a vertex M with M_ij = M_ji = 1/2
@@ -710,9 +712,18 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
     3. Peel (r = 1, n >= 5).  When _cp_peel proves A completely positive,
        no M in COP pairs negatively with it, and the answer is None with no
        SDP.  This None is exact: A, read exactly in Q, is CP.
-    4. SDP (r = 1, n >= 5).  kr_problem's free-M model at r = 1 with the row
-       <I + J, M> = 1 appended; the certificate is a Gram matrix over the
-       full degree-3 basis.
+    4. Horn orbit (r = 1, n = 5).  Each P H P^T / 10 of the Horn orbit
+       (_horn_orbit, <H, I + J> = 10) lies in K^(1) by Parrilo's integer
+       identity (_horn_gram) and meets the row <I + J, M> = 1, so it is a
+       feasible point of the SDP below.  If the least of their pairings is
+       negative beyond solver resolution, it is the answer, a level-1
+       refutation whose Gram is exact up to the division by 10 and needs no
+       solver.  The SDP would refute every such input too.  Only at n = 5:
+       for n >= 6, H (+) 0 is not in K^(1), as the coefficient of x_6^2 in
+       (sum x_i^2) q would be q_H itself, which is not SOS.
+    5. SDP (r = 1, n >= 5).  kr_problem's free-M model at r = 1 with the row
+       <I + J, M> = 1 appended (_cp_sdp); the certificate is a Gram matrix
+       over the full degree-3 basis.
     """
     if r not in (0, 1):
         raise ValueError("r must be 0 or 1 at desk scale")
@@ -738,8 +749,71 @@ def cp_refute(a: SymMatrix, r: int = 1, tol: float = 1e-8) -> Optional[CpRefutat
                             certificate=SpnPair(p=m, n=np.zeros_like(arr)))
     if r == 0 or n <= 4 or _cp_peel(arr) is not None:
         return None
+    if n == 5 and (res := _horn_refutation(arr, tol)) is not None:
+        return res
+    return _cp_sdp(arr, tol)
 
-    # r = 1, n >= 5: the K^(1) matrix model with the row <I + J, M> = 1
+
+@functools.lru_cache(maxsize=None)
+def _horn_orbit() -> np.ndarray:
+    """The 12 distinct P H P^T over the 120 permutation matrices P, H the
+    Horn matrix, stacked (12, 5, 5) in integers in the order the
+    permutations first reach them.  Built on first use; read-only."""
+    h = horn_matrix().to_numpy().astype(np.int64)  # entries +-1, exact in floats
+    orbit: Dict[bytes, np.ndarray] = {}
+    for p in permutations(range(5)):
+        m = h[np.ix_(p, p)]
+        orbit.setdefault(m.tobytes(), m)
+    out = np.array(list(orbit.values()))
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _horn_gram(k: int) -> np.ndarray:
+    """The integer Gram, over monomials(5, 3), of Parrilo's identity for
+    M = _horn_orbit()[k]:
+
+        (sum_i x_i^2) q_M = sum_i (sum_j M_ij x_i x_j^2)^2 + 4 sum_T (x_a x_b x_c)^2,
+
+    T over the five triples {a, b, c} with exactly one -1 entry of M.  A sum
+    of rank ones with integer vectors, so PSD exactly.  Read-only."""
+    m = _horn_orbit()[k]
+    pos = {g: t for t, g in enumerate(monomials(5, 3))}
+    gram = np.zeros((len(pos), len(pos)), dtype=np.int64)
+    for i in range(5):
+        v = np.zeros(len(pos), dtype=np.int64)
+        for j in range(5):
+            v[pos[tuple((t == i) + 2 * (t == j) for t in range(5))]] += m[i, j]
+        gram += np.outer(v, v)
+    for tri in combinations(range(5), 3):
+        if sum(m[a, b] < 0 for a, b in combinations(tri, 2)) == 1:
+            t = pos[tuple(int(s in tri) for s in range(5))]
+            gram[t, t] += 4
+    gram.flags.writeable = False
+    return gram
+
+
+def _horn_refutation(arr: np.ndarray, tol: float) -> Optional[CpRefutation]:
+    """Step 4 of cp_refute at n = 5: the orbit matrix M = P H P^T / 10 with
+    the least <A, M>, with its Gram _horn_gram / 10, when that pairing is
+    negative beyond _cp_threshold; else None."""
+    orbit = _horn_orbit()
+    pairings = np.einsum("kij,ij->k", orbit, arr)
+    k = int(np.argmin(pairings))
+    if not pairings[k] / 10.0 < -_cp_threshold(arr, tol):  # NaN refutes nothing
+        return None
+    m = orbit[k] / 10.0
+    return CpRefutation(m=m, pairing=float((arr * m).sum()), level=1,
+                        certificate=SosGram(basis=monomials(5, 3), gram=_horn_gram(k) / 10.0))
+
+
+def _cp_sdp(arr: np.ndarray, tol: float) -> Optional[CpRefutation]:
+    """Step 5 of cp_refute: min <A, M> over kr_problem's free M at r = 1
+    with the row <I + J, M> = 1; a level-1 refutation when the optimum is
+    negative beyond _cp_threshold, None when it is not, RuntimeError when
+    the solver ends short of an optimum."""
+    n = arr.shape[0]
     prob, layout = kr_problem(n, 1)
     prob.constraints.append((_pairing_expr(np.eye(n) + 1.0), 1.0))
     prob.objective = _pairing_expr(arr)

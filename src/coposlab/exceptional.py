@@ -236,7 +236,10 @@ def construct_ednn(epsilon, m: int = 12, mprime: int = 6, tol: float = 1e-9,
     Verification after solving: coefficients nonnegative, the compression
     entrywise nonnegative and PSD at tol, the Horn pairing within 1e-6 of
     -epsilon, and a hierarchy separator confirming the matrix is not CP.
-    Failures raise VerificationError, never pass silently.
+    When epsilon / 10 is beyond cp_refute's threshold, that separator is
+    the Horn orbit's exact level-1 certificate (cp_refute step 4), and the
+    bootstrap SDP is the only SDP solved.  Failures raise VerificationError, never
+    pass silently.
     """
     eps = Fraction(epsilon)
     prob = build_ednn_sdp(eps, m, mprime)

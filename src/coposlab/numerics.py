@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_ZERO = Fraction(0)
 
 
 class MatrixFormatError(ValueError):
@@ -67,14 +68,21 @@ class QSqrt2:
     def sqrt2(scale=1) -> "QSqrt2":
         return QSqrt2(Fraction(0), _as_fraction(scale))
 
+    # +, - and * take a rational fast path when both irrational parts are
+    # zero: the same exact value, with the Fraction work on zeros skipped
+
     def __add__(self, other) -> "QSqrt2":
         o = QSqrt2.of(other)
+        if not (self.irr or o.irr):
+            return QSqrt2(self.rat + o.rat, _ZERO)
         return QSqrt2(self.rat + o.rat, self.irr + o.irr)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSqrt2":
         o = QSqrt2.of(other)
+        if not (self.irr or o.irr):
+            return QSqrt2(self.rat - o.rat, _ZERO)
         return QSqrt2(self.rat - o.rat, self.irr - o.irr)
 
     def __rsub__(self, other) -> "QSqrt2":
@@ -85,6 +93,8 @@ class QSqrt2:
 
     def __mul__(self, other) -> "QSqrt2":
         o = QSqrt2.of(other)
+        if not (self.irr or o.irr):
+            return QSqrt2(self.rat * o.rat, _ZERO)
         return QSqrt2(self.rat * o.rat + 2 * self.irr * o.irr,
                       self.rat * o.irr + self.irr * o.rat)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coposlab import cones, volume
+from coposlab import cones, exceptional, volume
 from coposlab.cones import (CopRefutation, CpRefutation, InfeasibilityCert,
                             SosGram, SpnPair, cop_refute, cp_refute,
                             frobenius, horn_matrix, membership_basic,
@@ -14,7 +14,7 @@ from coposlab.numerics import CholeskyFactor, PivotList, QSqrt2, SymMatrix, exac
 from coposlab.exceptional import construct_ednn, load_reference_a5, load_reference_c
 from coposlab.quartic import monomials
 from coposlab.volume import SectionSpec, section_radii
-from coposlab.sdp import (LinExpr, SdpProblem, SdpStatus, sdp_solve,
+from coposlab.sdp import (LinExpr, SdpProblem, SdpStatus, gram_form_coeffs, sdp_solve,
                           sos_gram_assemble)
 
 
@@ -673,14 +673,19 @@ def test_cop_refute_above_n12_descends_without_kaplan(monkeypatch):
 # complete positivity refutation
 # ---------------------------------------------------------------------------
 
-def test_cp_refute_reference_a5():
-    a5 = SymMatrix(load_reference_a5().to_numpy())
-    res = cp_refute(a5, r=1)
-    assert res is not None
-    assert res.pairing < -1e-6
-    # the separator carries its own hierarchy certificate
-    target = {k: float(v) for k, v in quartic_target(SymMatrix(res.m), 1).items()}
-    assert res.certificate.check(target, 1e-5)
+def test_cp_refute_reference_a5(no_sdp):
+    # <A5, H> = -1/20, so the Horn orbit refutes at level 1 without an SDP
+    for a5 in (load_reference_a5(), SymMatrix(load_reference_a5().to_numpy())):
+        res = cp_refute(a5, r=1)
+        arr = a5.to_numpy()
+        assert isinstance(res, CpRefutation) and res.level == 1
+        assert res.pairing == float((arr * res.m).sum())
+        assert abs(res.pairing + 1 / 200) <= 1e-12  # <A5, H> / 10
+        assert any((res.m * 10 == m).all() for m in cones._horn_orbit())
+        # the separator carries its own hierarchy certificate
+        assert isinstance(res.certificate, SosGram) and res.certificate.basis == monomials(5, 3)
+        target = {k: float(v) for k, v in quartic_target(SymMatrix(res.m), 1).items()}
+        assert res.certificate.check(target, 1e-12)
 
 
 def test_cp_refute_all_ones_none():
@@ -930,6 +935,93 @@ def test_cp_peel_certified_inputs_have_a_nonnegative_level1_minimum():
             certified.append(a)
     for a in certified:
         assert _level1_sdp_minimum(a) >= -cones._cp_threshold(a, 1e-8)
+
+
+def test_horn_orbit_grams_rebuild_the_level1_target_exactly():
+    # Parrilo's identity, one integer Gram per distinct P H P^T: it rebuilds
+    # (sum x_i^2) q_M coefficient for coefficient and is PSD exactly
+    orbit = cones._horn_orbit()
+    h = horn_matrix().to_numpy()
+    perms = {np.asarray(h[np.ix_(p, p)], dtype=np.int64).tobytes()
+             for p in itertools.permutations(range(5))}
+    assert orbit.shape == (12, 5, 5) and {m.tobytes() for m in orbit} == perms
+    basis = monomials(5, 3)
+    for k, m in enumerate(orbit):
+        assert int((m * (np.eye(5) + 1)).sum()) == 10
+        triples = [t for t in itertools.combinations(range(5), 3)
+                   if sum(m[a, b] < 0 for a, b in itertools.combinations(t, 2)) == 1]
+        assert len(triples) == 5
+        gram = cones._horn_gram(k)
+        assert gram.dtype == np.int64 and (gram == gram.T).all()
+        got = {g: int(v) for g, v in gram_form_coeffs(basis, gram).items() if v != 0}
+        assert got == quartic_target(SymMatrix(m.tolist(), "exact"), 1)
+        assert isinstance(exact_ldl_psd(SymMatrix(gram.tolist(), "exact")), PivotList)
+
+
+def test_construct_ednn_solves_only_its_bootstrap_sdp(monkeypatch):
+    # its non-CP check is the Horn orbit's, so cp_refute solves no SDP
+    solved = []
+
+    def spy(module):
+        def call(prob, **kwargs):
+            solved.append(module.__name__)
+            return sdp_solve(prob, **kwargs)
+        monkeypatch.setattr(module, "sdp_solve", call)
+    spy(exceptional)
+    spy(cones)
+    res = construct_ednn(Fraction(1, 20), 12, 6)
+    assert abs(res.horn_pairing + 0.05) <= 1e-6
+    assert solved == ["coposlab.exceptional"]
+
+
+def test_horn_step_refutes_no_seeded_bbt():
+    # B B^T is CP, so no element of K^(1) pairs negatively with it
+    rng = np.random.RandomState(11)
+    for _ in range(300):
+        assert cones._horn_refutation(_bbt(rng, 5), 1e-8) is None
+
+
+def _horn_refuted_inputs():
+    a5 = load_reference_a5().to_numpy()
+    rng = np.random.RandomState(13)
+    inputs = [a5, construct_ednn(Fraction(1, 20), 12, 6).a5.to_numpy()]
+    for _ in range(3):
+        p = rng.permutation(5)
+        a = a5 + rng.uniform(0.0, 0.003) * _bbt(rng, 5) + rng.uniform(0.0, 0.002) * np.eye(5)
+        inputs.append(a[np.ix_(p, p)])
+    return inputs
+
+
+def test_horn_step_refutations_are_bounded_by_the_level1_sdp():
+    # P H P^T / 10 is a feasible point of the SDP, so its minimum is lower
+    for a in _horn_refuted_inputs():
+        res = cones._horn_refutation(a, 1e-8)
+        assert isinstance(res, CpRefutation) and res.pairing < 0.0
+        assert _level1_sdp_minimum(a) <= res.pairing + 1e-6
+
+
+def test_dnn_input_the_horn_orbit_and_peel_refuse_reaches_the_sdp(sdp_calls):
+    # A5 + I / 50: every orbit pairing is >= 0.05, the peel finds no proof,
+    # and the SDP still refutes with a separator outside the Horn orbit
+    a = load_reference_a5().to_numpy() + 0.02 * np.eye(5)
+    assert np.einsum("kij,ij->k", cones._horn_orbit(), a).min() >= 0.0
+    assert cones._horn_refutation(a, 1e-8) is None and cones._cp_peel(a) is None
+    res = cp_refute(SymMatrix(a), r=1)
+    assert len(sdp_calls) == 1
+    assert isinstance(res, CpRefutation) and res.level == 1 and res.pairing < 0.0
+
+
+def test_horn_step_is_kept_to_n5(no_sdp, monkeypatch):
+    # H (+) 0 is not in K^(1), so at n = 6 cp_refute goes from the peel to
+    # the SDP without the orbit
+    def fail(*args):
+        raise AssertionError("Horn orbit tried")
+    monkeypatch.setattr(cones, "_horn_refutation", fail)
+    a = np.zeros((6, 6))
+    a[:5, :5] = load_reference_a5().to_numpy()
+    a[5, 5] = 1.0
+    with pytest.raises(AssertionError, match="an SDP was solved"):
+        cp_refute(SymMatrix(a), r=1)
 
 
 def test_cop_inner_at_n4_stops_after_level0(sdp_calls):

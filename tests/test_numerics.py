@@ -61,6 +61,30 @@ def test_qsqrt2_equality_coerces_rationals():
     assert QSqrt2.sqrt2() * QSqrt2.sqrt2() == 2
 
 
+def test_qsqrt2_rational_fast_path_matches_the_general_formula():
+    # (a + b√2) op (c + d√2), componentwise in Q: the rational fast path must
+    # give the general formula's exact components, and Fraction ones
+    rng = random.Random(30)
+
+    def frac():
+        return Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+
+    for _ in range(300):
+        a, c = frac(), frac()
+        b, d = rng.choice([(Fraction(0), Fraction(0)), (frac(), Fraction(0)),
+                           (Fraction(0), frac()), (frac(), frac())])
+        x, y = QSqrt2(a, b), QSqrt2(c, d)
+        want = {"+": (a + c, b + d), "-": (a - c, b - d), "*": (a * c + 2 * b * d, a * d + b * c)}
+        for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+            assert (got.rat, got.irr) == want[op]
+            assert type(got.rat) is Fraction and type(got.irr) is Fraction
+        if b == 0:
+            # a plain int or Fraction operand takes the same path
+            for other in (c, int(c.numerator)):
+                assert (x * other).rat == a * other and (x * other).irr == 0
+                assert (x + other).rat == a + other and (x - other).rat == a - other
+
+
 # ---------------------------------------------------------------------------
 # symmetric eigensolver
 # ---------------------------------------------------------------------------
