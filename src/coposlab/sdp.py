@@ -22,17 +22,38 @@ X and S are the same diagonal matrix; there the complementarity is
 linearized and the step to the boundary is read off.  Each step is a
 Mehrotra predictor-corrector: an affine direction fixes the centering
 parameter and its second-order term corrects the combined direction.
-Each KKT solve is one LU solve in double precision.  The one iterative
-refinement is on the full Newton system (Vandenberghe 2010, section 4): it
-keeps a correction only if it lowers the system's residual, so it never
-accepts a worse direction.  When the combined direction's step collapses, a
-nearly pure centering direction is tried before the solve gives up.  A
-scaling, KKT matrix or direction that is not finite ends the solve as
-INDETERMINATE with the reason.
+Each KKT solve is one LU solve in double precision.  Both the affine and
+the combined direction are refined on the full Newton system (Vandenberghe
+2010, section 4), at most two rounds each: a correction is kept only if it
+lowers the residual of the whole system, so no worse direction is accepted,
+and a direction stops refining at its first rejected round.  The affine
+direction is refined like the combined one because its error enters the
+corrector.  The complementarity rows of every right-hand side are formed in
+the scaled space, as R Q R^T, so they match the scaling H is built from.
+When the combined direction's step collapses, a nearly pure centering
+direction is tried before the solve gives up.  A scaling, KKT matrix or
+direction that is not finite ends the solve as INDETERMINATE with the
+reason.
 
 Problems here are tiny (total block size <= ~100, a few hundred equality
 constraints), so everything is dense numpy and deterministic: identical
-inputs produce bitwise-identical iterates.
+inputs produce bitwise-identical iterates.  Each problem's iterate is one
+flat vector (x, y, tau, kappa, s) (see _Layout).  A problem's data is one
+matrix E = [[A, b], [c^T, 0]], so the loop's residuals and objectives are
+two matvecs (_linear_rows); the step reuses them as the linear rows of its
+right-hand sides, and the update is one axpy.  H and the KKT matrix are
+written into arrays allocated once per solve.  At these sizes a step costs
+its numpy calls, not its flops.  The K^(1) solve of the bundled C at n = 5
+(five 5x5 blocks, 10 orthant scalars, 35 rows, 11 iterations) takes, on a
+2-core x86-64 host, the least of three runs:
+
+    problems in the stack              1     2     4     8    16
+    ms, one flat iterate             9.5  12.6  16.8  26.1  44.1
+    ms, six arrays (x_K, x_F, y, s,
+        tau, kappa)                 11.1  14.2  18.0  26.2  45.4
+
+so a solo solve takes about 0.85 ms an iteration, and each further problem
+of a stack about 2.3 ms.
 
 The interior-point loop works on a leading stack axis: sdp_solve_many solves
 problems of one layout (block sizes, orthant and free dimensions, rows kept
@@ -260,9 +281,13 @@ def _nt_operator(w: np.ndarray) -> np.ndarray:
     (..., d, d); elementwise, so each matrix's bits do not depend on the
     stack."""
     ii, jj, sc = _svec_indices(w.shape[-1])
-    ic, jc = ii[:, None], jj[:, None]
-    t1 = w[..., ic, ii] * w[..., jc, jj]
-    t2 = w[..., ic, jj] * w[..., jc, ii]
+    n = len(ii)
+    # the rows and columns (i, j) of W: r[p, q] = W[i_p, i_q], r[n + p, q] =
+    # W[j_p, i_q], and so on, read as one row take and one column take
+    ij = np.concatenate([ii, jj])
+    r = np.take(np.take(w, ij, axis=-2), ij, axis=-1)
+    t1 = r[..., :n, :n] * r[..., n:, n:]
+    t2 = r[..., :n, n:] * r[..., n:, :n]
     return (sc[:, None] * sc[None, :]) * (t1 + t2) * 0.5
 
 
@@ -277,8 +302,7 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     R^{-1} = diag(lam)^{-1/2} U^T L_s^T; no square root or inverse of X or S
     is formed.  Raises LinAlgError when some X or S is not numerically PD.
     """
-    lx = np.linalg.cholesky(x)
-    ls = np.linalg.cholesky(s)
+    lx, ls = np.linalg.cholesky(np.stack([x, s]))
     u, lam, vt = np.linalg.svd(_t(ls) @ lx)
     rt = np.sqrt(lam)
     return (lx @ _t(vt)) / rt[..., None, :], (_t(u) @ _t(ls)) / rt[..., :, None], lam
@@ -297,19 +321,6 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x_i . y_i for each problem i of a stack: (k, n), (k, n) -> (k,)."""
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _max_step_scaled(m: np.ndarray) -> np.ndarray:
-    """sup alpha with I + alpha m PSD, for each symmetric m of a stack
-    (..., d, d); the result has the stack's shape."""
-    lmin = np.linalg.eigvalsh(m)[..., 0]
-    return np.divide(-1.0, lmin, out=np.full(lmin.shape, np.inf), where=lmin < 0)
-
-
-def _max_step_vec(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """sup alpha with x_i + alpha dx_i >= 0, for each row i."""
-    ratios = np.divide(-x, dx, out=np.full(dx.shape, np.inf), where=dx < 0)
-    return ratios.min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +511,45 @@ def _make_ray(std: _Standard, A_orig: np.ndarray, y: np.ndarray) -> DualRay:
                    free_part=z[std.cone_N:].copy())
 
 
+class _Layout:
+    """Where each part of a problem lies in the solver's flat vectors, for
+    problems of one block layout with m rows after presolve.
+
+    An iterate is one vector v = (x, y, tau, kappa, s): the N standard-form
+    columns (so x_K and x_F are views of one array), the multipliers of the
+    m rows, tau and kappa, and the cone slack s.  A Newton direction has the
+    same layout, and so do the right-hand sides and residuals of the Newton
+    system, each row at the unknown it pairs with: the dual rows at x, the
+    primal rows at y, the gap row at tau, the linearized tau kappa = mu at
+    kappa and the linearized X S = mu I at s.  `blocks` holds, per PSD
+    block size d, the columns of its blocks (blocks, d(d+1)/2), the same
+    columns of s in v, and, as (2, blocks, d, d), the entries of v that make
+    the X and S matrices of its blocks, with their svec scale (d, d).
+    """
+
+    def __init__(self, std: _Standard, m: int):
+        self.N, self.cn, self.f, self.nu = std.N, std.cone_N, std.free_dim, std.nu
+        self.e = std.identity()
+        self.m = m
+        self.tau, self.kappa = std.N + m, std.N + m + 1
+        self.n1 = std.N + m + 2
+        self.L = self.n1 + self.cn
+        self.s = slice(self.n1, self.L)
+        self.lin = np.arange(std.lin.start, std.lin.stop)
+        self.lin_s = self.n1 + self.lin
+        # tau, kappa and the orthant's x and s: one ratio test
+        self.ratio = np.concatenate([[self.tau, self.kappa], self.lin, self.lin_s])
+        self.blocks = []
+        for d, cols in std.groups.items():
+            # the svec position and scale of each entry (i, j) of a block
+            ii, jj, scale = _svec_indices(d)
+            pos = np.empty((d, d), dtype=np.intp)
+            pos[ii, jj] = pos[jj, ii] = np.arange(len(ii))
+            at = cols[:, pos]
+            self.blocks.append((d, cols, self.n1 + cols, np.stack([at, self.n1 + at]),
+                                scale[pos]))
+
+
 class _Stack:
     """Per-problem arrays of the problems still in the interior-point loop,
     stacked on axis 0."""
@@ -519,20 +569,31 @@ def _pick(mask: np.ndarray, a, b):
 def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
          getrf, getrs) -> List[SdpSolution]:
     """The HSDE loop over a stack of prepared problems; their solutions, in
-    order.  getrf and getrs are LAPACK's dgetrf and dgetrs."""
-    k = len(probs)
-    f = std.free_dim
-    cn = std.cone_N
-    e = std.identity()
-    A = np.array([p.A for p in probs])
-    c = np.array([p.c for p in probs])
-    st = _Stack(AK=A[:, :, :cn].copy(), AF=A[:, :, cn:].copy(), cK=c[:, :cn], cF=c[:, cn:],
-                b=np.array([p.b for p in probs]), pure=np.array([p.pure_feas for p in probs]),
-                xk=np.tile(e, (k, 1)), xf=np.zeros((k, f)), s=np.tile(e, (k, 1)),
-                y=np.zeros((k, A.shape[1])), tau=np.ones(k), kappa=np.ones(k),
-                last=np.full((k, 3), np.inf), pos=np.arange(k))
-    st.bnorm = 1.0 + np.abs(st.b).max(axis=1)
-    st.cnorm = 1.0 + np.abs(c).max(axis=1)
+    order.  getrf and getrs are LAPACK's dgetrf and dgetrs.
+
+    Each problem's data is one matrix E = [[A, b], [c^T, 0]] (see
+    _linear_rows), so the loop's residuals and both objectives take two
+    matvecs, and the step reuses them.  The step's work arrays are allocated
+    here, once per solve (see _newton_step).
+    """
+    k, m = len(probs), len(probs[0].b)
+    lay = _Layout(std, m)
+    N, cn, f, it_, ik, L = lay.N, lay.cn, lay.f, lay.tau, lay.kappa, lay.L
+    E = np.zeros((k, m + 1, N + 1))
+    for i, p in enumerate(probs):
+        E[i, :m, :N], E[i, :m, N], E[i, m, :N] = p.A, p.b, p.c
+    A = E[:, :m, :N]
+    # the KKT matrix [[0, AF^T], [AF, AK H AK^T]]: its free part is fixed
+    M = np.zeros((k, f + m, f + m))
+    M[:, f:, :f] = A[:, :, cn:]
+    M[:, :f, f:] = _t(A[:, :, cn:])
+    v = np.zeros((k, L))
+    v[:, :cn] = v[:, lay.s] = lay.e
+    v[:, it_] = v[:, ik] = 1.0
+    st = _Stack(E=E, M=M, H=np.zeros((k, cn, cn)), v=v,
+                pure=np.array([p.pure_feas for p in probs]), last=np.full((k, 3), np.inf),
+                pos=np.arange(k), bnorm=1.0 + np.abs(E[:, :m, N]).max(axis=1),
+                cnorm=1.0 + np.abs(E[:, m, :N]).max(axis=1))
     out: List[Optional[SdpSolution]] = [None] * k
 
     def end(ends: Dict[int, tuple], it: int) -> None:
@@ -541,14 +602,13 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
         for i, (status, ray, msg) in ends.items():
             p = probs[st.pos[i]]
             good = status in (SdpStatus.OPTIMAL, SdpStatus.FEASIBLE_POINT)
-            tau = st.tau[i]
+            tau = st.v[i, it_]
             t = tau if (good and tau > 0) else max(tau, 1.0)
-            xk = st.xk[i] / t
-            free = st.xf[i] / t
-            obj = None if p.pure_feas else float(p.c[:cn] @ xk + p.c[cn:] @ free)
+            x = st.v[i, :N] / t
+            obj = None if p.pure_feas else float(p.c @ x)
             out[st.pos[i]] = SdpSolution(
-                status=status, psd_blocks=std.psd_blocks(xk), nonneg=xk[std.lin].copy(),
-                free=free, y=p.unscale_y(st.y[i] / t),
+                status=status, psd_blocks=std.psd_blocks(x), nonneg=x[std.lin].copy(),
+                free=x[cn:].copy(), y=p.unscale_y(st.v[i, N:it_] / t),
                 residuals=tuple(float(v) for v in st.last[i]), objective_value=obj,
                 iterations=it, dual_ray=ray, message=msg)
         gone = np.zeros(len(st.pos), dtype=bool)
@@ -556,21 +616,22 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
         st.keep(~gone)
 
     for it in range(1, _MAX_ITER + 1):
-        st.mu = (_dot(st.xk, st.s) + st.tau * st.kappa) / (std.nu + 1)
-        broke = ~np.isfinite(st.mu) | (st.tau <= 0) | (st.kappa < 0)
+        v = st.v
+        st.mu = (_dot(v[:, :cn], v[:, lay.s]) + v[:, it_] * v[:, ik]) / (std.nu + 1)
+        broke = ~np.isfinite(st.mu) | (v[:, it_] <= 0) | (v[:, ik] < 0)
         if np.count_nonzero(broke):
             end({i: (SdpStatus.INDETERMINATE, None, "numerical breakdown")
                  for i in broke.nonzero()[0]}, it)
-        AK, AF, cK, cF, b = st.AK, st.AF, st.cK, st.cF, st.b
+        v, tau = st.v, st.v[:, it_]
 
-        # scaled-back convergence tests
-        tau = st.tau[:, None]
-        pres = np.abs(_mv(AK, st.xk / tau) + _mv(AF, st.xf / tau) - b).max(axis=1) / st.bnorm
-        dres_cone = np.abs(_mv(_t(AK), st.y / tau) + st.s / tau - cK).max(axis=1, initial=0.0)
-        dres_free = np.abs(_mv(_t(AF), st.y / tau) - cF).max(axis=1, initial=0.0)
-        dres = np.maximum(dres_cone, dres_free) / st.cnorm
-        pobj = (_dot(cK, st.xk) + _dot(cF, st.xf)) / st.tau
-        dobj = _dot(b, st.y) / st.tau
+        # the residuals (r_d, r_p, r_g), c.x and b.y; the convergence tests
+        # scale them back by tau
+        g, cx, by = _linear_rows(st.E, v, lay)
+        st.g = g
+        res = np.abs(g[:, :it_])
+        pres = res[:, N:].max(axis=1) / (tau * st.bnorm)
+        dres = res[:, :N].max(axis=1) / (tau * st.cnorm)
+        pobj, dobj = cx / tau, by / tau
         gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
         st.last = np.stack([pres, dres, gap], axis=1)
         ends: Dict[int, tuple] = {}
@@ -584,15 +645,15 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
                 ends[i] = (SdpStatus.OPTIMAL, None, "")
 
         # infeasibility certificate: y with b.y > 0, -A^T y in the dual cone
-        by = _dot(b, st.y)
-        cand = by > tol * np.maximum(1.0, np.abs(st.y).max(axis=1))
+        cand = by > tol * np.maximum(1.0, np.abs(v[:, N:it_]).max(axis=1))
         cand = [i for i in cand.nonzero()[0] if i not in ends] if np.count_nonzero(cand) else []
         if cand:
-            ycand = st.y[cand] / by[cand, None]
-            viol = np.maximum(_cone_violation(std, -_mv(_t(AK[cand]), ycand)),
-                              np.abs(_mv(_t(AF[cand]), ycand)).max(axis=1, initial=0.0))
-            for i, yc, v in zip(cand, ycand, viol):
-                if v <= tol * 10.0:
+            ycand = v[cand, N:it_] / by[cand, None]
+            z = -_mv(_t(st.E[cand, :m, :N]), ycand)
+            viol = np.maximum(_cone_violation(std, z[:, :cn]),
+                              np.abs(z[:, cn:]).max(axis=1, initial=0.0))
+            for i, yc, vi in zip(cand, ycand, viol):
+                if vi <= tol * 10.0:
                     p = probs[st.pos[i]]
                     yfull = p.unscale_y(yc)
                     yfull = yfull / float(p.b_orig @ yfull)
@@ -600,14 +661,12 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
                                "primal infeasible: improving dual ray")
 
         # an improving primal ray: c.x < 0 with Ax ~ 0 (the scale is >= 1)
-        cx = _dot(cK, st.xk) + _dot(cF, st.xf)
         unbounded = ~st.pure & (cx < -tol)
         if np.count_nonzero(unbounded):
-            size = np.maximum(np.maximum(1.0, np.abs(st.xk).max(axis=1, initial=0.0)),
-                              np.abs(st.xf).max(axis=1, initial=0.0))
-            unbounded &= ((cx < -tol * size)
-                          & (np.abs(_mv(AK, st.xk) + _mv(AF, st.xf)).max(axis=1)
-                             <= tol * 10.0 * np.maximum(1.0, -cx)))
+            x = v[:, :N]
+            size = np.maximum(1.0, np.abs(x).max(axis=1))
+            ax = np.abs(_mv(st.E[:, :m, :N], x)).max(axis=1)
+            unbounded &= (cx < -tol * size) & (ax <= tol * 10.0 * np.maximum(1.0, -cx))
             for i in unbounded.nonzero()[0]:
                 ends.setdefault(i, (SdpStatus.INDETERMINATE, None,
                                     "dual infeasible (primal objective unbounded below)"))
@@ -616,63 +675,83 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
         if not len(st.pos):
             break
 
-        d, alpha, why = _newton_step(std, st.AK, st.AF, st.b, st.cK, st.cF, st.xk, st.xf,
-                                     st.y, st.s, st.tau, st.kappa, st.mu, getrf, getrs)
+        d, alpha, why = _newton_step(lay, st.E, st.H, st.M, getrf, getrs, st.v, st.mu, st.g)
         broke = [i for i, w in enumerate(why) if w is not None]
         if broke:
             live = np.ones(len(why), dtype=bool)
             live[broke] = False
-            d = tuple(v[live] for v in d)
-            alpha = alpha[live]
+            d, alpha = d[live], alpha[live]
             end({i: (SdpStatus.INDETERMINATE, None, why[i]) for i in broke}, it)
-        a = alpha[:, None]
-        st.xk = st.xk + a * d[0]
-        st.xf = st.xf + a * d[1]
-        st.y = st.y + a * d[2]
-        st.s = st.s + a * d[3]
-        st.tau = st.tau + alpha * d[4]
-        st.kappa = st.kappa + alpha * d[5]
+        st.v = st.v + alpha[:, None] * d
 
     end({i: (SdpStatus.INDETERMINATE, None, "iteration cap reached")
          for i in range(len(st.pos))}, _MAX_ITER)
     return out
 
 
-def _kkt_factor(mext: np.ndarray, m: int, getrf):
-    """LU factors (lu, piv) of one augmented KKT matrix, or None.
+def _kkt_factor(mext: np.ndarray, f: int, getrf):
+    """LU factors (lu, piv) of one augmented KKT matrix, free block first, or
+    None.
 
     A zero or non-finite pivot is regularized away: reg is added on the
     constraint block and subtracted on the free block, starting from 1e-13
     of the mean Schur diagonal and growing 100-fold, for five tries in all.
     """
-    f = mext.shape[0] - m
+    m = mext.shape[0] - f
     reg = 0.0
     for _ in range(5):
         r = np.array(mext, order="F")
         if reg:
-            r[:m, :m] += reg * np.eye(m)
-            r[m:, m:] -= reg * np.eye(f)
-        lu, piv, _ = getrf(r, overwrite_a=True)
-        if np.all(np.isfinite(lu)) and np.all(np.diagonal(lu) != 0.0):
+            r[f:, f:] += reg * np.eye(m)
+            r[:f, :f] -= reg * np.eye(f)
+        lu, piv, info = getrf(r, overwrite_a=True)
+        if info == 0 and np.isfinite(lu).all():
             return lu, piv
-        reg = max(reg * 100.0, 1e-13 * max(1.0, np.trace(mext[:m, :m]) / max(1, m)))
+        reg = max(reg * 100.0, 1e-13 * max(1.0, np.trace(mext[f:, f:]) / max(1, m)))
     return None
 
 
-def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, getrs):
-    """One predictor-corrector step of the HSDE method for each problem of a
-    stack, from strictly interior iterates.
-
-    Returns the stacked directions (dxk, dxf, dy, ds, dtau, dkappa), the step
-    lengths alpha, with the new iterates at old + alpha * direction, and
-    `why`: per problem None, or the reason it broke down (a scaling, KKT
-    matrix or direction that is not finite, a KKT matrix that cannot be
-    factored, or a step length that collapses).  A problem that breaks down
-    decides nothing more in the step, and its rows are reset to harmless
-    values so the rest of the stack goes on with finite numbers.
+def _linear_rows(E: np.ndarray, u: np.ndarray, lay: _Layout):
+    """The HSDE's linear rows at u = (x, y, tau, kappa, s), a stack of
+    iterates or directions, in their layout up to tau: the dual rows
+    A^T y + (s, 0) - c tau, the primal rows A x - b tau and the gap row
+    c.x - b.y + kappa; then c.x and b.y.  E = [[A, b], [c^T, 0]] per
+    problem, so its first N columns give (A x, c.x) and its first m rows,
+    transposed, (A^T y, b.y): two matvecs, with A stored once.
     """
-    k, m, cn = AK.shape
-    AKt, AFt = _t(AK), _t(AF)
+    N, m, it_ = lay.N, lay.m, lay.tau
+    ax = _mv(E[:, :, :N], u[:, :N])
+    ay = _mv(_t(E[:, :m]), u[:, N:it_])
+    tau = u[:, it_, None]
+    r = np.empty((len(u), it_ + 1))
+    ay[:, :lay.cn] += u[:, lay.s]
+    np.subtract(ay[:, :N], E[:, m, :N] * tau, out=r[:, :N])
+    np.subtract(ax[:, :m], E[:, :m, N] * tau, out=r[:, N:it_])
+    r[:, it_] = ax[:, m] - ay[:, N] + u[:, lay.kappa]
+    return r, ax[:, m], ay[:, N]
+
+
+def _newton_step(lay: _Layout, E, H, M, getrf, getrs, v, mu, g):
+    """One predictor-corrector step of the HSDE method for each problem of a
+    stack, from strictly interior iterates v (see _Layout) with
+    complementarity mu, for the data E of _linear_rows.
+
+    g holds the loop's residuals, the _linear_rows of v, whose negatives
+    are the linear rows of every right-hand side.  H and M are the stack's
+    arrays for the scaling and the KKT matrix, allocated once per solve,
+    which the step writes.
+    Returns the stacked directions, in v's layout, the step lengths alpha,
+    with the new iterates at v + alpha * direction, and `why`: per problem
+    None, or the reason it broke down (a scaling, KKT matrix or direction
+    that is not finite, a KKT matrix that cannot be factored, or a step
+    length that collapses).  A problem that breaks down decides nothing
+    more in the step, and its rows are reset to harmless values so the rest
+    of the stack goes on with finite numbers.
+    """
+    k, m, N = len(v), lay.m, lay.N
+    cn, f, it_, ik, S, lin = lay.cn, lay.f, lay.tau, lay.kappa, lay.s, lay.lin
+    b, c = E[:, :m, N], E[:, m, :N]
+    AK, cK = E[:, :m, :cn], c[:, :cn]
     why: List[Optional[str]] = [None] * k
     ok = np.ones(k, dtype=bool)
 
@@ -687,145 +766,118 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
         if np.count_nonzero(finite) < k:
             fail(act & ~finite, reason)
 
-    # NT scalings on the cone part: R per PSD block, stacked (k, blocks, d, d)
-    # for each block size d, and x/s on the orthant
-    ln = std.lin
-    H = np.zeros((k, cn, cn))
-    diag = np.arange(ln.start, ln.stop)
-    H[:, diag, diag] = xk[:, ln] / s[:, ln]
+    # NT scalings: R per PSD block, stacked (k, blocks, d, d) for each block
+    # size d, and x/s on the orthant, written into H
+    H[:, lin, lin] = v[:, lin] / v[:, lay.lin_s]
     scal = []
-    for d, cols in std.groups.items():
-        xm, sm = smat(xk[:, cols], d), smat(s[:, cols], d)
+    for d, cols, _, at, scale in lay.blocks:
+        xs = v[:, at] / scale
         try:
-            sc = _nt_scaling(xm, sm)
+            sc = _nt_scaling(xs[:, 0], xs[:, 1])
         except np.linalg.LinAlgError:
             bad = np.zeros(k, dtype=bool)
             for i in range(k):
                 try:
-                    _nt_scaling(xm[i], sm[i])
+                    _nt_scaling(xs[i, 0], xs[i, 1])
                 except np.linalg.LinAlgError:
                     bad[i] = True
             fail(bad, "scaling breakdown")
-            xm[bad] = sm[bad] = np.eye(d)
-            sc = _nt_scaling(xm, sm)
+            xs[bad] = np.eye(d)
+            sc = _nt_scaling(xs[:, 0], xs[:, 1])
         H[:, cols[:, :, None], cols[:, None, :]] = _nt_operator(sc[0] @ _t(sc[0]))
         scal.append(sc)
+    # H is built from R, so it is not finite where R is not
     finite = np.isfinite(H).all(axis=(1, 2))
-    for r, rinv, lam in scal:
-        finite &= np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(rinv).all(axis=(1, 2, 3))
-        finite &= np.isfinite(lam).all(axis=(1, 2))
+    for _, rinv, lam in scal:
+        finite &= np.isfinite(rinv).all(axis=(1, 2, 3)) & np.isfinite(lam).all(axis=(1, 2))
     require(finite, ok, "non-finite NT scaling")
     if not np.count_nonzero(ok):
-        return tuple(np.zeros_like(v) for v in (xk, xf, y, s, tau, kappa)), np.zeros(k), why
+        return np.zeros_like(v), np.zeros(k), why
     if np.count_nonzero(ok) < k:
         H[~ok] = np.eye(cn)
         for r, rinv, lam in scal:
             r[~ok] = rinv[~ok] = np.eye(r.shape[-1])
             lam[~ok] = 1.0
-        e = std.identity()
-        xk, s = _pick(ok, xk, e), _pick(ok, s, e)
+        v = v.copy()
+        v[~ok, :cn] = v[~ok, S] = lay.e
+    tau, kappa = v[:, it_], v[:, ik]
 
-    # augmented KKT matrix [[AK H AK^T, AF], [AF^T, 0]], one LU per problem
-    dim = m + AF.shape[2]
-    Mext = np.zeros((k, dim, dim))
-    Mext[:, :m, :m] = (AK @ H) @ AKt
-    Mext[:, :m, m:] = AF
-    Mext[:, m:, :m] = AFt
-    require(np.isfinite(Mext).all(axis=(1, 2)), ok, "non-finite KKT matrix")
-    lus = [_kkt_factor(Mext[i], m, getrf) if ok[i] else None for i in range(k)]
+    # augmented KKT matrix [[0, AF^T], [AF, AK H AK^T]], one LU per problem
+    AKH = AK @ H
+    M[:, f:, f:] = AKH @ _t(AK)
+    require(np.isfinite(M).all(axis=(1, 2)), ok, "non-finite KKT matrix")
+    lus = [_kkt_factor(M[i], f, getrf) if ok[i] else None for i in range(k)]
     fail(np.array([lu is None for lu in lus]), "KKT factorization failed")
 
-    def kkt_solve(r1, r2, act):
-        # one getrs per active problem; rows outside act are left at zero
-        rhs = np.concatenate([r1, r2], axis=1)
+    def kkt_solve(rhs, act, out):
+        # one getrs per active problem into out; rows outside act are zero
         require(np.isfinite(rhs).all(axis=1), act, "non-finite Newton direction")
-        sol = np.zeros_like(rhs)
-        for i in (act & ok).nonzero()[0]:
-            sol[i] = getrs(*lus[i], rhs[i])[0]
-        return sol[:, :m], sol[:, m:]
+        live = act & ok
+        if np.count_nonzero(live) < k:
+            out[~live] = 0.0
+        for i in live.nonzero()[0]:
+            out[i] = getrs(*lus[i], rhs[i])[0]
 
-    rp = _mv(AK, xk) + _mv(AF, xf) - b * tau[:, None]
-    rdK = _mv(AKt, y) + s - cK * tau[:, None]
-    rdF = _mv(AFt, y) - cF * tau[:, None]
-    rg = _dot(cK, xk) + _dot(cF, xf) - _dot(b, y) + kappa
-    HcK = _mv(H, cK)
-    u1y, u1f = kkt_solve(b + _mv(AK, HcK), cF, ok)
-    bahc = b - _mv(AK, HcK)
+    AHc = _mv(AK, _mv(H, cK))
+    u1 = np.empty((k, f + m))
+    kkt_solve(np.concatenate([c[:, cn:], b + AHc], axis=1), ok, u1)
+    # cK.w + cF.u2f - (b - AK H cK).u2y, read as one dot with (w, u2)
+    gw = np.concatenate([c, AHc - b], axis=1)
     # denominator equals (AK^T u1y - cK)^T H (AK^T u1y - cK) + kappa/tau,
     # a sum of squares; evaluating it in that form avoids cancellation
-    vden = _mv(AKt, u1y) - cK
+    vden = _mv(_t(AK), u1[:, f:]) - cK
     denom = np.maximum(_dot(vden, _mv(H, vden)), 0.0) + kappa / tau
     fail((denom <= 0) | ~np.isfinite(denom), "singular Newton system")
     if np.count_nonzero(ok) < k:
         denom = np.where(ok, denom, 1.0)
 
     def solve_newton(t, act):
-        """Solve the linearized system with general right-hand sides:
-        AK dxk + AF dxf - b dtau = t1;  AK^T dy + ds - cK dtau = t2K;
-        AF^T dy - cF dtau = t2F;  c.dx - b.dy + dkappa = t3;
-        dxk + H ds = t4;  kappa dtau + tau dkappa = t5.
+        """The direction d, in v's layout, with
+        AK^T dy + ds - cK dtau = t_xK;  AF^T dy - cF dtau = t_xF;
+        A dx - b dtau = t_y;  c.dx - b.dy + dkappa = t_tau;
+        kappa dtau + tau dkappa = t_kappa;  dxk + H ds = t_s.
         """
-        t1, t2K, t2F, t3, t4, t5 = t
-        w = t4 - _mv(H, t2K)
-        u2y, u2f = kkt_solve(t1 - _mv(AK, w), t2F, act)
-        numer = t5 / tau + _dot(cK, w) - t3 - _dot(bahc, u2y) + _dot(cF, u2f)
-        dtau = numer / denom
-        dy = u2y + u1y * dtau[:, None]
-        dxf = u2f + u1f * dtau[:, None]
-        ds = t2K + cK * dtau[:, None] - _mv(AKt, dy)
-        dxk = t4 - _mv(H, ds)
-        dkappa = (t5 - kappa * dtau) / tau
-        return dxk, dxf, dy, ds, dtau, dkappa
+        wu = np.empty((k, N + m))
+        w = wu[:, :cn]
+        np.subtract(t[:, S], _mv(H, t[:, :cn]), out=w)
+        rhs = t[:, N:it_] - _mv(AK, w)
+        if f:
+            rhs = np.concatenate([t[:, cn:N], rhs], axis=1)
+        kkt_solve(rhs, act, wu[:, cn:])
+        dtau = (t[:, ik] / tau + _dot(gw, wu) - t[:, it_]) / denom
+        d = np.empty_like(v)
+        np.multiply(u1, dtau[:, None], out=d[:, cn:it_])
+        d[:, cn:it_] += wu[:, cn:]
+        d[:, it_] = dtau
+        d[:, ik] = (t[:, ik] - kappa * dtau) / tau
+        ds = d[:, S]
+        np.multiply(cK, dtau[:, None], out=ds)
+        ds += t[:, :cn]
+        ds -= _mv(_t(AK), d[:, N:it_])
+        np.subtract(t[:, S], _mv(H, ds), out=d[:, :cn])
+        return d
 
     def residual(t, d):
-        dxk, dxf, dy, ds, dtau, dkappa = d
-        e = (t[0] - (_mv(AK, dxk) + _mv(AF, dxf) - b * dtau[:, None]),
-             t[1] - (_mv(AKt, dy) + ds - cK * dtau[:, None]),
-             t[2] - (_mv(AFt, dy) - cF * dtau[:, None]),
-             t[3] - (_dot(cK, dxk) + _dot(cF, dxf) - _dot(b, dy) + dkappa),
-             t[4] - (dxk + _mv(H, ds)),
-             t[5] - (kappa * dtau + tau * dkappa))
-        flat = np.concatenate([e[0], e[1], e[2], e[3][:, None], e[4], e[5][:, None]], axis=1)
-        return e, np.abs(flat).max(axis=1)
+        # the residual of the whole Newton system, in v's layout
+        e = np.empty_like(t)
+        r = _linear_rows(E, d, lay)[0]
+        np.subtract(t[:, :ik], r, out=e[:, :ik])
+        e[:, ik] = t[:, ik] - (kappa * d[:, it_] + tau * d[:, ik])
+        np.subtract(t[:, S], d[:, :cn] + _mv(H, d[:, S]), out=e[:, S])
+        return e, np.abs(e).max(axis=1)
 
-    def scaled(d):
-        """Per block size, the direction in the NT-scaled space,
-        (R^{-1} dX R^{-T}, R^T dS R), stacked (k, blocks, d, d)."""
-        return [(rinv @ smat(d[0][:, cols], n) @ _t(rinv), _t(r) @ smat(d[3][:, cols], n) @ r)
-                for (n, cols), (r, rinv, _) in zip(std.groups.items(), scal)]
+    # every right-hand side has the linear rows -g; a residual below 1e-14
+    # of them is not refined
+    small = 1e-14 * (1.0 + np.abs(g[:, :it_]).max(axis=1))
 
-    def direction(sigma, act, aff=None, aff_sc=None):
-        # Newton step killing the linear residuals, with the complementarity
-        # X S = sigma mu I linearized in the NT-scaled space, where X and S
-        # both become diag(lam):  dxk + H ds = R Q R^T with
-        # Q_ij = (sigma mu I - lam^2 - sym(dX~a dS~a))_ij / ((lam_i + lam_j) / 2),
-        # and kappa dtau + tau dkappa = sigma mu - tau kappa - dtau_a dkappa_a;
-        # the second-order terms of the affine direction aff, whose NT-scaled
-        # form is aff_sc, are the Mehrotra corrector.  Full-system iterative
-        # refinement recovers digits lost in the ill-conditioned elimination
-        # near convergence; a correction is kept only if it lowers the
-        # residual of the full system.  Only the problems in act decide; the
-        # other rows are computed and ignored.
-        smu = sigma * mu
-        t4 = np.empty((k, cn))
-        t5 = smu - tau * kappa
-        for i, ((n, cols), (r, _, lam)) in enumerate(zip(std.groups.items(), scal)):
-            q = np.zeros(lam.shape + (n,))
-            q.reshape(lam.shape[:-1] + (n * n,))[..., ::n + 1] = smu[:, None, None] - lam * lam
-            if aff_sc is not None:
-                pq = aff_sc[i][0] @ aff_sc[i][1]
-                q = q - 0.5 * (pq + _t(pq))
-            q = q / (0.5 * (lam[..., :, None] + lam[..., None, :]))
-            t4[:, cols] = svec(r @ q @ _t(r))
-        num = smu[:, None] - xk[:, ln] * s[:, ln]
-        if aff is not None:
-            num = num - aff[0][:, ln] * aff[3][:, ln]
-            t5 = t5 - aff[4] * aff[5]
-        t4[:, ln] = num / s[:, ln]
-        t = (-rp, -rdK, -rdF, -rg, t4, t5)
+    def refined(t, act):
+        # Full-system iterative refinement recovers digits lost in the
+        # ill-conditioned elimination near convergence; a correction is kept
+        # only if it lowers the residual, and a problem stops refining at its
+        # first rejected round.  Only the problems in act decide; the other
+        # rows are computed and ignored.
         d = solve_newton(t, act)
         e, err = residual(t, d)
-        small = 1e-14 * (1.0 + np.abs(np.concatenate([t[0], t[1]], axis=1)).max(axis=1))
         refine = act & ok
         for _ in range(2):
             refine &= ~(err <= small)
@@ -835,52 +887,90 @@ def _newton_step(std, AK, AF, b, cK, cF, xk, xf, y, s, tau, kappa, mu, getrf, ge
             # warning is silenced because a non-finite correction is already
             # rejected, by kkt_solve's checks or by err_c < err below
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = tuple(a + bb for a, bb in zip(d, solve_newton(e, refine)))
+                cand = d + solve_newton(e, refine)
                 refine &= ok
                 e_c, err_c = residual(t, cand)
             refine &= err_c < err
-            if np.count_nonzero(refine) == k:
+            n = np.count_nonzero(refine)
+            if n == k:
                 d, e, err = cand, e_c, err_c
+            elif not n:
+                break
             else:
-                d = tuple(_pick(refine, a, bb) for a, bb in zip(cand, d))
-                e = tuple(_pick(refine, a, bb) for a, bb in zip(e_c, e))
+                d, e = _pick(refine, cand, d), _pick(refine, e_c, e)
                 err = np.where(refine, err_c, err)
         require(np.isfinite(err), act, "non-finite Newton direction")
-        return d if np.count_nonzero(ok) == k else tuple(_pick(ok, a, 0.0) for a in d)
+        return d if np.count_nonzero(ok) == k else _pick(ok, d, 0.0)
 
-    # the orthant, tau and kappa: one ratio test on their concatenation
-    lin_x = np.concatenate([tau[:, None], kappa[:, None], xk[:, ln], s[:, ln]], axis=1)
+    # per block size: T = (R^{-1}, R^T), which maps a direction's (dX, dS)
+    # to the NT-scaled (R^{-1} dX R^{-T}, R^T dS R), and the outer product
+    # of lam^{-1/2}, which normalizes the scaled pair by the iterate
+    ts = [np.stack([rinv, _t(r)], axis=1) for r, rinv, _ in scal]
+    norms = []
+    for _, _, lam in scal:
+        rl = 1.0 / np.sqrt(lam)
+        norms.append((rl[..., :, None] * rl[..., None, :])[:, None])
+    ratio_at = v[:, lay.ratio]
 
-    def max_step(d, d_sc=None):
-        # X + alpha dX is PSD iff I + alpha lam^{-1/2} dX~ lam^{-1/2} is;
-        # d_sc is scaled(d) when the caller has it already
-        dlin = np.concatenate([d[4][:, None], d[5][:, None], d[0][:, ln], d[3][:, ln]], axis=1)
-        alpha = _max_step_vec(lin_x, dlin)
-        for (_, _, lam), dsc in zip(scal, scaled(d) if d_sc is None else d_sc):
-            rl = 1.0 / np.sqrt(lam)
-            both = np.stack([rl[..., :, None] * p * rl[..., None, :] for p in dsc])
-            alpha = np.minimum(alpha, _max_step_scaled(both).min(axis=(0, 2)))
-        return alpha
+    def scaled(d):
+        """Per block size, T (dX, dS) T^T, stacked (k, 2, blocks, d, d)."""
+        return [tt @ (d[:, at] / scale) @ _t(tt) for (*_, at, scale), tt in zip(lay.blocks, ts)]
 
-    aff = direction(0.0, ok)
+    def max_step(d, d_sc):
+        # the largest alpha keeping v + alpha d in the cone: X + alpha dX is
+        # PSD iff I + alpha lam^{-1/2} dX~ lam^{-1/2} is, so with low the
+        # least such eigenvalue, or ratio dx_i / x_i on the orthant, tau and
+        # kappa, alpha = -1 / low when low < 0; d_sc is scaled(d)
+        low = (d[:, lay.ratio] / ratio_at).min(axis=1, initial=0.0)
+        for p, nrm in zip(d_sc, norms):
+            low = np.minimum(low, np.linalg.eigvalsh(p * nrm)[..., 0].min(axis=(1, 2)))
+        return np.divide(-1.0, low, out=np.full(k, np.inf), where=low < 0)
+
+    def newton_rhs(smu, aff=None, aff_sc=None):
+        # the linear rows -g, and X S = smu I and tau kappa = smu linearized
+        # in the NT-scaled space, where X and S both become diag(lam):
+        # dxk + H ds = R Q R^T with Q_ij = (smu delta_ij - lam_i^2 -
+        # sym(dX~a dS~a)_ij) / ((lam_i + lam_j) / 2), (smu - x s - dxa dsa) / s
+        # on the orthant, and kappa dtau + tau dkappa = smu - tau kappa -
+        # dtau_a dkappa_a; the second-order terms of the affine direction aff,
+        # whose NT-scaled form is aff_sc, are the Mehrotra corrector
+        t = np.empty_like(v)
+        np.negative(g, out=t[:, :ik])
+        num = smu[:, None] - v[:, lin] * v[:, lay.lin_s]
+        t[:, ik] = smu - tau * kappa
+        if aff is not None:
+            num -= aff[:, lin] * aff[:, lay.lin_s]
+            t[:, ik] -= aff[:, it_] * aff[:, ik]
+        t[:, lay.lin_s] = num / v[:, lay.lin_s]
+        for i, ((d, _, scols, _, _), (r, _, lam)) in enumerate(zip(lay.blocks, scal)):
+            q = np.eye(d) * (smu[:, None, None] - lam * lam)[..., None, :]
+            if aff_sc is not None:
+                pq = aff_sc[i][:, 0] @ aff_sc[i][:, 1]
+                q -= 0.5 * (pq + _t(pq))
+            q /= 0.5 * (lam[..., :, None] + lam[..., None, :])
+            t[:, scols] = svec(r @ q @ _t(r))
+        return t
+
+    aff = refined(newton_rhs(np.zeros(k)), ok)
     aff_sc = scaled(aff)
     a_aff = np.minimum(1.0, 0.999 * max_step(aff, aff_sc))
-    mu_aff = (_dot(xk + a_aff[:, None] * aff[0], s + a_aff[:, None] * aff[3])
-              + (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])) / (std.nu + 1)
+    va = v + a_aff[:, None] * aff
+    mu_aff = (_dot(va[:, :cn], va[:, S]) + va[:, it_] * va[:, ik]) / (lay.nu + 1)
     # libm's pow, one problem at a time: numpy's SIMD power rounds ~5% of
     # cubes differently, which moves the iterates of the fragile solves
     sigma = np.array([min(0.999, max(1e-8, r ** 3)) for r in (mu_aff / mu).tolist()])
 
     # stopping at 95% of the way to the boundary keeps the smallest
     # eigenvalues of X and S from outrunning mu near the optimum
-    d = direction(sigma, ok, aff, aff_sc)
-    alpha = np.minimum(1.0, 0.95 * max_step(d))
+    d = refined(newton_rhs(sigma * mu, aff, aff_sc), ok)
+    alpha = np.minimum(1.0, 0.95 * max_step(d, scaled(d)))
     retry = ok & ((alpha <= 1e-8) | ~np.isfinite(alpha))
     if np.count_nonzero(retry):
         # fall back to a nearly pure centering step before giving up
-        centering = direction(0.999, retry)
-        d = tuple(_pick(retry, a, bb) for a, bb in zip(centering, d))
-        alpha = np.where(retry, np.minimum(1.0, 0.95 * max_step(centering)), alpha)
+        centering = refined(newton_rhs(0.999 * mu), retry)
+        d = _pick(retry, centering, d)
+        alpha = np.where(retry, np.minimum(1.0, 0.95 * max_step(centering, scaled(centering))),
+                         alpha)
         fail(retry & ((alpha <= 1e-10) | ~np.isfinite(alpha)), "step length collapsed")
     return d, alpha, why
 

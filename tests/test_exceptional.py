@@ -110,6 +110,28 @@ def test_level_r_sdps_are_pinned(module, call, want, monkeypatch):
     assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == want
 
 
+@pytest.mark.parametrize("module,call,most", [
+    (cones, lambda: parrilo_member(horn_matrix(), 1), 10),
+    (cones, lambda: parrilo_member(load_reference_c(), 1), 11),
+    (exceptional, lambda: construct_ecop(load_reference_a5(), Fraction(1, 10), 1), 10),
+    (exceptional, lambda: construct_ednn(Fraction(1, 40), 12, 6), 10),
+])
+def test_level1_solves_take_no_more_iterations(module, call, most, monkeypatch):
+    # the solver's cost is per iteration: a change to the step that takes
+    # more iterations on the paper's level-1 certificates shows here
+    its = []
+    solve = module.sdp_solve
+
+    def spy(prob, **kwargs):
+        sol = solve(prob, **kwargs)
+        its.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(module, "sdp_solve", spy)
+    call()
+    assert len(its) == 1 and its[0] <= most
+
+
 # ---------------------------------------------------------------------------
 # exceptional DNN construction and the bundled reference examples
 # ---------------------------------------------------------------------------

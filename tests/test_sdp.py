@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from coposlab import sdp
+from coposlab import cones, sdp
+from coposlab.exceptional import load_reference_a5, load_reference_c
+from coposlab.numerics import SymMatrix
 from coposlab.quartic import monomials
 from coposlab.sdp import (BasisDeficiencyError, LinExpr, SdpProblem,
                           SdpStatus, even_sos_assemble, gram_form_coeffs,
@@ -202,7 +204,52 @@ def test_mixed_block_sizes_pin_the_bits():
     # every bit of every solution: a change to the solver's arithmetic shows
     # here, while the comparison above holds a stack to its solo solves
     assert solution_digest(stacked) == (
-        "a386f2138b81a804718fd0ad4818de08f61252fda151e83f0f57eb2a93c281c4")
+        "0cfdd9a22d5c6a5232da9ce2883ab88a5ec9205bc3d231ac1fcdbf0fd9039966")
+
+
+def test_hierarchy_layout_stack_returns_each_solo_result():
+    # the layout hierarchy solves: a level-1 certificate at n = 5 has five
+    # 5x5 parity blocks, ten orthant scalars and 35 rows
+    mats = [cones.horn_matrix(), load_reference_c(),
+            SymMatrix(load_reference_a5().to_numpy() + np.eye(5) / 50)]
+    probs = [cones.kr_problem(5, 1, cones.quartic_target(a, 1))[0] for a in mats]
+    assert probs[0].psd_block_dims == [5] * 5 and probs[0].nonneg_dim == 10
+    stacked = sdp_solve_many(probs)
+    assert all(s.status == SdpStatus.FEASIBLE_POINT for s in stacked)
+    for p, s in zip(probs, stacked):
+        assert_same_solution(s, sdp_solve(p))
+
+
+def test_refinement_rejects_a_correction_that_overflows(monkeypatch):
+    # the first refinement solve returns a correction of 1e300: its residual
+    # overflows inside the np.errstate guard, the round is rejected, no
+    # RuntimeWarning escapes and the solve still reaches a checked optimum
+    import scipy.linalg.lapack as lapack
+    getrs, poisoned = lapack.dgetrs, []
+
+    def overflowing(lu, piv, rhs, *args, **kwargs):
+        x, info = getrs(lu, piv, rhs, *args, **kwargs)
+        # only a refinement solve has a residual, near zero, on its right
+        if not poisoned and np.abs(rhs).max() < 1e-6:
+            poisoned.append(np.abs(rhs).max())
+            x = np.full_like(x, 1e300)
+        return x, info
+
+    monkeypatch.setattr(lapack, "dgetrs", overflowing)
+    p = SdpProblem(psd_block_dims=[3], nonneg_dim=2)
+    rng = np.random.RandomState(5)
+    m = rng.randn(3, 3)
+    p.constraints.append((LinExpr().add_matrix_pairing(0, 0.5 * (m + m.T)).add_nonneg(0, 1.2), 2.0))
+    p.constraints.append((LinExpr().add_matrix_pairing(0, np.eye(3)).add_nonneg(1, 1.0), 3.0))
+    p.objective = LinExpr().add_matrix_pairing(0, np.ones((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = sdp_solve(p)
+    assert len(poisoned) == 1
+    # an accepted correction of 1e300 would have left no finite iterate
+    assert sol.status == SdpStatus.OPTIMAL, sol.message
+    assert max(sol.residuals) <= 1e-9
+    assert np.isfinite(sol.psd_blocks[0]).all() and np.isfinite(sol.y).all()
 
 
 def test_scaling_breakdown_ends_only_its_problem(monkeypatch):
