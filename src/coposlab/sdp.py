@@ -37,20 +37,20 @@ reason.
 
 Problems here are tiny (total block size <= ~100, a few hundred equality
 constraints), so everything is dense numpy and deterministic: identical
-inputs produce bitwise-identical iterates.  Each problem's iterate is one
-flat vector (x, y, tau, kappa, s) (see _Layout).  A problem's data is one
-matrix E = [[A, b], [c^T, 0]], so the loop's residuals and objectives are
-two matvecs (_linear_rows); the step reuses them as the linear rows of its
+inputs produce bitwise-identical iterates.  _Layout is the one place that
+knows a block layout: it checks each row of a problem as it writes it into
+the standard form, and it places each problem's iterate in one flat vector
+(x, y, tau, kappa, s).  A problem's data is one matrix
+E = [[A, b], [c^T, 0]], so the loop's residuals and objectives are two
+matvecs (_linear_rows); the step reuses them as the linear rows of its
 right-hand sides, and the update is one axpy.  H and the KKT matrix are
 written into arrays allocated once per solve.  At these sizes a step costs
 its numpy calls, not its flops.  The K^(1) solve of the bundled C at n = 5
 (five 5x5 blocks, 10 orthant scalars, 35 rows, 11 iterations) takes, on a
 2-core x86-64 host, the least of three runs:
 
-    problems in the stack              1     2     4     8    16
-    ms, one flat iterate             9.5  12.6  16.8  26.1  44.1
-    ms, six arrays (x_K, x_F, y, s,
-        tau, kappa)                 11.1  14.2  18.0  26.2  45.4
+    problems in the stack     1     2     4     8    16
+    ms                      9.5  12.6  16.8  26.1  44.1
 
 so a solo solve takes about 0.85 ms an iteration, and each further problem
 of a stack about 2.3 ms.
@@ -159,28 +159,6 @@ class SdpProblem:
     free_dim: int = 0
     constraints: List[Tuple[LinExpr, float]] = field(default_factory=list)
     objective: LinExpr = field(default_factory=LinExpr)
-
-    def validate(self) -> None:
-        if any(d < 0 for d in self.psd_block_dims) or self.nonneg_dim < 0 or self.free_dim < 0:
-            raise ValueError("dimensions must be nonnegative")
-        if sum(self.psd_block_dims) + self.nonneg_dim + self.free_dim == 0:
-            raise ValueError("at least one block required")
-        nb = len(self.psd_block_dims)
-        for expr, _ in list(self.constraints) + [(self.objective, 0.0)]:
-            for key in expr.terms:
-                kind = key[0]
-                if kind == "p":
-                    _, b, i, j = key
-                    if not (0 <= b < nb and 0 <= i <= j < self.psd_block_dims[b]):
-                        raise ValueError(f"bad psd key {key}")
-                elif kind == "n":
-                    if not 0 <= key[1] < self.nonneg_dim:
-                        raise ValueError(f"bad nonneg key {key}")
-                elif kind == "f":
-                    if not 0 <= key[1] < self.free_dim:
-                        raise ValueError(f"bad free key {key}")
-                else:
-                    raise ValueError(f"bad key {key}")
 
     def to_json_dict(self) -> dict:
         cons = []
@@ -324,63 +302,134 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# assembly of the standard form
+# the block layout: standard form and flat vectors
 # ---------------------------------------------------------------------------
 
-class _Standard:
-    """Dense standard form min c.x, Ax = b, x in (psd blocks x orthant) x R^f.
+class _Layout:
+    """The one place that knows a block layout: where each part of a problem
+    lies in the standard form and in the solver's flat vectors.  One is built
+    per sdp_solve_many call, for the layout its problems share.
 
-    Columns: svec'd PSD blocks, then the orthant (`lin`), then free scalars.
-    Free scalars are kept native (their dual slack is identically zero) and
-    are handled through an augmented KKT system rather than a u - v split,
-    which would destroy strict dual feasibility.  `psd` maps the index of
-    each nonempty PSD block to (d, its columns); `groups` maps each block
-    size d to the columns of its blocks, an int array (blocks, d(d+1)/2), so
-    the blocks of one size are one more stack axis for the solver.
+    The standard form is min c.x, Ax = b, x in (psd blocks x orthant) x R^f;
+    its N columns are the svec'd PSD blocks, then the orthant (`lin`), then
+    the free scalars.  Free scalars are kept native (their dual slack is
+    identically zero) and are handled through an augmented KKT system rather
+    than a u - v split, which would destroy strict dual feasibility.
+    `standard` checks a problem against the layout and writes its rows.
+
+    `place_rows` lays out the flat vectors once presolve has fixed the m
+    rows.  An iterate is one vector v = (x, y, tau, kappa, s): the N
+    standard-form columns (so x_K and x_F are views of one array), the
+    multipliers of the m rows, tau and kappa, and the cone slack s.  A Newton
+    direction has the same layout, and so do the right-hand sides and
+    residuals of the Newton system, each row at the unknown it pairs with:
+    the dual rows at x, the primal rows at y, the gap row at tau, the
+    linearized tau kappa = mu at kappa and the linearized X S = mu I at s.
+    `groups` maps each PSD block size d to the columns of its blocks, an int
+    array (blocks, d(d+1)/2), so the blocks of one size are one more stack
+    axis for the solver.  `blocks` holds, per size, those columns, the same
+    columns of s in v, and, as (2, blocks, d, d), the entries of v that make
+    the X and S matrices of its blocks, with their svec scale (d, d).
     """
 
     def __init__(self, p: SdpProblem):
-        self.psd: Dict[int, Tuple[int, slice]] = {}
+        self.dims = list(p.psd_block_dims)
+        if any(d < 0 for d in self.dims) or p.nonneg_dim < 0 or p.free_dim < 0:
+            raise ValueError("dimensions must be nonnegative")
+        if sum(self.dims) + p.nonneg_dim + p.free_dim == 0:
+            raise ValueError("at least one block required")
+        self.start: List[int] = []  # the first column of each PSD block
         groups: Dict[int, list] = {}
         pos = 0
-        for b, d in enumerate(p.psd_block_dims):
+        for d in self.dims:
+            self.start.append(pos)
             if d > 0:
                 sz = d * (d + 1) // 2
-                self.psd[b] = (d, slice(pos, pos + sz))
                 groups.setdefault(d, []).append(np.arange(pos, pos + sz))
                 pos += sz
         self.groups = {d: np.array(cols) for d, cols in groups.items()}
-        self.free_dim = p.free_dim
-        self.cone_N = pos + p.nonneg_dim
-        self.lin = slice(pos, self.cone_N)
-        self.N = self.cone_N + self.free_dim
-        self.nu = sum(d for d, _ in self.psd.values()) + p.nonneg_dim
+        self.cn = pos + p.nonneg_dim
+        self.lin = np.arange(pos, self.cn)
+        self.f = p.free_dim
+        self.N = self.cn + self.f
+        self.nu = sum(self.dims) + p.nonneg_dim
+        # the first column and the number of scalars of each scalar key kind
+        self.scalars = {"n": (pos, p.nonneg_dim, "nonneg"), "f": (self.cn, self.f, "free")}
+        # the cone's identity: I on each PSD block and ones on the orthant
+        self.e = np.concatenate([svec(np.eye(d)) for d in self.dims if d] + [np.ones(p.nonneg_dim)])
 
-    def row_of(self, expr: LinExpr) -> np.ndarray:
-        row = np.zeros(self.N)
-        for key, coef in expr.terms.items():
-            if key[0] == "p":
-                _, b, i, j = key
-                if b not in self.psd:
-                    continue
-                d, sl = self.psd[b]
-                # position of (i,j), i<=j, in row-major upper triangle
-                posn = i * d - i * (i - 1) // 2 + (j - i)
-                row[sl.start + posn] += coef if i == j else coef / _SQRT2
-            elif key[0] == "n":
-                row[self.lin.start + key[1]] += coef
-            else:
-                row[self.cone_N + key[1]] += coef
-        return row
+    def standard(self, p: SdpProblem):
+        """(A, b, c) of p in the standard form, from one pass over the rows
+        and the objective that checks each key as it writes it; ValueError
+        on no row, on a key outside the layout, or on data that is not
+        finite."""
+        if not p.constraints:
+            raise ValueError("at least one constraint required")
+        A, c = np.zeros((len(p.constraints), self.N)), np.zeros(self.N)
+        b = np.array([float(rhs) for _, rhs in p.constraints])
+        rows = [(A[i], expr) for i, (expr, _) in enumerate(p.constraints)] + [(c, p.objective)]
+        for row, expr in rows:
+            for key, coef in expr.terms.items():
+                if key[0] == "p":
+                    _, k, i, j = key
+                    if not (0 <= k < len(self.dims) and 0 <= i <= j < self.dims[k]):
+                        raise ValueError(f"bad psd key {key}")
+                    # position of (i,j), i<=j, in row-major upper triangle
+                    posn = i * self.dims[k] - i * (i - 1) // 2 + (j - i)
+                    row[self.start[k] + posn] += coef if i == j else coef / _SQRT2
+                elif key[0] in self.scalars:
+                    start, dim, kind = self.scalars[key[0]]
+                    if not 0 <= key[1] < dim:
+                        raise ValueError(f"bad {kind} key {key}")
+                    row[start + key[1]] += coef
+                else:
+                    raise ValueError(f"bad key {key}")
+        bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))
+        if bad.any():
+            raise ValueError(f"constraint {bad.argmax()} has a non-finite coefficient "
+                             "or right-hand side")
+        if not np.isfinite(c).all():
+            raise ValueError("the objective has a non-finite coefficient")
+        return A, b, c
 
-    def identity(self) -> np.ndarray:
-        e = np.ones(self.cone_N)
+    def split(self, x: np.ndarray):
+        """The PSD blocks, the orthant part and the free part of a
+        standard-form vector x, as new arrays."""
+        blocks = [smat(x[s:s + d * (d + 1) // 2], d) for d, s in zip(self.dims, self.start) if d]
+        return blocks, x[self.lin], x[self.cn:].copy()
+
+    def ray(self, A_orig: np.ndarray, y: np.ndarray) -> DualRay:
+        """The DualRay of y on the rows as given."""
+        return DualRay(y, *self.split(-(A_orig.T @ y)))
+
+    def violation(self, z: np.ndarray) -> np.ndarray:
+        """How far each row of a stack z (k, N) lies outside the dual cone:
+        the cone's part must be in the cone and the free part zero."""
+        viol = np.maximum(0.0, -z[:, self.lin].min(axis=1, initial=np.inf))
         for d, cols in self.groups.items():
-            e[cols] = svec(np.eye(d))
-        return e
+            lam = np.linalg.eigvalsh(smat(z[:, cols], d))[..., 0]
+            viol = np.maximum(viol, -lam.min(axis=1))
+        return np.maximum(viol, np.abs(z[:, self.cn:]).max(axis=1, initial=0.0))
 
-    def psd_blocks(self, x: np.ndarray) -> List[np.ndarray]:
-        return [smat(x[sl], d) for d, sl in self.psd.values()]
+    def place_rows(self, m: int) -> None:
+        """Lay out the flat vectors for m rows after presolve."""
+        self.m = m
+        self.tau, self.kappa = self.N + m, self.N + m + 1
+        self.n1 = self.N + m + 2
+        self.L = self.n1 + self.cn
+        self.s = slice(self.n1, self.L)
+        self.lin_s = self.n1 + self.lin
+        # tau, kappa and the orthant's x and s: one ratio test
+        self.ratio = np.concatenate([[self.tau, self.kappa], self.lin, self.lin_s])
+        self.blocks = []
+        for d, cols in self.groups.items():
+            # the svec position and scale of each entry (i, j) of a block
+            ii, jj, scale = _svec_indices(d)
+            pos = np.empty((d, d), dtype=np.intp)
+            pos[ii, jj] = pos[jj, ii] = np.arange(len(ii))
+            at = cols[:, pos]
+            self.blocks.append((d, cols, self.n1 + cols, np.stack([at, self.n1 + at]),
+                                scale[pos]))
 
 
 def _presolve(A: np.ndarray, b: np.ndarray, qr):
@@ -414,7 +463,9 @@ def _presolve(A: np.ndarray, b: np.ndarray, qr):
                     y[keep] = sgn * lam / scales[keep]
                     y[i] = -sgn / scales[i]
                     return None, None, None, None, y
-            warnings.warn(f"dropping {m - rank} linearly dependent constraint rows")
+            # at rank 0 every row reads 0 = 0; one is kept for the solver
+            keep = keep or [0]
+            warnings.warn(f"dropping {m - len(keep)} linearly dependent constraint rows")
     return A1[keep], b1[keep], keep, scales, None
 
 
@@ -448,38 +499,31 @@ def sdp_solve_many(problems: Sequence[SdpProblem], tol: float = 1e-9) -> List[Sd
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
     problems = list(problems)
+    if not problems:
+        return []
     if len({(tuple(p.psd_block_dims), p.nonneg_dim, p.free_dim) for p in problems}) > 1:
         raise ValueError("problems must share one block layout")
+    lay = _Layout(problems[0])
     from scipy.linalg import qr
     from scipy.linalg.lapack import dgetrf, dgetrs
     out: List[Optional[SdpSolution]] = [None] * len(problems)
     prepared, where = [], []
     for k, problem in enumerate(problems):
-        problem.validate()
-        std = _Standard(problem)
-        m = len(problem.constraints)
-        if m == 0:
-            raise ValueError("at least one constraint required")
-        A = np.zeros((m, std.N))
-        b = np.zeros(m)
-        for i, (expr, rhs) in enumerate(problem.constraints):
-            A[i] = std.row_of(expr)
-            b[i] = float(rhs)
+        A, b, c = lay.standard(problem)
         A2, b2, keep, scales, bad_y = _presolve(A, b, qr)
         if bad_y is not None:
             out[k] = SdpSolution(
                 status=SdpStatus.INFEASIBLE, psd_blocks=[], nonneg=np.zeros(0),
-                free=np.zeros(0), y=np.zeros(m), residuals=(np.inf, 0.0, 0.0),
-                objective_value=None, iterations=0, dual_ray=_make_ray(std, A, bad_y),
+                free=np.zeros(0), y=np.zeros(len(b)), residuals=(np.inf, 0.0, 0.0),
+                objective_value=None, iterations=0, dual_ray=lay.ray(A, bad_y),
                 message="inconsistent linearly dependent constraints")
             continue
-        prepared.append(_Prepared(A, b, A2, b2, std.row_of(problem.objective), keep, scales,
-                                  problem.objective.is_zero()))
+        prepared.append(_Prepared(A, b, A2, b2, c, keep, scales, problem.objective.is_zero()))
         where.append(k)
     if len({len(p.b) for p in prepared}) > 1:
         raise ValueError("problems must keep the same number of rows after presolve")
     if prepared:
-        for k, sol in zip(where, _ipm(std, prepared, tol, dgetrf, dgetrs)):
+        for k, sol in zip(where, _ipm(lay, prepared, tol, dgetrf, dgetrs)):
             out[k] = sol
     return out
 
@@ -505,51 +549,6 @@ class _Prepared:
         return y
 
 
-def _make_ray(std: _Standard, A_orig: np.ndarray, y: np.ndarray) -> DualRay:
-    z = -(A_orig.T @ y)
-    return DualRay(y=y, psd_operators=std.psd_blocks(z), nonneg_part=z[std.lin].copy(),
-                   free_part=z[std.cone_N:].copy())
-
-
-class _Layout:
-    """Where each part of a problem lies in the solver's flat vectors, for
-    problems of one block layout with m rows after presolve.
-
-    An iterate is one vector v = (x, y, tau, kappa, s): the N standard-form
-    columns (so x_K and x_F are views of one array), the multipliers of the
-    m rows, tau and kappa, and the cone slack s.  A Newton direction has the
-    same layout, and so do the right-hand sides and residuals of the Newton
-    system, each row at the unknown it pairs with: the dual rows at x, the
-    primal rows at y, the gap row at tau, the linearized tau kappa = mu at
-    kappa and the linearized X S = mu I at s.  `blocks` holds, per PSD
-    block size d, the columns of its blocks (blocks, d(d+1)/2), the same
-    columns of s in v, and, as (2, blocks, d, d), the entries of v that make
-    the X and S matrices of its blocks, with their svec scale (d, d).
-    """
-
-    def __init__(self, std: _Standard, m: int):
-        self.N, self.cn, self.f, self.nu = std.N, std.cone_N, std.free_dim, std.nu
-        self.e = std.identity()
-        self.m = m
-        self.tau, self.kappa = std.N + m, std.N + m + 1
-        self.n1 = std.N + m + 2
-        self.L = self.n1 + self.cn
-        self.s = slice(self.n1, self.L)
-        self.lin = np.arange(std.lin.start, std.lin.stop)
-        self.lin_s = self.n1 + self.lin
-        # tau, kappa and the orthant's x and s: one ratio test
-        self.ratio = np.concatenate([[self.tau, self.kappa], self.lin, self.lin_s])
-        self.blocks = []
-        for d, cols in std.groups.items():
-            # the svec position and scale of each entry (i, j) of a block
-            ii, jj, scale = _svec_indices(d)
-            pos = np.empty((d, d), dtype=np.intp)
-            pos[ii, jj] = pos[jj, ii] = np.arange(len(ii))
-            at = cols[:, pos]
-            self.blocks.append((d, cols, self.n1 + cols, np.stack([at, self.n1 + at]),
-                                scale[pos]))
-
-
 class _Stack:
     """Per-problem arrays of the problems still in the interior-point loop,
     stacked on axis 0."""
@@ -566,7 +565,7 @@ def _pick(mask: np.ndarray, a, b):
     return np.where(mask.reshape((-1,) + (1,) * (np.ndim(a) - 1)), a, b)
 
 
-def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
+def _ipm(lay: _Layout, probs: List[_Prepared], tol: float,
          getrf, getrs) -> List[SdpSolution]:
     """The HSDE loop over a stack of prepared problems; their solutions, in
     order.  getrf and getrs are LAPACK's dgetrf and dgetrs.
@@ -577,7 +576,7 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
     here, once per solve (see _newton_step).
     """
     k, m = len(probs), len(probs[0].b)
-    lay = _Layout(std, m)
+    lay.place_rows(m)
     N, cn, f, it_, ik, L = lay.N, lay.cn, lay.f, lay.tau, lay.kappa, lay.L
     E = np.zeros((k, m + 1, N + 1))
     for i, p in enumerate(probs):
@@ -607,8 +606,7 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
             x = st.v[i, :N] / t
             obj = None if p.pure_feas else float(p.c @ x)
             out[st.pos[i]] = SdpSolution(
-                status=status, psd_blocks=std.psd_blocks(x), nonneg=x[std.lin].copy(),
-                free=x[cn:].copy(), y=p.unscale_y(st.v[i, N:it_] / t),
+                status, *lay.split(x), p.unscale_y(st.v[i, N:it_] / t),
                 residuals=tuple(float(v) for v in st.last[i]), objective_value=obj,
                 iterations=it, dual_ray=ray, message=msg)
         gone = np.zeros(len(st.pos), dtype=bool)
@@ -617,7 +615,7 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
 
     for it in range(1, _MAX_ITER + 1):
         v = st.v
-        st.mu = (_dot(v[:, :cn], v[:, lay.s]) + v[:, it_] * v[:, ik]) / (std.nu + 1)
+        st.mu = (_dot(v[:, :cn], v[:, lay.s]) + v[:, it_] * v[:, ik]) / (lay.nu + 1)
         broke = ~np.isfinite(st.mu) | (v[:, it_] <= 0) | (v[:, ik] < 0)
         if np.count_nonzero(broke):
             end({i: (SdpStatus.INDETERMINATE, None, "numerical breakdown")
@@ -650,14 +648,12 @@ def _ipm(std: _Standard, probs: List[_Prepared], tol: float,
         if cand:
             ycand = v[cand, N:it_] / by[cand, None]
             z = -_mv(_t(st.E[cand, :m, :N]), ycand)
-            viol = np.maximum(_cone_violation(std, z[:, :cn]),
-                              np.abs(z[:, cn:]).max(axis=1, initial=0.0))
-            for i, yc, vi in zip(cand, ycand, viol):
+            for i, yc, vi in zip(cand, ycand, lay.violation(z)):
                 if vi <= tol * 10.0:
                     p = probs[st.pos[i]]
                     yfull = p.unscale_y(yc)
                     yfull = yfull / float(p.b_orig @ yfull)
-                    ends[i] = (SdpStatus.INFEASIBLE, _make_ray(std, p.A_orig, yfull),
+                    ends[i] = (SdpStatus.INFEASIBLE, lay.ray(p.A_orig, yfull),
                                "primal infeasible: improving dual ray")
 
         # an improving primal ray: c.x < 0 with Ax ~ 0 (the scale is >= 1)
@@ -973,15 +969,6 @@ def _newton_step(lay: _Layout, E, H, M, getrf, getrs, v, mu, g):
                          alpha)
         fail(retry & ((alpha <= 1e-10) | ~np.isfinite(alpha)), "step length collapsed")
     return d, alpha, why
-
-
-def _cone_violation(std: _Standard, z: np.ndarray) -> np.ndarray:
-    """How far each row of a stack z (k, cone_N) lies outside the cone."""
-    viol = np.maximum(0.0, -z[:, std.lin].min(axis=1, initial=np.inf))
-    for d, cols in std.groups.items():
-        lam = np.linalg.eigvalsh(smat(z[:, cols], d))[..., 0]
-        viol = np.maximum(viol, -lam.min(axis=1))
-    return viol
 
 
 # ---------------------------------------------------------------------------

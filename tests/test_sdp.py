@@ -290,11 +290,24 @@ def test_stack_rejects_mixed_layouts():
     p3.constraints.append(trace_constraint(3, 1.0))
     with pytest.raises(ValueError, match="layout"):
         sdp_solve_many([p2, p3])
+    for dims, nonneg, free in (([2, 0], 0, 0), ([2], 1, 0), ([2], 0, 1)):
+        other = SdpProblem(psd_block_dims=dims, nonneg_dim=nonneg, free_dim=free)
+        other.constraints.append(trace_constraint(2, 1.0))
+        with pytest.raises(ValueError, match="problems must share one block layout"):
+            sdp_solve_many([p2, other])
     two_rows = SdpProblem(psd_block_dims=[2])
     two_rows.constraints += [trace_constraint(2, 1.0),
                              (LinExpr().add_psd_entry(0, 0, 1, 1.0), 0.25)]
     with pytest.raises(ValueError, match="rows"):
         sdp_solve_many([p2, two_rows])
+    # two rows as given on both sides, but a repeated row leaves one
+    repeated = SdpProblem(psd_block_dims=[2])
+    repeated.constraints += [trace_constraint(2, 1.0), trace_constraint(2, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(ValueError,
+                           match="problems must keep the same number of rows after presolve"):
+            sdp_solve_many([repeated, two_rows])
     assert sdp_solve_many([]) == []
 
 
@@ -364,10 +377,149 @@ def test_presolve_r_only_qr_matches_the_economic_reference():
 def test_tolerance_validation():
     p = SdpProblem(psd_block_dims=[2])
     p.constraints.append(trace_constraint(2, 1.0))
-    with pytest.raises(ValueError):
-        sdp_solve(p, tol=1e-3)
-    with pytest.raises(ValueError):
-        sdp_solve(p, tol=0.0)
+    for tol in (1e-3, 0.0, -1e-9, 1.0001e-4, float("nan")):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1e-4\]"):
+            sdp_solve(p, tol=tol)
+    assert sdp_solve(p, tol=1e-4).status == SdpStatus.FEASIBLE_POINT
+
+
+def one_key_problem(key, dims=(2,), nonneg=0, free=0, in_objective=False):
+    """A trace row on the first nonempty block plus one term at key, in a
+    second row or in the objective."""
+    p = SdpProblem(psd_block_dims=list(dims), nonneg_dim=nonneg, free_dim=free)
+    b = next(i for i, d in enumerate(dims) if d)
+    p.constraints.append((LinExpr().add_psd_entry(b, 0, 0, 1.0), 1.0))
+    if in_objective:
+        p.objective = LinExpr({key: 1.0})
+    else:
+        p.constraints.append((LinExpr({key: 1.0}), 0.5))
+    return p
+
+
+MALFORMED = {
+    "psd block out of range": (lambda: one_key_problem(("p", 1, 0, 0)), "bad psd key"),
+    "negative psd block": (lambda: one_key_problem(("p", -1, 0, 0)), "bad psd key"),
+    "psd i > j": (lambda: one_key_problem(("p", 0, 1, 0)), "bad psd key"),
+    "psd j >= d": (lambda: one_key_problem(("p", 0, 0, 2)), "bad psd key"),
+    "psd key into a zero-size block": (
+        lambda: one_key_problem(("p", 0, 0, 0), dims=(0, 2)), "bad psd key"),
+    "psd key in the objective": (
+        lambda: one_key_problem(("p", 0, 2, 2), in_objective=True), "bad psd key"),
+    "orthant index past the end": (lambda: one_key_problem(("n", 1), nonneg=1), "bad nonneg key"),
+    "negative orthant index": (lambda: one_key_problem(("n", -1), nonneg=1), "bad nonneg key"),
+    "orthant key with no orthant": (
+        lambda: one_key_problem(("n", 0), in_objective=True), "bad nonneg key"),
+    "free index past the end": (lambda: one_key_problem(("f", 2), free=2), "bad free key"),
+    "negative free index": (lambda: one_key_problem(("f", -1), free=1), "bad free key"),
+    "unknown key kind": (lambda: one_key_problem(("x", 0)), r"bad key \('x', 0\)"),
+    "negative psd dimension": (
+        lambda: one_key_problem(("n", 0), dims=(-1, 2), nonneg=1), "dimensions must be nonnegative"),
+    "negative orthant dimension": (
+        lambda: SdpProblem(psd_block_dims=[2], nonneg_dim=-1), "dimensions must be nonnegative"),
+    "negative free dimension": (
+        lambda: SdpProblem(psd_block_dims=[2], free_dim=-1), "dimensions must be nonnegative"),
+    "no block": (lambda: SdpProblem(psd_block_dims=[0, 0]), "at least one block required"),
+    "no constraint": (lambda: SdpProblem(psd_block_dims=[2]), "at least one constraint required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_front_end_rejects_malformed_problems(case):
+    make, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=message):
+        sdp_solve(make())
+    # a malformed problem anywhere in a stack stops the whole call
+    good = SdpProblem(psd_block_dims=[2])
+    good.constraints.append(trace_constraint(2, 1.0))
+    bad = make()
+    if bad.psd_block_dims == [2] and not bad.nonneg_dim and not bad.free_dim:
+        with pytest.raises(ValueError, match=message):
+            sdp_solve_many([good, bad])
+
+
+@pytest.mark.parametrize("where", ["coefficient", "negative coefficient", "rhs", "infinite rhs",
+                                   "objective"])
+def test_non_finite_data_is_rejected_up_front(where):
+    p = SdpProblem(psd_block_dims=[2], nonneg_dim=1)
+    p.constraints.append(trace_constraint(2, 1.0))
+    coef = {"coefficient": np.inf, "negative coefficient": -np.inf}.get(where, 1.0)
+    rhs = {"rhs": np.nan, "infinite rhs": np.inf}.get(where, 0.25)
+    p.constraints.append((LinExpr().add_psd_entry(0, 0, 1, 1.0).add_nonneg(0, coef), rhs))
+    message = "constraint 1 has a non-finite coefficient or right-hand side"
+    if where == "objective":
+        p.objective = LinExpr().add_psd_entry(0, 0, 0, 1.0).add_nonneg(0, np.nan)
+        message = "the objective has a non-finite coefficient"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            sdp_solve(p)
+
+
+def zero_rows_problem(rows):
+    """rows copies of 0 = 0 over one 2x2 block: a pure feasibility problem
+    whose KKT matrix AK H AK^T is zero at every step."""
+    p = SdpProblem(psd_block_dims=[2])
+    p.constraints += [(LinExpr(), 0.0) for _ in range(rows)]
+    return p
+
+
+def test_all_zero_rows_keep_one_row():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        sols = [sdp_solve(zero_rows_problem(rows)) for rows in (1, 2, 3)]
+    assert (sols[0].status, sols[0].iterations) == (SdpStatus.FEASIBLE_POINT, 7)
+    for rows, sol in zip((2, 3), sols[1:]):
+        assert (sol.status, sol.message, sol.iterations) == (
+            sols[0].status, sols[0].message, sols[0].iterations)
+        assert sol.residuals == sols[0].residuals
+        assert np.array_equal(sol.psd_blocks[0], sols[0].psd_blocks[0])
+        assert sol.y.shape == (rows,) and sol.y[0] == sols[0].y[0] and not sol.y[1:].any()
+    # an all-zero row with a nonzero right-hand side still has its certificate
+    p = zero_rows_problem(2)
+    p.constraints[1] = (LinExpr(), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        sol = sdp_solve(p)
+    assert sol.status == SdpStatus.INFEASIBLE
+    assert sol.dual_ray.y @ np.array([0.0, 1.0]) == 1.0 and sol.dual_ray.max_violation() == 0.0
+
+
+def test_zero_kkt_matrix_is_regularized(monkeypatch):
+    # the one-row 0 = 0 problem's KKT matrix is the 1x1 zero: getrf reports
+    # a zero pivot at every step, and the retry with reg = 1e-13 factors it
+    import scipy.linalg.lapack as lapack
+    getrf, infos = lapack.dgetrf, []
+
+    def spy(a, *args, **kwargs):
+        lu, piv, info = getrf(a, *args, **kwargs)
+        infos.append(info)
+        return lu, piv, info
+
+    monkeypatch.setattr(lapack, "dgetrf", spy)
+    sol = sdp_solve(zero_rows_problem(1))
+    assert (sol.status, sol.iterations) == (SdpStatus.FEASIBLE_POINT, 7)
+    # one zero pivot and one regularized factorization at each of six steps
+    assert infos == [1, 0] * 6
+
+
+def test_unfactorable_kkt_matrix_is_indeterminate(monkeypatch):
+    import scipy.linalg.lapack as lapack
+    getrf, calls = lapack.dgetrf, []
+
+    def singular(a, *args, **kwargs):
+        lu, piv, _ = getrf(a, *args, **kwargs)
+        calls.append(None)
+        return lu, piv, 1
+
+    monkeypatch.setattr(lapack, "dgetrf", singular)
+    p = SdpProblem(psd_block_dims=[2])
+    p.constraints.append(trace_constraint(2, 1.0))
+    p.objective = LinExpr().add_psd_entry(0, 0, 0, 1.0)
+    sol = sdp_solve(p)
+    assert (sol.status, sol.message, sol.iterations) == (
+        SdpStatus.INDETERMINATE, "KKT factorization failed", 1)
+    # five tries, the last four regularized, before the problem ends
+    assert len(calls) == 5
 
 
 def test_zero_dimensional_blocks_elided():
