@@ -8,10 +8,12 @@ the solver (factor, decomposition pair, Gram matrix, or witness vector);
 every negative answer carries a refutation (separating matrix, improving
 dual ray, or an explicit vector with negative quadratic value).
 
-COP and CP membership are undecidable at practical cost in general, so the
-module offers one-sided machinery for them: inner certificates via the
-hierarchy, outer refutations via Kaplan's scan of the principal submatrices
-(COP, complete at n <= 12) or separating hierarchy directions (CP).
+COP and CP membership are decidable but intractable in general: testing
+copositivity is co-NP-complete (Murty & Kabadi 1987) and testing complete
+positivity is NP-hard (Dickinson & Gijben 2014).  So the module offers
+one-sided machinery for them: inner certificates via the hierarchy, outer
+refutations via Kaplan's scan of the principal submatrices (COP, complete
+at n <= 12) or separating hierarchy directions (CP).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .numerics import (CholeskyFactor, PivotList, QSqrt2, SymMatrix, exact_ldl_psd,
-                       psd_certificate, sym_eigen, sym_from_upper)
+                       exact_quadratic, psd_certificate, schur_complement, sym_eigen,
+                       sym_from_upper)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
 from .sdp import (DualRay, EvenSosLayout, LinExpr, SdpProblem, SdpStatus, SdpSolution,
                   even_sos_assemble, gram_form_coeffs, sdp_solve)
@@ -88,7 +91,8 @@ class CopRefutation:
     value: object  # exact x^T A x < 0
 
     def check_exact(self, a: SymMatrix) -> bool:
-        return _is_negative(_exact_quadratic(a, self.x))
+        """x >= 0 and x^T A x < 0 (so x != 0), each decided exactly."""
+        return all(t >= 0 for t in self.x) and exact_quadratic(a, self.x) < 0
 
 
 @dataclass
@@ -587,26 +591,10 @@ def _exact_witness(a: SymMatrix, x: np.ndarray) -> Optional[CopRefutation]:
         k = [int(t) for t in np.rint(x * den)]
         k[int(np.argmax(k))] += den - sum(k)
         xr = tuple(Fraction(t, den) for t in k)
-        cert = CopRefutation(x=xr, value=_exact_quadratic(a, xr))
-        if _is_negative(cert.value):
-            return cert
+        value = exact_quadratic(a, xr)
+        if value < 0:
+            return CopRefutation(x=xr, value=value)
     return None
-
-
-def _exact_quadratic(a: SymMatrix, x: tuple):
-    n = a.n
-    exact = a.flavor == "exact"
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            aij = a[i, j] if exact else Fraction(float(a[i, j]))
-            t = x[i] * aij * x[j]
-            acc = t if acc is None else acc + t
-    return acc
-
-
-def _is_negative(value) -> bool:
-    return value.sign() < 0 if isinstance(value, QSqrt2) else value < 0
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +611,10 @@ def _cp_threshold(arr: np.ndarray, tol: float) -> float:
 def _exact_schur(block: List[List[Fraction]], i: int) -> Optional[List[List[Fraction]]]:
     """S = B_-i,-i - b_-i,i b_-i,i^T / b_ii when b_ii > 0 and S >= 0
     entrywise, both exactly; else None."""
-    col = block[i]  # B is symmetric: row i is column i
-    piv = col[i]
-    if piv <= 0:
+    if block[i][i] <= 0:
         return None
-    rest = [j for j in range(len(block)) if j != i]
-    s = [[Fraction(0)] * len(rest) for _ in rest]
-    for p, j in enumerate(rest):
-        for q in range(p, len(rest)):
-            v = block[j][rest[q]] - col[j] * col[rest[q]] / piv
-            if v < 0:
-                return None
-            s[p][q] = s[q][p] = v
-    return s
+    s, _ = schur_complement(block, i)
+    return s if all(v >= 0 for row in s for v in row) else None
 
 
 def _cp_peel(arr: np.ndarray) -> Optional[List[int]]:

@@ -381,6 +381,15 @@ def _negative_value_note(f: CosPoly) -> str:
     return f"; f(3/8) = {v} ~ {float(v):.4f} < 0, so no PSD Gram represents f"
 
 
+def _half_series_note(got: list, want: list) -> str:
+    """The exact relation v^T B v = (1 + f)/2, if it holds: the cosine
+    functionals got of v^T B v are f's, want, halved at every frequency
+    k >= 1, and (1 + f_0)/2 at frequency 0."""
+    if got != [(want[0] + 1) / 2] + [w / 2 for w in want[1:]]:
+        return ""
+    return "; v^T B v = (1 + f)/2 exactly, so B certifies f >= -1, not f >= 0"
+
+
 @dataclass
 class CheckResult:
     id: int
@@ -430,15 +439,13 @@ def verify_paper_examples(sos_tol: float = 1e-8) -> PaperReport:
 
     got = gram_function_coeffs(bmat, bmat.n - 1)
     want = [f.coeff(i) for i in range(max(len(got), f.m + 1))]
-    mismatches = []
-    for i in range(len(want)):
-        have = got[i] if i < len(got) else QSqrt2.of(0)
-        if have != want[i]:
-            mismatches.append((i, str(have), str(want[i])))
+    got += [QSqrt2.of(0)] * (len(want) - len(got))
+    mismatches = [(i, str(g), str(w)) for i, (g, w) in enumerate(zip(got, want)) if g != w]
     ok2 = not mismatches
     detail2 = "exact equality" if ok2 else (
         "cosine-functional mismatch (got vs required), frequencies "
         + "; ".join(f"{i}: {g} vs {w}" for i, g, w in mismatches[:3])
+        + _half_series_note(got, want)
         + _negative_value_note(f))
     checks.append(CheckResult(2, "series equals v^T B v", ok2, detail2))
 

@@ -51,10 +51,6 @@ class QSqrt2:
             return self.irr == 0 and self.rat == other
         return NotImplemented
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __hash__(self):
         return hash((self.rat, self.irr))
 
@@ -475,8 +471,44 @@ def psd_certificate(a, tol: float = 1e-9):
 
 
 # ---------------------------------------------------------------------------
-# exact LDL^T decision for Q(sqrt2) matrices
+# exact Schur step, quadratic form and LDL^T decision over Q(sqrt2)
 # ---------------------------------------------------------------------------
+
+def schur_complement(rows, k: int):
+    """(S, l) for the pivot b_kk != 0 of the symmetric B whose rows are rows:
+    the Schur complement S = B_-k,-k - b b^T / b_kk, b = B_-k,k, and the
+    multipliers l = b / b_kk, both in the order of the indices other than k.
+
+    Entries are Fraction or QSqrt2.  The pivot is inverted once (a QSqrt2
+    division inverts its divisor every time, and 1 / b_kk would multiply the
+    inverse by 1), and only the upper triangle of S is computed; it is
+    mirrored into the lower.
+    """
+    col = rows[k]  # B is symmetric: row k is column k
+    piv = col[k]
+    inv = piv.inverse() if isinstance(piv, QSqrt2) else 1 / piv
+    rest = [j for j in range(len(rows)) if j != k]
+    b = [col[j] for j in rest]
+    mult = [v * inv for v in b]
+    s = [[None] * len(rest) for _ in rest]
+    for p, j in enumerate(rest):
+        row, lp = rows[j], mult[p]
+        for q in range(p, len(rest)):
+            s[p][q] = s[q][p] = row[rest[q]] - lp * b[q]
+    return s, mult
+
+
+def exact_quadratic(m: SymMatrix, x):
+    """x^T M x in exact arithmetic, for x rational or in Q(sqrt2); a float
+    entry of M is read exactly in Q, so the value is a Fraction when M is
+    float and x rational, and a QSqrt2 otherwise."""
+    rows = m.rows() if m.flavor == "exact" else [[Fraction(v) for v in row]
+                                                 for row in m.rows().tolist()]
+    acc = _ZERO
+    for xi, row in zip(x, rows):
+        acc = acc + xi * sum((mij * xj for mij, xj in zip(row, x)), _ZERO)
+    return acc
+
 
 @dataclass
 class PivotList:
@@ -490,102 +522,54 @@ class Refutation:
     value: QSqrt2
 
     def check(self, m: SymMatrix) -> bool:
-        n = m.n
-        acc = QSqrt2.of(0)
-        for i in range(n):
-            for j in range(n):
-                acc = acc + self.x[i] * m[i, j] * self.x[j]
-        return acc == self.value and acc.sign() < 0
-
-
-def _pullback_witness(lcols, perm, n, z):
-    """Solve L^T y = z for unit-lower L given by elimination columns, then unpermute."""
-    y = list(z)
-    for i in range(n - 1, -1, -1):
-        if lcols[i] is None:
-            continue
-        s = y[i]
-        for j in range(i + 1, n):
-            s = s - lcols[i][j] * y[j]
-        y[i] = s
-    x = [QSqrt2.of(0)] * n
-    for pos in range(n):
-        x[perm[pos]] = y[pos]
-    return tuple(x)
+        q = exact_quadratic(m, self.x)
+        return q == self.value and q < 0
 
 
 def exact_ldl_psd(m: SymMatrix):
     """Decide PSD-ness of an exact matrix by symmetric-pivoted LDL^T.
 
-    At every step the largest remaining diagonal is selected exactly.  A
+    At every step the largest remaining diagonal is selected exactly and
+    eliminated by `schur_complement`, with no row or column moved.  A
     negative pivot, or a zero pivot with a nonzero row, yields a Refutation
-    whose witness vector has an exactly negative quadratic value.  Symmetric
-    pivoting (rather than leading minors) decides singular PSD inputs
-    correctly.
+    whose witness vector has an exactly negative quadratic value: a vector
+    z on the remaining indices, pulled back through the recorded
+    multipliers by one backward pass.  Symmetric pivoting (rather than
+    leading minors) decides singular PSD inputs correctly.
     """
     if m.flavor != "exact":
         raise ValueError("exact flavor required")
-    n = m.n
-    M = [[m[i, j] for j in range(n)] for i in range(n)]
-    perm = list(range(n))
-    # lcols[k][i] = multiplier of row i against pivot k (unit lower triangular)
-    lcols = [None] * n
-    pivots = []
-
-    def swap(k, p):
-        if k == p:
-            return
-        M[k], M[p] = M[p], M[k]
-        for r in range(n):
-            M[r][k], M[r][p] = M[r][p], M[r][k]
-        perm[k], perm[p] = perm[p], perm[k]
-        for col in lcols:
-            if col is not None:
-                col[k], col[p] = col[p], col[k]
-
-    for k in range(n):
-        best = k
-        for p in range(k + 1, n):
-            if (M[p][p] - M[best][best]).sign() > 0:
-                best = p
-        swap(k, best)
-        d = M[k][k]
+    block = m.rows()
+    left = list(range(m.n))  # the original index of each row of block
+    perm, pivots = [], []
+    steps = []  # (pivot, the indices left after it, their multipliers)
+    while left:
+        k = max(range(len(left)), key=lambda i: block[i][i])
+        d = block[k][k]
         sg = d.sign()
         if sg < 0:
-            z = [QSqrt2.of(0)] * n
-            z[k] = QSqrt2.of(1)
-            x = _pullback_witness(lcols, perm, n, z)
-            return Refutation(x=x, value=d)
+            z, value = {left[k]: QSqrt2.of(1)}, d  # the witness on the indices left
+            break
         if sg == 0:
-            bad = None
-            for j in range(k + 1, n):
-                if M[k][j].sign() != 0:
-                    bad = j
-                    break
+            bad = next((j for j, v in enumerate(block[k]) if not v.is_zero()), None)
             if bad is not None:
                 # trailing 2x2 [[0, s],[s, dq]]: pick t with 2 t s + dq = -1
-                s_ = M[k][bad]
-                dq = M[bad][bad]
+                s_ = block[k][bad]
+                dq = block[bad][bad]
                 t = (QSqrt2.of(-1) - dq) / (QSqrt2.of(2) * s_)
-                z = [QSqrt2.of(0)] * n
-                z[k] = t
-                z[bad] = QSqrt2.of(1)
-                x = _pullback_witness(lcols, perm, n, z)
-                return Refutation(x=x, value=QSqrt2.of(-1))
-            pivots.append(d)
-            lcols[k] = None
-            continue
+                z, value = {left[k]: t, left[bad]: QSqrt2.of(1)}, QSqrt2.of(-1)
+                break
+            # a zero row is dropped; the witness is 0 at its index
+            block = [[v for j, v in enumerate(row) if j != k]
+                     for i, row in enumerate(block) if i != k]
+        else:
+            block, mult = schur_complement(block, k)
+            steps.append((left[k], left[:k] + left[k + 1:], mult))
         pivots.append(d)
-        inv = d.inverse()
-        colk = [M[i][k] for i in range(n)]
-        lc = [QSqrt2.of(0)] * n
-        for i in range(k + 1, n):
-            lc[i] = colk[i] * inv
-        lcols[k] = lc
-        for i in range(k + 1, n):
-            fi = lc[i]
-            if fi.is_zero():
-                continue
-            for j in range(k + 1, n):
-                M[i][j] = M[i][j] - fi * colk[j]
-    return PivotList(perm=perm, pivots=pivots)
+        perm.append(left.pop(k))
+    else:
+        return PivotList(perm=perm, pivots=pivots)
+    x = [z.get(i, QSqrt2.of(0)) for i in range(m.n)]
+    for p, rest, mult in reversed(steps):
+        x[p] = -sum((lj * x[j] for lj, j in zip(mult, rest)), QSqrt2.of(0))
+    return Refutation(x=tuple(x), value=value)

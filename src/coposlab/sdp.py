@@ -84,6 +84,7 @@ import enum
 import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -370,18 +371,23 @@ class _Layout:
         rows = [(A[i], expr) for i, (expr, _) in enumerate(p.constraints)] + [(c, p.objective)]
         for row, expr in rows:
             for key, coef in expr.terms.items():
-                if key[0] == "p":
-                    _, k, i, j = key
+                try:  # a kind, then Python or numpy integers
+                    kind, *idx = key
+                    idx = list(map(operator.index, idx))
+                except (TypeError, ValueError):
+                    raise ValueError(f"bad key {key}") from None
+                if kind == "p" and len(idx) == 3:
+                    k, i, j = idx
                     if not (0 <= k < len(self.dims) and 0 <= i <= j < self.dims[k]):
                         raise ValueError(f"bad psd key {key}")
                     # position of (i,j), i<=j, in row-major upper triangle
                     posn = i * self.dims[k] - i * (i - 1) // 2 + (j - i)
                     row[self.start[k] + posn] += coef if i == j else coef / _SQRT2
-                elif key[0] in self.scalars:
-                    start, dim, kind = self.scalars[key[0]]
-                    if not 0 <= key[1] < dim:
-                        raise ValueError(f"bad {kind} key {key}")
-                    row[start + key[1]] += coef
+                elif kind in self.scalars and len(idx) == 1:
+                    start, dim, name = self.scalars[kind]
+                    if not 0 <= idx[0] < dim:
+                        raise ValueError(f"bad {name} key {key}")
+                    row[start + idx[0]] += coef
                 else:
                     raise ValueError(f"bad key {key}")
         bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))

@@ -500,6 +500,17 @@ def test_cop_refute_negative_identity():
     assert sum(res.x) == 1
 
 
+def test_cop_refutation_check_requires_x_in_the_orthant():
+    # [[1, 2], [2, 1]] is entrywise nonnegative, hence copositive: x = (1, -1)
+    # gives x^T A x = -2 < 0 from outside the orthant and refutes nothing
+    for a in (SymMatrix([[1, 2], [2, 1]], "exact"), SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))):
+        assert not CopRefutation(x=(Fraction(1), Fraction(-1)), value=Fraction(-2)).check_exact(a)
+        assert not CopRefutation(x=(Fraction(0), Fraction(0)), value=Fraction(0)).check_exact(a)
+    neg = SymMatrix([[1, -3], [-3, 1]], "exact")
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert CopRefutation(x=half, value=QSqrt2.of(-1)).check_exact(neg)
+
+
 def test_cop_refute_horn_finds_nothing():
     assert cop_refute(horn_matrix()) is None
 

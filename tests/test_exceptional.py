@@ -189,6 +189,20 @@ def test_verify_paper_check_2_names_the_negative_value_of_f(paper_report):
     assert abs(float(match.group(2)) - value) <= 1e-4
 
 
+def test_verify_paper_check_2_names_the_half_series_of_b(paper_report):
+    # B's cosine functionals are f's at frequency 0 and half of f's at every
+    # frequency 1..6, exactly: v^T B v = (1 + f)/2, which certifies f >= -1
+    f = read_off_series(load_reference_a5())
+    b = load_reference_gram()
+    got = gram_function_coeffs(b, b.n - 1)
+    assert len(got) == f.m + 1 == 7
+    assert got[0] == f.coeff(0) == 1
+    assert all(got[k] == f.coeff(k) / 2 != f.coeff(k) for k in range(1, 7))
+    assert got[1] == Fraction(8, 27) and f.coeff(1) == Fraction(16, 27)
+    detail = paper_report.checks[1].detail
+    assert "; v^T B v = (1 + f)/2 exactly, so B certifies f >= -1, not f >= 0; f(3/8) = " in detail
+
+
 def test_verify_paper_check_6_gives_the_exact_pairing(paper_report):
     # the bundled C and A5 pair to an exact element of Q(sqrt2), -0.2847
     want = QSqrt2(Fraction(63087569, 3487050), Fraction(-31718137, 2440935))

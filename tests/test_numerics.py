@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coposlab.numerics import (CholeskyFactor, NegVector, PivotList, QSqrt2,
-                               Refutation, SymMatrix, exact_ldl_psd,
-                               matrix_dumps, matrix_loads, psd_certificate,
+                               Refutation, SymMatrix, exact_ldl_psd, exact_quadratic,
+                               schur_complement, matrix_dumps, matrix_loads, psd_certificate,
                                sym_eigen, sym_from_upper, MatrixFormatError)
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -59,6 +59,10 @@ def test_qsqrt2_equality_coerces_rationals():
     assert QSqrt2.of(Fraction(3, 2)) == Fraction(3, 2)
     assert QSqrt2(Fraction(0), Fraction(1)) != 1
     assert QSqrt2.sqrt2() * QSqrt2.sqrt2() == 2
+    # != is derived from ==, reflected and across types
+    assert not QSqrt2.of(2) != 2
+    assert Fraction(1) != QSqrt2.sqrt2() and 1 != QSqrt2.sqrt2()
+    assert QSqrt2.of(1) != "1"
 
 
 def test_qsqrt2_rational_fast_path_matches_the_general_formula():
@@ -324,6 +328,33 @@ def test_psd_certificate_indefinite_witness(n):
 # exact LDL^T
 # ---------------------------------------------------------------------------
 
+def test_schur_complement_matches_the_formula_on_both_scalar_kinds():
+    r2 = QSqrt2.sqrt2()
+    q = [[2 + r2, 1, r2 - 3], [1, Fraction(5, 2), 0], [r2 - 3, 0, 4]]
+    f = [[Fraction(4), Fraction(2), Fraction(-1)], [Fraction(2), Fraction(3), Fraction(1, 3)],
+         [Fraction(-1), Fraction(1, 3), Fraction(7)]]
+    for rows in ([[QSqrt2.of(v) for v in row] for row in q], f):
+        for k in range(3):
+            s, mult = schur_complement(rows, k)
+            rest = [j for j in range(3) if j != k]
+            assert mult == [rows[j][k] / rows[k][k] for j in rest]
+            assert s == [[rows[i][j] - rows[i][k] * rows[k][j] / rows[k][k] for j in rest]
+                         for i in rest]
+    assert all(type(v) is Fraction for row in schur_complement(f, 0)[0] for v in row)
+
+
+def test_exact_quadratic_reads_float_entries_exactly():
+    # 0.1 is 3602879701896397 / 2^55 in binary; x^T A x keeps every bit
+    a = SymMatrix(np.array([[0.1, -0.3], [-0.3, 0.2]]))
+    x = (Fraction(1, 3), Fraction(2, 3))
+    want = sum(x[i] * Fraction(a[i, j]) * x[j] for i in range(2) for j in range(2))
+    assert exact_quadratic(a, x) == want and type(exact_quadratic(a, x)) is Fraction
+    r2 = QSqrt2.sqrt2()
+    m = SymMatrix([[1, r2], [r2, 1]], "exact")
+    assert exact_quadratic(m, (QSqrt2.of(1), -r2)) == -1
+    assert exact_quadratic(m, (Fraction(1), Fraction(-1))) == 2 - 2 * r2
+
+
 def test_exact_ldl_zero_matrix():
     m = SymMatrix([[0, 0], [0, 0]], "exact")
     res = exact_ldl_psd(m)
@@ -342,6 +373,26 @@ def test_exact_ldl_zero_pivot_nonzero_row():
     m = SymMatrix([[0, 1], [1, 0]], "exact")
     res = exact_ldl_psd(m)
     assert isinstance(res, Refutation)
+    assert res.check(m)
+
+
+def test_exact_ldl_witness_pulled_back_from_a_zero_pivot():
+    # the diagonals tie at 1; eliminating index 0 leaves [[0, 1], [1, 0]], a
+    # zero pivot with a nonzero row, and the witness reaches back to index 0
+    m = SymMatrix([[1, 1, 1], [1, 1, 2], [1, 2, 1]], "exact")
+    res = exact_ldl_psd(m)
+    assert isinstance(res, Refutation)
+    assert res.check(m)
+    assert not res.x[0].is_zero()
+
+
+def test_exact_ldl_witness_pulled_back_from_a_negative_pivot():
+    # pivots 2 and 1, then 1 - (sqrt2)^2 = -1
+    r2 = QSqrt2.sqrt2()
+    m = SymMatrix([[1, r2, 0], [r2, 1, 0], [0, 0, 2]], "exact")
+    res = exact_ldl_psd(m)
+    assert isinstance(res, Refutation)
+    assert res.value == -1
     assert res.check(m)
 
 

@@ -412,6 +412,14 @@ MALFORMED = {
     "free index past the end": (lambda: one_key_problem(("f", 2), free=2), "bad free key"),
     "negative free index": (lambda: one_key_problem(("f", -1), free=1), "bad free key"),
     "unknown key kind": (lambda: one_key_problem(("x", 0)), r"bad key \('x', 0\)"),
+    "fractional orthant index": (lambda: one_key_problem(("n", 0.5), nonneg=1),
+                                 r"bad key \('n', 0\.5\)"),
+    "fractional psd row": (lambda: one_key_problem(("p", 0, 0.5, 1)),
+                           r"bad key \('p', 0, 0\.5, 1\)"),
+    "float psd column": (lambda: one_key_problem(("p", 0, 0, 1.0)),
+                         r"bad key \('p', 0, 0, 1\.0\)"),
+    "orthant key with no index": (lambda: one_key_problem(("n",), nonneg=1), r"bad key \('n',\)"),
+    "empty key": (lambda: one_key_problem(()), r"bad key \(\)"),
     "negative psd dimension": (
         lambda: one_key_problem(("n", 0), dims=(-1, 2), nonneg=1), "dimensions must be nonnegative"),
     "negative orthant dimension": (
@@ -435,6 +443,22 @@ def test_front_end_rejects_malformed_problems(case):
     if bad.psd_block_dims == [2] and not bad.nonneg_dim and not bad.free_dim:
         with pytest.raises(ValueError, match=message):
             sdp_solve_many([good, bad])
+
+
+def test_numpy_integer_keys_solve_as_python_integers():
+    def problem(ix):
+        p = one_key_problem(("p", ix(0), ix(0), ix(1)), nonneg=1, free=1)
+        p.constraints.append((LinExpr({("n", ix(0)): 1.0, ("f", ix(0)): 1.0}), 2.0))
+        p.objective = LinExpr({("n", ix(0)): 1.0, ("p", ix(0), ix(1), ix(1)): 1.0})
+        return p
+    want = sdp_solve(problem(int))
+    assert want.status == SdpStatus.OPTIMAL
+    for ix in (np.int64, np.int32, np.intp):
+        got = sdp_solve(problem(ix))
+        assert got.status == want.status
+        for g, w in zip(got.psd_blocks + [got.nonneg, got.free, got.y],
+                        want.psd_blocks + [want.nonneg, want.free, want.y]):
+            assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("where", ["coefficient", "negative coefficient", "rhs", "infinite rhs",
