@@ -32,7 +32,7 @@ from .numerics import (CholeskyFactor, PivotList, QSqrt2, SymMatrix, exact_ldl_p
                        sym_from_upper)
 from .quartic import monomials, poly_mul, sum_of_squares_poly
 from .sdp import (DualRay, EvenSosLayout, LinExpr, SdpProblem, SdpStatus, SdpSolution,
-                  even_sos_assemble, gram_form_coeffs, sdp_solve)
+                  even_sos_assemble, gram_form_coeffs, gram_rows, sdp_solve)
 
 BASIC_CONES = ("nn", "psd", "dnn")
 
@@ -84,15 +84,37 @@ class InfeasibilityCert:
     separator: Optional[np.ndarray] = None
     note: str = ""
 
+    def check(self, a: SymMatrix, r: int) -> bool:
+        """Whether y alone refutes A at level r: y has the shape of the dense
+        rows over the degree-(r + 2) monomials (gram_rows), and the moment
+        matrix rebuilt from y (_moment_ray), never the stored psd_operators,
+        refutes b = quartic_target(A, r) at b's scale (_ray_at_scale)."""
+        basis = monomials(a.n, r + 2)
+        at, _ = gram_rows(tuple(basis))
+        y = np.asarray(self.ray.y, dtype=float)
+        if y.shape != (len(at),):
+            return False
+        target = quartic_target(a, r)
+        b = np.array([float(target.get(g, 0)) for g in at])
+        try:
+            _ray_at_scale(_moment_ray(basis, y, np.zeros(0)), b)
+        except RuntimeError:
+            return False
+        return True
+
 
 @dataclass
 class CopRefutation:
     x: tuple  # rational vector in the simplex
-    value: object  # exact x^T A x < 0
+    value: object  # exact x^T A x < 0, or None when no value is stated
 
     def check_exact(self, a: SymMatrix) -> bool:
-        """x >= 0 and x^T A x < 0 (so x != 0), each decided exactly."""
-        return all(t >= 0 for t in self.x) and exact_quadratic(a, self.x) < 0
+        """x >= 0 and x^T A x < 0 (so x != 0), each decided exactly, and
+        x^T A x equal to value exactly, unless value is None (none stated)."""
+        if not all(t >= 0 for t in self.x):
+            return False
+        q = exact_quadratic(a, self.x)
+        return q < 0 and (self.value is None or q == self.value)
 
 
 @dataclass
@@ -221,6 +243,13 @@ def _spn_sdp(arr: np.ndarray, tol: float):
     raise _indeterminate(sol)
 
 
+def _moment_ray(basis: List[Tuple[int, ...]], y: np.ndarray, free_part: np.ndarray) -> DualRay:
+    """The ray of a moment functional y on the gram_rows rows of basis, then
+    any appended rows: its moment matrix -A^T y = -y[pos], and free_part."""
+    _, pos = gram_rows(tuple(basis))
+    return DualRay(y=y, psd_operators=[-y[pos]], nonneg_part=np.zeros(0), free_part=free_part)
+
+
 def _ray_at_scale(ray: DualRay, b: np.ndarray) -> DualRay:
     """The solver's ray for the right-hand side b if it refutes at b's scale:
     a point the size of b, paired with the ray's violation, must not make up
@@ -294,16 +323,21 @@ def kr_problem(n: int, r: int, target: Optional[Dict[Tuple[int, ...], object]] =
 
 def _kr_answer(prob: SdpProblem, layout: EvenSosLayout, sol: SdpSolution, target, note: str):
     """The one readback of a kr_problem solve: the Gram on a solution; on
-    infeasibility the ray lifted to the dense rows, plus any appended ones,
-    if it refutes at the scale of b, the target there followed by the
-    appended right-hand sides (_ray_at_scale); else RuntimeError."""
+    infeasibility y scattered onto the rows of gram_rows, plus any appended
+    ones, with Z from y (_moment_ray), if it refutes at the scale of b, the
+    target there followed by the appended right-hand sides (_ray_at_scale);
+    else RuntimeError."""
     if sol.status in (SdpStatus.FEASIBLE_POINT, SdpStatus.OPTIMAL):
         return SosGram(basis=layout.basis, gram=layout.gram(sol))
     if sol.status != SdpStatus.INFEASIBLE:
         raise _indeterminate(sol)
-    b = [float(target.get(g, 0)) for g in monomials(len(layout.rows[0]), sum(layout.rows[0]))]
-    b += [rhs for _, rhs in prob.constraints[len(layout.rows):]]
-    return InfeasibilityCert(_ray_at_scale(layout.lift_ray(sol.dual_ray), np.array(b)), note=note)
+    at, _ = gram_rows(tuple(layout.basis))
+    ray, nrows = sol.dual_ray, len(layout.rows)
+    y = np.r_[np.zeros(len(at)), ray.y[nrows:]]
+    y[[at[g] for g in layout.rows]] = ray.y[:nrows]
+    b = [float(target.get(g, 0)) for g in at] + [rhs for _, rhs in prob.constraints[nrows:]]
+    moment = _moment_ray(layout.basis, y, ray.free_part.copy())
+    return InfeasibilityCert(_ray_at_scale(moment, np.array(b)), note=note)
 
 
 def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
@@ -319,8 +353,10 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
     the vertex (_vertex_ray).  Otherwise it solves kr_problem with M fixed
     to A, read back by _kr_answer: a Gram certificate over the full
     homogeneous monomial basis of degree r + 2, or the separating moment
-    functional indexed like the rows of the dense sos_gram_assemble problem,
-    which counts only at the input's scale; else RuntimeError.
+    functional on the dense rows of gram_rows over that basis, which counts
+    only at the input's scale; else RuntimeError.  Every level's functional
+    y carries its moment matrix -y[pos] (_moment_ray), so
+    InfeasibilityCert.check(A, r) re-checks it from y alone.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -342,19 +378,19 @@ def parrilo_member(a: SymMatrix, r: int, tol: float = 1e-9):
 
 
 def _level0_ray(m: np.ndarray) -> InfeasibilityCert:
-    """parrilo_member's level-0 functional, over the dense sos_gram_assemble
-    rows, of a DNN M with <A, M> = -1: y = -M_ij on the row of x_i^2 x_j^2
-    and 0 elsewhere, so b^T y = 1, and -A^T y on the full Gram is M on the
-    squares and M_ij on each x_i x_j, i.e. _summand_gram(SpnPair(M,
-    (M - diag M) / 2), 0), PSD as M is."""
+    """parrilo_member's level-0 functional, over the dense rows of
+    gram_rows, of a DNN M with <A, M> = -1: y = -M_ij on the row of
+    x_i^2 x_j^2 and 0 elsewhere, so b^T y = 1, and -A^T y on the full Gram
+    (_moment_ray) is M on the squares and M_ij on each x_i x_j, PSD as M
+    is."""
     n = m.shape[0]
-    rows = {g: k for k, g in enumerate(monomials(n, 4))}  # decreasing, like the dense rows
-    y = np.zeros(len(rows))
+    basis = monomials(n, 2)
+    at, _ = gram_rows(tuple(basis))
+    y = np.zeros(len(at))
     for i, j in _upper_pairs(n):
-        y[rows[tuple(2 * (t == i) + 2 * (t == j) for t in range(n))]] = -m[i, j]
-    z = _summand_gram(SpnPair(p=m, n=(m - np.diag(np.diag(m))) / 2.0), 0).gram
-    ray = DualRay(y=y, psd_operators=[z], nonneg_part=np.zeros(0), free_part=np.zeros(0))
-    return InfeasibilityCert(ray=ray, separator=m, note="moment functional of the DNN M")
+        y[at[tuple(2 * (t == i) + 2 * (t == j) for t in range(n))]] = -m[i, j]
+    return InfeasibilityCert(ray=_moment_ray(basis, y, np.zeros(0)), separator=m,
+                             note="moment functional of the DNN M")
 
 
 def _summand_gram(pair: SpnPair, r: int) -> SosGram:
@@ -410,7 +446,7 @@ def _negative_vertex(arr: np.ndarray, tol: float) -> Optional[Tuple[Tuple[int, .
 
 def _vertex_ray(n: int, r: int, support: Tuple[int, ...], value: float) -> InfeasibilityCert:
     """The separating functional of parrilo_member for x = 1_S with
-    x^T A x = value < 0, over the rows of the dense sos_gram_assemble problem.
+    x^T A x = value < 0, over the dense rows of gram_rows.
 
     L averages the evaluations at the sign flips of x: L(x^gamma) = 1 for an
     even gamma supported in S and 0 otherwise.  It is nonnegative on every
@@ -421,15 +457,10 @@ def _vertex_ray(n: int, r: int, support: Tuple[int, ...], value: float) -> Infea
     """
     scale = len(support) ** r * -value
     outside = [t for t in range(n) if t not in support]
-    rows = np.array(monomials(n, 2 * (r + 2)), dtype=np.int64)  # decreasing, like the dense rows
-    moments = (rows % 2 == 0).all(axis=1) & (rows[:, outside] == 0).all(axis=1)
-    basis = np.array(monomials(n, r + 2), dtype=np.int64)
-    inside = (basis[:, outside] == 0).all(axis=1)
-    parity = basis % 2
-    same = (parity[:, None, :] == parity[None, :, :]).all(axis=2)
-    z = np.where(same & inside[:, None] & inside[None, :], 1.0 / scale, 0.0)
-    ray = DualRay(y=np.where(moments, -1.0 / scale, 0.0), psd_operators=[z],
-                  nonneg_part=np.zeros(0), free_part=np.zeros(0))
+    basis = monomials(n, r + 2)
+    at, _ = gram_rows(tuple(basis))
+    moments = [all(e % 2 == 0 for e in g) and not any(g[t] for t in outside) for g in at]
+    ray = _moment_ray(basis, np.where(moments, -1.0 / scale, 0.0), np.zeros(0))
     return InfeasibilityCert(ray=ray, note=f"moment functional of the sign flips of x = 1 on "
                                            f"{list(support)}, where x^T A x = {value:.6g} < 0")
 

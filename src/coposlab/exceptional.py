@@ -289,8 +289,8 @@ def construct_ecop(a: SymMatrix, epsilon_prime, k: int = 1, tol: float = 1e-8,
     naming the failed part (nn or psd).
     The SDP is cones.kr_problem's free-M model at r = k with the pairing row
     appended, read back by cones._kr_answer: the Gram certificate is over the
-    full monomial basis of degree k + 2, and an infeasibility ray, indexed
-    like the dense coefficient rows followed by the pairing row, counts only
+    full monomial basis of degree k + 2, and an infeasibility ray, on the
+    dense rows of sdp.gram_rows followed by the pairing row, counts only
     at the scale of eps'.  A C that cop_refute(C, tol=0) refutes, with an
     exactly re-checked witness, raises VerificationError.
     Returns (C, SosGram) or an InfeasibilityCert; Indeterminate raises.

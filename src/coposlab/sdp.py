@@ -7,8 +7,11 @@ of the monomial basis (Gatermann and Parrilo 2004).  even_sos_assemble builds
 that block problem: one PSD block per class of two or more monomials, an
 orthant scalar per class of one, and rows only for even monomials.  Its
 certificates are still given on the full monomial basis (a K x K Gram
-matrix) and, for infeasibility, on the rows of the dense sos_gram_assemble
-problem, which stays as the reference form.
+matrix) and, for infeasibility, on the dense coefficient rows.  gram_rows
+is the one home of that row order: it maps each product monomial of the
+basis to its dense row, and sos_gram_assemble, gram_form_coeffs and every
+moment matrix -A^T y read it.  The dense problem stays as the reference
+form.
 
 The solver is a primal-dual path-following method on the homogeneous
 self-dual embedding (HSDE).  The embedding is what turns infeasibility into
@@ -998,6 +1001,22 @@ def _check_degrees(basis: List[Monomial], target_monomials) -> None:
         raise ValueError(f"target must be homogeneous of degree {2 * d}")
 
 
+@functools.lru_cache(maxsize=None)
+def gram_rows(basis: tuple) -> Tuple[Dict[Monomial, int], np.ndarray]:
+    """The one table of the dense SOS rows over a monomial basis (a tuple).
+
+    `at` maps every product monomial m_i + m_j, in decreasing order, to its
+    dense row index, and `pos` is the K x K array of the row of each pair
+    (i, j), so a moment functional y on the rows pulls back to the Gram
+    matrix as -A^T y = -y[pos].  Cached and shared: read-only.
+    """
+    sums = [_product(a, b) for a in basis for b in basis]
+    at = {g: t for t, g in enumerate(sorted(set(sums), reverse=True))}
+    pos = np.array([at[g] for g in sums], dtype=np.intp).reshape(len(basis), len(basis))
+    pos.flags.writeable = False
+    return at, pos
+
+
 def sos_gram_assemble(target_coeffs: Dict[Monomial, object],
                       monomial_basis: Sequence[Monomial]) -> SdpProblem:
     """Feasibility SDP for target = w^T B w over the given monomial basis.
@@ -1009,32 +1028,24 @@ def sos_gram_assemble(target_coeffs: Dict[Monomial, object],
     raises BasisDeficiencyError before any solving.
 
     This is the dense reference form: one K x K block and one row per
-    product monomial, in decreasing monomial order.  Even targets are solved
-    through even_sos_assemble, whose certificates are stated in this form.
+    product monomial, in gram_rows order.  Even targets are solved through
+    even_sos_assemble, whose certificates are stated in this form.
     """
     basis = list(monomial_basis)
     _check_degrees(basis, target_coeffs)
-
-    products: Dict[Monomial, List[Tuple[int, int]]] = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            products.setdefault(_product(basis[i], basis[j]), []).append((i, j))
+    at, pos = gram_rows(tuple(basis))
 
     for gamma, coef in target_coeffs.items():
-        if float(coef) != 0.0 and gamma not in products:
+        if float(coef) != 0.0 and gamma not in at:
             raise BasisDeficiencyError(gamma)
 
-    problem = SdpProblem(psd_block_dims=[len(basis)])
-    gammas = sorted(set(products) | set(target_coeffs), reverse=True)
-    for gamma in gammas:
-        expr = LinExpr()
-        for (i, j) in products.get(gamma, []):
-            expr.add_psd_entry(0, i, j, 1.0 if i == j else 2.0)
-        rhs = float(target_coeffs.get(gamma, 0))
-        if expr.is_zero() and rhs == 0.0:
-            continue
-        problem.constraints.append((expr, rhs))
-    return problem
+    exprs = [LinExpr() for _ in at]
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            exprs[pos[i, j]].add_psd_entry(0, i, j, 1.0 if i == j else 2.0)
+    return SdpProblem(psd_block_dims=[len(basis)],
+                      constraints=[(expr, float(target_coeffs.get(gamma, 0)))
+                                   for gamma, expr in zip(at, exprs)])
 
 
 @dataclass
@@ -1059,34 +1070,6 @@ class EvenSosLayout:
         g[self.singles, self.singles] = sol.nonneg
         return g
 
-    def lift_ray(self, ray: DualRay) -> DualRay:
-        """The dual ray over the rows of the dense sos_gram_assemble problem.
-
-        Rows of odd monomials get y = 0, and -A^T y is recomputed on the
-        full Gram matrix from the dense rows: entry (i, j) is -y at the row
-        of m_i + m_j.  Rows a caller appended after the builder's rows keep
-        their y and stay last; they act on free scalars only, whose part of
-        -A^T y is the same in both problems.
-        """
-        k, nrows = len(self.basis), len(self.rows)
-        exps = np.array(self.basis, dtype=np.int64)
-        rows = np.array(self.rows, dtype=np.int64).reshape(nrows, exps.shape[1])
-        gammas = np.concatenate([(exps[:, None, :] + exps[None, :, :]).reshape(k * k, -1), rows])
-        # the dense row of each exponent vector: its rank in decreasing
-        # lexicographic order (np.lexsort takes its primary key last)
-        order = np.lexsort(-gammas.T[::-1])
-        ranked = gammas[order]
-        rank = np.cumsum(np.r_[False, (ranked[1:] != ranked[:-1]).any(axis=1)])
-        pos = np.empty(len(gammas), dtype=np.intp)
-        pos[order] = rank
-        ndense = int(rank[-1]) + 1
-        y = np.zeros(ndense + len(ray.y) - nrows)
-        y[pos[k * k:]] = ray.y[:nrows]
-        y[ndense:] = ray.y[nrows:]
-        z = -y[pos[:k * k].reshape(k, k)]
-        return DualRay(y=y, psd_operators=[z], nonneg_part=np.zeros(0),
-                       free_part=ray.free_part.copy())
-
 
 def even_sos_assemble(monomial_basis: Sequence[Monomial],
                       target_coeffs: Dict[Monomial, object],
@@ -1105,7 +1088,7 @@ def even_sos_assemble(monomial_basis: Sequence[Monomial],
     and rows are written only for even monomials, in decreasing order as in
     sos_gram_assemble.  Callers may append rows and an objective on the free
     scalars.  Returns the problem and its EvenSosLayout, which states
-    solutions and rays on the full basis and the dense row order.
+    solutions on the full basis and the monomial of each row.
     """
     basis = list(monomial_basis)
     free_coef = free_coef or {}
@@ -1149,12 +1132,10 @@ def even_sos_assemble(monomial_basis: Sequence[Monomial],
 
 
 def gram_form_coeffs(basis: Sequence[Monomial], B: np.ndarray) -> Dict[Monomial, float]:
-    """Expand w^T B w back into monomial coefficients (for re-checking)."""
-    out: Dict[Monomial, float] = {}
-    k = len(basis)
-    for i in range(k):
-        for j in range(i, k):
-            gamma = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            w = 1.0 if i == j else 2.0
-            out[gamma] = out.get(gamma, 0.0) + w * float(B[i, j])
-    return {g: v for g, v in out.items() if v != 0.0}
+    """Expand w^T B w back into monomial coefficients (for re-checking): B's
+    upper triangle, weighted 1 on the diagonal and 2 off it, on gram_rows."""
+    at, pos = gram_rows(tuple(basis))
+    iu = np.triu_indices(len(basis))
+    w = np.where(iu[0] == iu[1], 1.0, 2.0) * np.asarray(B, dtype=float)[iu]
+    sums = np.bincount(pos[iu], weights=w, minlength=len(at))
+    return {g: float(v) for g, v in zip(at, sums) if v != 0.0}

@@ -14,8 +14,8 @@ from coposlab.numerics import CholeskyFactor, PivotList, QSqrt2, SymMatrix, exac
 from coposlab.exceptional import construct_ednn, load_reference_a5, load_reference_c
 from coposlab.quartic import monomials
 from coposlab.volume import SectionSpec, section_radii
-from coposlab.sdp import (LinExpr, SdpProblem, SdpStatus, gram_form_coeffs, sdp_solve,
-                          sos_gram_assemble)
+from coposlab.sdp import (DualRay, LinExpr, SdpProblem, SdpStatus, gram_form_coeffs,
+                          gram_rows, sdp_solve, sos_gram_assemble)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +272,13 @@ def _assert_ray_on_dense_rows(a, r, res):
             if i != j:
                 z[j, i] -= v
     assert np.allclose(res.ray.psd_operators[0], z, rtol=0.0, atol=1e-12)
+    assert res.check(a, r) and not _negated(res).check(a, r)
+
+
+def _negated(cert):
+    # the same ray with y negated and its stored operators kept
+    ray = cert.ray
+    return InfeasibilityCert(DualRay(-ray.y, ray.psd_operators, ray.nonneg_part, ray.free_part))
 
 
 def test_parrilo_ray_is_stated_on_the_dense_rows():
@@ -293,6 +300,50 @@ def test_parrilo_ray_from_the_sdp_is_stated_on_the_dense_rows(sdp_calls):
     res = parrilo_member(a, 1)
     assert len(sdp_calls) == 1
     _assert_ray_on_dense_rows(a, 1, res)
+
+
+# the shifted Hildebrand T-matrix of the CI step: no 0/1 vertex is negative
+T_SHIFTED = np.array([[0.999, -1.960133, 0.348353, 0.932415, -0.877583],
+                      [-1.960133, 3.996, -0.825336, 1.86483, 1.529684],
+                      [0.348353, -0.825336, 0.24975, -0.716502, 0.382421],
+                      [0.932415, 1.86483, -0.716502, 2.24775, -1.381591],
+                      [-0.877583, 1.529684, 0.382421, -1.381591, 0.999]])
+
+
+def test_infeasibility_check_rebuilds_the_moment_matrix_from_y():
+    # the Horn matrix is in K^(1), so nothing refutes it there; a made-up ray
+    # with y one-hot at the largest entry of b (b^T y = 1) and a stored Z = I
+    # passes every test that reads the stored Z, but the moment matrix of
+    # that y is not PSD
+    h = horn_matrix()
+    at, _ = gram_rows(tuple(monomials(5, 3)))
+    target = quartic_target(h, 1)
+    b = np.array([float(target.get(g, 0)) for g in at])
+    k = int(np.argmax(b))
+    y = np.zeros(len(at))
+    y[k] = 1.0 / b[k]
+    fake = InfeasibilityCert(DualRay(y, [np.eye(35)], np.zeros(0), np.zeros(0)))
+    assert float(b @ y) == 1.0 and fake.ray.max_violation() == 0.0
+    assert not fake.check(h, 1)
+    # a y of the wrong length or level refutes nothing
+    assert not InfeasibilityCert(DualRay(y[:-1], [], np.zeros(0), np.zeros(0))).check(h, 1)
+    assert not fake.check(h, 0)
+
+
+def test_infeasibility_check_passes_every_producers_ray(sdp_calls):
+    # the level-0 DNN functional, the vertex ray at r = 0 and r = 1, and the
+    # K^(1) SDP ray read back on the dense rows; each passes check and fails
+    # it with y negated (_assert_ray_on_dense_rows)
+    a = SymMatrix(horn_matrix().to_numpy() - 0.2 * np.eye(5))
+    support, value = cones._negative_vertex(a.to_numpy(), 1e-9)
+    t = SymMatrix(T_SHIFTED)
+    assert cones._negative_vertex(T_SHIFTED, 1e-9) is None
+    rays = [(a, 0, parrilo_member(a, 0)), (a, 0, cones._vertex_ray(5, 0, support, value)),
+            (a, 1, parrilo_member(a, 1)), (t, 1, parrilo_member(t, 1))]
+    assert len(sdp_calls) == 2  # the level-0 P + N SDP and the K^(1) SDP of t
+    assert rays[0][2].separator is not None and "sign flips" in rays[2][2].note
+    for m, r, cert in rays:
+        _assert_ray_on_dense_rows(m, r, cert)
 
 
 def _pm1_with_negative_triangle(n):
@@ -511,6 +562,16 @@ def test_cop_refutation_check_requires_x_in_the_orthant():
     assert CopRefutation(x=half, value=QSqrt2.of(-1)).check_exact(neg)
 
 
+def test_cop_refutation_check_compares_the_stated_value():
+    # x^T A x = -1 at x = (1/2, 1/2): a stated value of -5 is false; None
+    # states no value, as in a refutation read back from a CLI report
+    half = (Fraction(1, 2), Fraction(1, 2))
+    for a in (SymMatrix([[1, -3], [-3, 1]], "exact"), SymMatrix(np.array([[1.0, -3.0], [-3.0, 1.0]]))):
+        assert not CopRefutation(x=half, value=Fraction(-5)).check_exact(a)
+        assert CopRefutation(x=half, value=Fraction(-1)).check_exact(a)
+        assert CopRefutation(x=half, value=None).check_exact(a)
+
+
 def test_cop_refute_horn_finds_nothing():
     assert cop_refute(horn_matrix()) is None
 
@@ -580,12 +641,7 @@ def test_cop_witness_is_an_exact_point_of_the_simplex():
     # T-matrix of the CI step, whose coordinates rounded one by one summed
     # to 1 + 3.1e-12, and on Kaplan witnesses just outside the cop section
     # along seeded rays at n = 4..8
-    t_shifted = np.array([[0.999, -1.960133, 0.348353, 0.932415, -0.877583],
-                          [-1.960133, 3.996, -0.825336, 1.86483, 1.529684],
-                          [0.348353, -0.825336, 0.24975, -0.716502, 0.382421],
-                          [0.932415, 1.86483, -0.716502, 2.24775, -1.381591],
-                          [-0.877583, 1.529684, 0.382421, -1.381591, 0.999]])
-    inputs = [t_shifted]
+    inputs = [T_SHIFTED]
     for n in range(4, 9):
         spec = SectionSpec(cone="cop", n=n)
         dirs = np.random.RandomState(n).standard_normal((10, spec.dim))

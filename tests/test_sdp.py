@@ -9,7 +9,7 @@ from coposlab import cones, sdp
 from coposlab.exceptional import load_reference_a5, load_reference_c
 from coposlab.numerics import SymMatrix
 from coposlab.quartic import monomials
-from coposlab.sdp import (BasisDeficiencyError, LinExpr, SdpProblem,
+from coposlab.sdp import (BasisDeficiencyError, LinExpr, SdpProblem, SdpSolution,
                           SdpStatus, even_sos_assemble, gram_form_coeffs,
                           sdp_solve, sdp_solve_many, sos_gram_assemble)
 
@@ -627,7 +627,8 @@ def test_even_sos_splits_by_parity_class():
 
 
 def _lift_ray_reference(layout, ray):
-    # the monomial-by-monomial statement of EvenSosLayout.lift_ray
+    # the monomial-by-monomial statement of a block ray read back on the
+    # dense rows
     sums = [[tuple(a + b for a, b in zip(m, w)) for w in layout.basis] for m in layout.basis]
     gammas = sorted({g for row in sums for g in row} | set(layout.rows), reverse=True)
     pos = {g: i for i, g in enumerate(gammas)}
@@ -638,7 +639,11 @@ def _lift_ray_reference(layout, ray):
     return y, -y[np.array([[pos[g] for g in row] for row in sums])]
 
 
-def test_lift_ray_equals_the_monomial_loop():
+def test_kr_answer_ray_equals_the_monomial_loop(monkeypatch):
+    # cones._kr_answer's readback of a stub infeasible solve; a random ray
+    # refutes nothing, so the at-scale rule only records b
+    seen = []
+    monkeypatch.setattr(cones, "_ray_at_scale", lambda ray, b: seen.append(b) or ray)
     rng = np.random.RandomState(5)
     n = 4
     basis = monomials(n, 3)
@@ -655,11 +660,57 @@ def test_lift_ray_equals_the_monomial_loop():
             prob.constraints.append((LinExpr().add_free(0, 1.0), 1.0))
         ray = sdp.DualRay(y=rng.randn(len(prob.constraints)), psd_operators=[],
                           nonneg_part=np.zeros(0), free_part=rng.randn(dim))
-        got = layout.lift_ray(ray)
+        sol = SdpSolution(status=SdpStatus.INFEASIBLE, psd_blocks=[], nonneg=np.zeros(0),
+                          free=np.zeros(0), y=np.zeros(0), residuals=(0.0, 0.0, 0.0),
+                          objective_value=None, iterations=0, dual_ray=ray)
+        got = cones._kr_answer(prob, layout, sol, target, "").ray
         y, z = _lift_ray_reference(layout, ray)
         assert got.y.tobytes() == y.tobytes()
         assert got.psd_operators[0].tobytes() == z.tobytes()
         assert got.free_part.tobytes() == ray.free_part.tobytes()
+        appended = [1.0] if dim else []
+        assert seen.pop().tolist() == [target.get(g, 0.0) for g in monomials(n, 6)] + appended
+
+
+def test_gram_rows_is_the_decreasing_order_of_the_products():
+    # a basis that is not a full monomial set: 4 of the 6 quadratics in 3
+    # variables, whose products miss some quartics
+    basis = tuple(monomials(3, 2)[k] for k in (0, 2, 3, 5))
+    products = [tuple(a + b for a, b in zip(m, w)) for m in basis for w in basis]
+    at, pos = sdp.gram_rows(basis)
+    assert list(at) == sorted(set(products), reverse=True)
+    assert list(at.values()) == list(range(len(at)))
+    assert len(at) < len(monomials(3, 4))
+    assert pos.tolist() == [[at[g] for g in products[4 * i:4 * i + 4]] for i in range(4)]
+    assert not pos.flags.writeable
+    assert sdp.gram_rows(basis)[1] is pos
+    empty_at, empty_pos = sdp.gram_rows(())
+    assert empty_at == {} and empty_pos.shape == (0, 0)
+
+
+def _gram_form_loop(basis, b):
+    # the pair-by-pair statement of gram_form_coeffs: the upper triangle only
+    out = {}
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            gamma = tuple(x + w for x, w in zip(basis[i], basis[j]))
+            out[gamma] = out.get(gamma, 0.0) + (1.0 if i == j else 2.0) * float(b[i, j])
+    return {g: v for g, v in out.items() if v != 0.0}
+
+
+def test_gram_form_coeffs_equals_the_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n, d in ((2, 2), (3, 2), (4, 3), (5, 3)):
+        basis = monomials(n, d)
+        g = rng.standard_normal((len(basis), len(basis)))
+        for b in (g @ g.T, g):  # a Gram, and an asymmetric B
+            got, want = gram_form_coeffs(basis, b), _gram_form_loop(basis, b)
+            assert got == want
+            assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in got)
+    # only the upper triangle counts: a strictly lower B expands to nothing
+    basis = monomials(3, 2)
+    assert gram_form_coeffs(basis, np.tril(np.ones((6, 6)), -1)) == {}
+    assert gram_form_coeffs([], np.zeros((0, 0))) == {}
 
 
 def test_sdp_problem_json_dump(tmp_path):
